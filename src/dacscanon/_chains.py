@@ -23,6 +23,7 @@ from .ratmat import (
     InternalInvariantViolation,
     RatMatrix,
     Subspace,
+    block_diag,
     complement,
     hstack,
     image,
@@ -31,7 +32,6 @@ from .ratmat import (
     kernel_basis,
     qq,
     rank,
-    rank_rref,
     solve,
     subspace_sum,
     vstack,
@@ -265,17 +265,29 @@ def brunovsky_single(
     return T_x, T_u, F, kappa
 
 
-def _assert_chain_form(A: RatMatrix, B: RatMatrix, kappa: Sequence[int]) -> None:
-    n = A.rows
-    expectA = RatMatrix.zeros(n, n).to_lists()
-    expectB = RatMatrix.zeros(n, B.cols).to_lists()
+def _chain_diag(lengths: Sequence[int]) -> RatMatrix:
+    """Block diagonal of shift blocks (ones on the superdiagonal)."""
+    blocks = []
+    for k in lengths:
+        Mk = RatMatrix.zeros(k, k).to_lists()
+        for i in range(k - 1):
+            Mk[i][i + 1] = qq(1)
+        blocks.append(RatMatrix(Mk, cols=k))
+    return block_diag(blocks)
+
+
+def _tail_selectors(lengths: Sequence[int], n: int, cols: int) -> RatMatrix:
+    """n x cols matrix whose column j selects the tail of chain j."""
+    out = RatMatrix.zeros(n, cols).to_lists()
     off = 0
-    for j, k in enumerate(kappa):
-        for l in range(k - 1):
-            expectA[off + l][off + l + 1] = qq(1)
-        expectB[off + k - 1][j] = qq(1)
+    for j, k in enumerate(lengths):
+        out[off + k - 1][j] = qq(1)
         off += k
-    if A != RatMatrix(expectA, cols=n) or B != RatMatrix(expectB, cols=B.cols):
+    return RatMatrix(out, cols=cols)
+
+
+def _assert_chain_form(A: RatMatrix, B: RatMatrix, kappa: Sequence[int]) -> None:
+    if A != _chain_diag(kappa) or B != _tail_selectors(kappa, A.rows, B.cols):
         raise InternalInvariantViolation("Brunovsky normalization produced a wrong pattern")
 
 
@@ -352,7 +364,7 @@ def frobenius_form(A: RatMatrix) -> Tuple[RatMatrix, RatMatrix, List[List]]:
     dividing the previous; their product is the characteristic polynomial.
     """
     T, blocks, factors = _frobenius_rec(A)
-    Fr = _block_diag_square(blocks)
+    Fr = block_diag(blocks)
     if T * A != Fr * T:
         raise InternalInvariantViolation("Frobenius transformation mismatch")
     prod = [qq(1)]
@@ -398,21 +410,6 @@ def _frobenius_rec(A: RatMatrix) -> Tuple[RatMatrix, List[RatMatrix], List[List]
     ):
         raise InternalInvariantViolation("cyclic complement is not invariant")
     T_sub, blocks_sub, factors_sub = _frobenius_rec(sub)
-    T = _embed_block_diag(RatMatrix.identity(d), T_sub) * inverse(P)
+    T = block_diag([RatMatrix.identity(d), T_sub]) * inverse(P)
     return T, [companion(mp)] + blocks_sub, [mp] + factors_sub
 
-
-def _embed_block_diag(M1: RatMatrix, M2: RatMatrix) -> RatMatrix:
-    return vstack(
-        [
-            hstack([M1, RatMatrix.zeros(M1.rows, M2.cols)]),
-            hstack([RatMatrix.zeros(M2.rows, M1.cols), M2]),
-        ]
-    )
-
-
-def _block_diag_square(blocks: List[RatMatrix]) -> RatMatrix:
-    out = RatMatrix.identity(0)
-    for b in blocks:
-        out = _embed_block_diag(out, b)
-    return out

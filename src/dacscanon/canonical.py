@@ -31,12 +31,15 @@ from typing import List, Sequence, Tuple
 from ._chains import (
     NotControllable,
     NotObservable,
+    _chain_diag,
+    _matrix_power,
+    _tail_selectors,
     brunovsky_single,
     frobenius_form,
     functional_chains,
 )
 from .geometry import invariant_subspaces
-from .morse import MnfSystem, _group_sizes, _state_blocks, emnf, emtf
+from .morse import MnfSystem, MtfSystem, _group_sizes, _state_blocks, emnf, emtf
 from .ratmat import (
     InternalInvariantViolation,
     RatMatrix,
@@ -62,7 +65,7 @@ from .systems import (
     Dacs,
     EmTransform,
     ExFbTransform,
-    MorseTransform,
+    ExplicitationRecord,
     Odecs2,
     apply_em,
     em_compose,
@@ -82,8 +85,12 @@ __all__ = [
     "prime_canonical",
     "observable_dual_canonical",
     "emcf",
+    "EmcfRun",
+    "emcf_run",
     "translate_indices",
     "build_fbcf",
+    "FbcfRun",
+    "fbcf_run",
     "fbcf",
 ]
 
@@ -216,13 +223,6 @@ class FbcfIndices:
 # ---------------------------------------------------------------------------
 
 
-def _pow(A: RatMatrix, k: int) -> RatMatrix:
-    M = RatMatrix.identity(A.rows)
-    for _ in range(k):
-        M = M * A
-    return M
-
-
 def _two_kind_chains(
     A: RatMatrix, B_u: RatMatrix, B_v: RatMatrix
 ) -> Tuple[List[Tuple[RatMatrix, int]], List[Tuple[RatMatrix, int]], RatMatrix, RatMatrix, RatMatrix]:
@@ -250,11 +250,11 @@ def _two_kind_chains(
     raw = functional_chains(A, B_w)  # longest first; may raise NotControllable
     reduced: List[Tuple[RatMatrix, int, int, RatMatrix]] = []  # (tau, k, pivot, gamma)
     for tau, k in raw:
-        gamma = tau * _pow(A, k - 1) * B_w
+        gamma = tau * _matrix_power(A, k - 1) * B_w
         for tau_i, k_i, piv_i, g_i in reduced:
             lam = gamma[0, piv_i] / g_i[0, piv_i]
             if lam != 0:
-                tau = tau - (tau_i * _pow(A, k_i - k)).scale(lam)
+                tau = tau - (tau_i * _matrix_power(A, k_i - k)).scale(lam)
                 gamma = gamma - g_i.scale(lam)
         v_hits = [j for j in range(m, m + s) if gamma[0, j] != 0]
         if v_hits:
@@ -299,36 +299,15 @@ def _two_kind_chains(
     # tail-killing feedback: row r_j of M is tau_j A^{k_j}, zero elsewhere
     mrows = [RatMatrix.zeros(1, n)] * (m + s)
     for idx, (tau, k, _, _) in enumerate(u_chains):
-        mrows[idx] = tau * _pow(A, k)
+        mrows[idx] = tau * _matrix_power(A, k)
     for idx, (tau, k, _, _) in enumerate(v_chains):
-        mrows[m + idx] = tau * _pow(A, k)
+        mrows[m + idx] = tau * _matrix_power(A, k)
     M = vstack(mrows) if mrows else RatMatrix.zeros(0, n)
     F_w = -(inverse(T_w) * M) if m + s else RatMatrix.zeros(0, n)
 
     u_list = [(tau, k) for tau, k, _, _ in u_chains]
     v_list = [(tau, k) for tau, k, _, _ in v_chains]
     return u_list, v_list, T_x, T_w, F_w
-
-
-def _chain_diag(lengths: Sequence[int]) -> RatMatrix:
-    """Block diagonal of shift blocks (ones on the superdiagonal)."""
-    blocks = []
-    for k in lengths:
-        Mk = RatMatrix.zeros(k, k).to_lists()
-        for i in range(k - 1):
-            Mk[i][i + 1] = qq(1)
-        blocks.append(RatMatrix(Mk, cols=k))
-    return block_diag(blocks)
-
-
-def _tail_selectors(lengths: Sequence[int], n: int, cols: int) -> RatMatrix:
-    """n x cols matrix whose column j selects the tail of chain j."""
-    out = RatMatrix.zeros(n, cols).to_lists()
-    off = 0
-    for j, k in enumerate(lengths):
-        out[off + k - 1][j] = qq(1)
-        off += k
-    return RatMatrix(out, cols=cols)
 
 
 def _head_selectors(lengths: Sequence[int], offsets: Sequence[int], rows: int, n: int) -> RatMatrix:
@@ -368,12 +347,8 @@ def brunovsky_two_inputs(
             RatMatrix.zeros(n, m - len(eps)),
         ]
     )
-    off = sum(eps)
-    want_Bv = RatMatrix.zeros(n, s).to_lists()
-    for j, k in enumerate(eps_bar):
-        want_Bv[off + k - 1][j] = qq(1)
-        off += k
-    if got.A != want_A or got.B_u != want_Bu or got.B_v != RatMatrix(want_Bv, cols=s):
+    want_Bv = vstack([RatMatrix.zeros(sum(eps), s), _tail_selectors(eps_bar, n - sum(eps), s)])
+    if got.A != want_A or got.B_u != want_Bu or got.B_v != want_Bv:
         raise InternalInvariantViolation("two-kind chain normalization has a wrong pattern")
     return t, eps, eps_bar
 
@@ -430,7 +405,8 @@ class _PrimeChain:
         on the input side; the drives subtract accordingly.
         """
         d = self.length - other.length
-        assert d >= 0
+        if d < 0:
+            raise InternalInvariantViolation("absorbed chain is longer than its target")
         for l in range(other.length):
             self.tower[d + l] = self.tower[d + l] - other.tower[l].scale(coef)
         self.rho = self.rho - other.rho.scale(coef)
@@ -653,43 +629,10 @@ def prime_canonical(
     o3 = apply_em(o2, t_chain)
 
     total = em_compose(em_compose(t_d, t_kill), t_chain)
-    if o3 != _prime_system(sigma, delta, sigma_bar):
+    want = EmcfIndices((), (), RatMatrix.zeros(0, 0), sigma, delta, sigma_bar, ())
+    if o3 != emcf_system(want):
         raise InternalInvariantViolation("prime normalization has a wrong pattern")
     return total, sigma, delta, sigma_bar
-
-
-def _prime_system(sigma: Sequence[int], delta: int, sigma_bar: Sequence[int]) -> Odecs2:
-    """The canonical prime system with the given indices."""
-    c, d = len(sigma), len(sigma_bar)
-    n = sum(sigma) + sum(sigma_bar)
-    m, s, p = c + delta, d, c + delta + d
-    A = _chain_diag(list(sigma) + list(sigma_bar))
-    B_u = RatMatrix.zeros(n, m).to_lists()
-    B_v = RatMatrix.zeros(n, s).to_lists()
-    offsets = []
-    off = 0
-    for k in list(sigma) + list(sigma_bar):
-        offsets.append(off)
-        off += k
-    for j, k in enumerate(sigma):
-        B_u[offsets[j] + k - 1][j] = qq(1)
-    for j, k in enumerate(sigma_bar):
-        B_v[offsets[c + j] + k - 1][j] = qq(1)
-    C = RatMatrix.zeros(p, n).to_lists()
-    for i in range(c):
-        C[i][offsets[i]] = qq(1)
-    for i in range(d):
-        C[c + delta + i][offsets[c + i]] = qq(1)
-    D = RatMatrix.zeros(p, m).to_lists()
-    for i in range(delta):
-        D[c + i][c + i] = qq(1)
-    return Odecs2(
-        A=A,
-        B_u=RatMatrix(B_u, cols=m),
-        B_v=RatMatrix(B_v, cols=s),
-        C=RatMatrix(C, cols=n),
-        D_u=RatMatrix(D, cols=m),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +725,8 @@ def emcf_system(idx: EmcfIndices) -> Odecs2:
     for t, k in enumerate(eta):
         offsets[("o", t)] = off
         off += k
-    assert off == n and sum(all_lengths) + n2 == n
+    if off != n or sum(all_lengths) + n2 != n:
+        raise InternalInvariantViolation("chain offsets do not cover the states")
 
     B_u = RatMatrix.zeros(n, m).to_lists()
     for t, k in enumerate(eps):
@@ -950,14 +894,6 @@ def translate_indices(e: EmcfIndices) -> FbcfIndices:
     )
 
 
-def _shift_block(k: int) -> RatMatrix:
-    """k x k, ones on the superdiagonal."""
-    M = RatMatrix.zeros(k, k).to_lists()
-    for i in range(k - 1):
-        M[i][i + 1] = qq(1)
-    return RatMatrix(M, cols=k)
-
-
 def build_fbcf(f: FbcfIndices) -> Dacs:
     """Assemble the implicit-side canonical system from its block data.
 
@@ -975,7 +911,7 @@ def build_fbcf(f: FbcfIndices) -> Dacs:
     h_blocks: List[RatMatrix] = []
     for k in f.eps_p:
         e_blocks.append(RatMatrix.identity(k))
-        h_blocks.append(_shift_block(k))
+        h_blocks.append(_chain_diag([k]))
     for k in f.eps_bar_p:
         eye = RatMatrix.identity(k)
         e_blocks.append(eye.take_rows(range(k - 1)))
@@ -1010,7 +946,8 @@ def build_fbcf(f: FbcfIndices) -> Dacs:
         L[row + k - 1][a + t] = qq(1)
         row += k
     d = Dacs(E=E, H=H, L=RatMatrix(L, cols=m))
-    assert (d.l, d.n, d.m) == (f.l, f.n, f.m), "block bookkeeping mismatch"
+    if (d.l, d.n, d.m) != (f.l, f.n, f.m):
+        raise InternalInvariantViolation("block bookkeeping mismatch")
     return d
 
 
@@ -1112,6 +1049,59 @@ def _exfb_from_em(
     return ExFbTransform(Q=Q_pre.take_rows(rows), P=P, F=t.F_u, G=inverse(t.T_u))
 
 
+@dataclass(frozen=True)
+class EmcfRun:
+    """Every stage of one explicit-side run: ``source`` -> triangular form
+    ``tri`` -> normal form ``nf`` -> canonical system ``o_can``.
+
+    ``t_can`` maps ``nf.system`` to ``o_can`` and ``total`` maps ``source``
+    to ``o_can``.
+    """
+
+    source: Odecs2
+    tri: MtfSystem
+    nf: MnfSystem
+    t_can: EmTransform
+    idx: EmcfIndices
+    o_can: Odecs2
+    total: EmTransform
+
+
+def emcf_run(o: Odecs2) -> EmcfRun:
+    """Triangularize, block-diagonalize and canonicalize ``o`` once."""
+    tri = emtf(o)
+    nf = emnf(tri)
+    t_can, idx, o_can = emcf(nf)
+    return EmcfRun(o, tri, nf, t_can, idx, o_can, em_compose(nf.transform, t_can))
+
+
+@dataclass(frozen=True)
+class FbcfRun:
+    """Every stage of one :func:`fbcf` run: the explicitation record, the
+    explicit-side run on the explicitation ``explicit.source``, and the
+    verified implicit certificate ``cert`` mapping the input to ``d_can``."""
+
+    rec: ExplicitationRecord
+    explicit: EmcfRun
+    cert: ExFbTransform
+    fidx: FbcfIndices
+    d_can: Dacs
+
+
+def fbcf_run(d: Dacs) -> FbcfRun:
+    """:func:`fbcf` with every intermediate stage kept."""
+    o, rec = explicitate(d)
+    run = emcf_run(o)
+    if not verify_em(o, run.o_can, run.total):
+        raise InternalInvariantViolation("explicit certificate failed to verify")
+    fidx = translate_indices(run.idx)
+    d_can = build_fbcf(fidx)
+    cert = _exfb_from_em(d, rec, run.total, run.idx)
+    if not verify_exfb(d, d_can, cert):
+        raise InternalInvariantViolation("implicit certificate failed to verify")
+    return FbcfRun(rec, run, cert, fidx, d_can)
+
+
 def fbcf(d: Dacs) -> Tuple[ExFbTransform, FbcfIndices, Dacs]:
     """Feedback canonical form of a differential-algebraic system.
 
@@ -1119,20 +1109,7 @@ def fbcf(d: Dacs) -> Tuple[ExFbTransform, FbcfIndices, Dacs]:
     the explicit side, then translates the indices and rebuilds the
     canonical implicit system.  The returned certificate maps ``d`` to the
     canonical system and is verified before being returned; every input
-    admits a canonical form.
+    admits a canonical form.  :func:`fbcf_run` keeps the stages.
     """
-    o, rec = explicitate(d)
-    nf = emnf(emtf(o))
-    trans = nf.transform
-    if isinstance(trans, MorseTransform):
-        trans = trans.to_em()
-    t_can, idx, o_can = emcf(nf)
-    t = em_compose(trans, t_can)
-    if not verify_em(o, o_can, t):
-        raise InternalInvariantViolation("explicit certificate failed to verify")
-    fidx = translate_indices(idx)
-    d_can = build_fbcf(fidx)
-    cert = _exfb_from_em(d, rec, t, idx)
-    if not verify_exfb(d, d_can, cert):
-        raise InternalInvariantViolation("implicit certificate failed to verify")
-    return cert, fidx, d_can
+    run = fbcf_run(d)
+    return run.cert, run.fidx, run.d_can

@@ -24,9 +24,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import List, Optional, Tuple, Union
 
-from .canonical import EmcfIndices, FbcfIndices, emcf, fbcf, translate_indices
+from .canonical import (
+    EmcfIndices,
+    EmcfRun,
+    FbcfIndices,
+    emcf_run,
+    fbcf,
+    fbcf_run,
+    translate_indices,
+)
 from .geometry import invariant_subspaces, wong_sequences
 from .harness import Seeded, random_exfb_scramble, random_fbcf
 from .morse import emnf, emtf, mnf, mtf
@@ -35,9 +44,9 @@ from .systems import (
     Dacs,
     EmTransform,
     ExFbTransform,
-    MorseTransform,
+    ExplicitationRecord,
     Odecs2,
-    em_compose,
+    as_em,
     expl_membership,
     explicitate,
     verify_em,
@@ -241,36 +250,28 @@ def _serialize_em(t: EmTransform, stage: str) -> dict:
     }
 
 
+# matrix keys of each certificate kind, with the dims entry giving the width
+_CERT_KEYS = {
+    "exfb": (("Q", "l"), ("P", "n"), ("F", "n"), ("G", "m")),
+    "em": (
+        ("T_x", "n"), ("T_u", "m"), ("T_v", "s"), ("T_y", "p"),
+        ("F_u", "n"), ("F_v", "n"), ("R", "m"), ("K", "p"),
+    ),
+}
+
+
 def _parse_cert_obj(obj) -> Union[ExFbTransform, EmTransform]:
     if not isinstance(obj, dict):
         raise ParseError("certificate must be a JSON object")
     kind = obj.get("kind")
-    if kind == "exfb":
-        l = _dims_entry(obj, "l")
-        n = _dims_entry(obj, "n")
-        m = _dims_entry(obj, "m")
-        return ExFbTransform(
-            Q=_mat_from_json(obj["Q"], "Q", l),
-            P=_mat_from_json(obj["P"], "P", n),
-            F=_mat_from_json(obj["F"], "F", n),
-            G=_mat_from_json(obj["G"], "G", m),
-        )
-    if kind == "em":
-        n = _dims_entry(obj, "n")
-        m = _dims_entry(obj, "m")
-        s = _dims_entry(obj, "s")
-        p = _dims_entry(obj, "p")
-        return EmTransform(
-            T_x=_mat_from_json(obj["T_x"], "T_x", n),
-            T_u=_mat_from_json(obj["T_u"], "T_u", m),
-            T_v=_mat_from_json(obj["T_v"], "T_v", s),
-            T_y=_mat_from_json(obj["T_y"], "T_y", p),
-            F_u=_mat_from_json(obj["F_u"], "F_u", n),
-            F_v=_mat_from_json(obj["F_v"], "F_v", n),
-            R=_mat_from_json(obj["R"], "R", m),
-            K=_mat_from_json(obj["K"], "K", p),
-        )
-    raise ParseError("unknown certificate kind %r" % (kind,))
+    if kind not in ("exfb", "em"):
+        raise ParseError("unknown certificate kind %r" % (kind,))
+    keys = _CERT_KEYS[kind]
+    for key, _ in keys:
+        if key not in obj:
+            raise ParseError("%s certificate is missing %r" % (kind, key))
+    mats = {key: _mat_from_json(obj[key], key, _dims_entry(obj, dim)) for key, dim in keys}
+    return ExFbTransform(**mats) if kind == "exfb" else EmTransform(**mats)
 
 
 def _load_cert(path: str, wanted_kind: str) -> Union[ExFbTransform, EmTransform]:
@@ -282,7 +283,10 @@ def _load_cert(path: str, wanted_kind: str) -> Union[ExFbTransform, EmTransform]
     except json.JSONDecodeError as exc:
         raise ParseError("%s: invalid JSON (%s)" % (path, exc)) from None
     if isinstance(obj, dict) and "certificates" in obj and "kind" not in obj:
-        matching = [c for c in obj["certificates"] if c.get("kind") == wanted_kind]
+        certs = obj["certificates"]
+        if not isinstance(certs, list) or not all(isinstance(c, dict) for c in certs):
+            raise ParseError("%s: \"certificates\" must be an array of objects" % path)
+        matching = [c for c in certs if c.get("kind") == wanted_kind]
         if not matching:
             raise ParseError(
                 "%s: report has no %r certificate" % (path, wanted_kind)
@@ -333,12 +337,48 @@ def _subspace_json(name: str, S) -> dict:
     return {"name": name, "dim": S.dim, "basis": _mat_to_json(S.basis)}
 
 
-def _as_em(t: Union[EmTransform, MorseTransform]) -> EmTransform:
-    return t.to_em() if isinstance(t, MorseTransform) else t
-
-
 def _stage_entry(name: str, system: Odecs2) -> dict:
     return {"stage": name, "system": serialize_system(system)}
+
+
+def _serialize_record(rec: ExplicitationRecord) -> dict:
+    return {
+        "stage": "explicitation",
+        "kind": "explicitation_record",
+        "Q": _mat_to_json(rec.Q),
+        "E1_dagger": _mat_to_json(rec.E1_dagger),
+        "B_v": _mat_to_json(rec.B_v),
+        "q": rec.q,
+    }
+
+
+def _emcf_verified(run: EmcfRun) -> bool:
+    """Re-check every stage certificate of an explicit-side run and the
+    composed one."""
+    o, tri, nf = run.source, run.tri, run.nf
+    return (
+        verify_em(o, tri.system, tri.transform)
+        and verify_em(o, nf.system, nf.transform)
+        and verify_em(nf.system, run.o_can, run.t_can)
+        and verify_em(o, run.o_can, run.total)
+    )
+
+
+def _emcf_certs(run: EmcfRun, total_stage: str) -> List[dict]:
+    return [
+        _serialize_em(run.tri.transform, "triangular"),
+        _serialize_em(run.nf.transform, "normal_form"),
+        _serialize_em(run.t_can, "canonical"),
+        _serialize_em(run.total, total_stage),
+    ]
+
+
+def _emcf_stages(run: EmcfRun) -> List[dict]:
+    return [
+        _stage_entry("triangular", run.tri.system),
+        _stage_entry("normal_form", run.nf.system),
+        _stage_entry("canonical", run.o_can),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +406,7 @@ def _cmd_explicitate(args) -> Tuple[dict, bool]:
         "command": "explicitate",
         "input": serialize_system(d),
         "result": serialize_system(o),
-        "certificates": [
-            {
-                "stage": "explicitation",
-                "kind": "explicitation_record",
-                "Q": _mat_to_json(rec.Q),
-                "E1_dagger": _mat_to_json(rec.E1_dagger),
-                "B_v": _mat_to_json(rec.B_v),
-                "q": rec.q,
-            }
-        ],
+        "certificates": [_serialize_record(rec)],
         "verified": ok,
     }
     return report, ok
@@ -421,42 +452,14 @@ def _cmd_wong(args) -> Tuple[dict, bool]:
     return report, True
 
 
-def _explicit_chain(o: Odecs2):
-    """Run triangular -> normal -> canonical on the explicit side, returning
-    (stages, certs, indices, canonical system, total transform, verified)."""
-    tri = emtf(o)
-    nf = emnf(tri)
-    t_tri = _as_em(tri.transform)
-    t_nf = _as_em(nf.transform)
-    t_can, idx, o_can = emcf(nf)
-    total = em_compose(t_nf, t_can)
-    ok = (
-        verify_em(o, tri.system, t_tri)
-        and verify_em(o, nf.system, t_nf)
-        and verify_em(nf.system, o_can, t_can)
-        and verify_em(o, o_can, total)
-    )
-    stages = [
-        _stage_entry("triangular", tri.system),
-        _stage_entry("normal_form", nf.system),
-        _stage_entry("canonical", o_can),
-    ]
-    certs = [
-        _serialize_em(t_tri, "triangular"),
-        _serialize_em(t_nf, "normal_form"),
-        _serialize_em(t_can, "canonical"),
-        _serialize_em(total, "total"),
-    ]
-    return stages, certs, idx, o_can, total, ok
-
-
-def _cmd_mtf(args) -> Tuple[dict, bool]:
-    o = _require_odecs(parse_system(args.input), "mtf")
-    tri = mtf(o)
-    t = _as_em(tri.transform)
+def _cmd_triangular(tf, args) -> Tuple[dict, bool]:
+    """mtf / emtf, with ``tf`` the matching stage function."""
+    o = _require_odecs(parse_system(args.input), args.command)
+    tri = tf(o)
+    t = as_em(tri.transform)
     ok = verify_em(o, tri.system, t)
     report = {
-        "command": "mtf",
+        "command": args.command,
         "input": serialize_system(o),
         "result": serialize_system(tri.system),
         "block_dims": dict(tri.dims._asdict()),
@@ -466,55 +469,15 @@ def _cmd_mtf(args) -> Tuple[dict, bool]:
     return report, ok
 
 
-def _cmd_mnf(args) -> Tuple[dict, bool]:
-    o = _require_odecs(parse_system(args.input), "mnf")
-    tri = mtf(o)
-    nf = mnf(tri)
-    t_tri, t_nf = _as_em(tri.transform), _as_em(nf.transform)
+def _cmd_normal_form(tf, nf_fn, args) -> Tuple[dict, bool]:
+    """mnf / emnf, with ``tf``, ``nf_fn`` the matching stage functions."""
+    o = _require_odecs(parse_system(args.input), args.command)
+    tri = tf(o)
+    nf = nf_fn(tri)
+    t_tri, t_nf = as_em(tri.transform), as_em(nf.transform)
     ok = verify_em(o, tri.system, t_tri) and verify_em(o, nf.system, t_nf)
     report = {
-        "command": "mnf",
-        "input": serialize_system(o),
-        "result": serialize_system(nf.system),
-        "block_dims": dict(nf.dims._asdict()),
-        "certificates": [
-            _serialize_em(t_tri, "triangular"),
-            _serialize_em(t_nf, "total"),
-        ],
-        "verified": ok,
-    }
-    if args.stage_dump:
-        report["stages"] = [
-            _stage_entry("triangular", tri.system),
-            _stage_entry("normal_form", nf.system),
-        ]
-    return report, ok
-
-
-def _cmd_emtf(args) -> Tuple[dict, bool]:
-    o = _require_odecs(parse_system(args.input), "emtf")
-    tri = emtf(o)
-    t = _as_em(tri.transform)
-    ok = verify_em(o, tri.system, t)
-    report = {
-        "command": "emtf",
-        "input": serialize_system(o),
-        "result": serialize_system(tri.system),
-        "block_dims": dict(tri.dims._asdict()),
-        "certificates": [_serialize_em(t, "triangular")],
-        "verified": ok,
-    }
-    return report, ok
-
-
-def _cmd_emnf(args) -> Tuple[dict, bool]:
-    o = _require_odecs(parse_system(args.input), "emnf")
-    tri = emtf(o)
-    nf = emnf(tri)
-    t_tri, t_nf = _as_em(tri.transform), _as_em(nf.transform)
-    ok = verify_em(o, tri.system, t_tri) and verify_em(o, nf.system, t_nf)
-    report = {
-        "command": "emnf",
+        "command": args.command,
         "input": serialize_system(o),
         "result": serialize_system(nf.system),
         "block_dims": dict(nf.dims._asdict()),
@@ -534,17 +497,18 @@ def _cmd_emnf(args) -> Tuple[dict, bool]:
 
 def _cmd_emcf(args) -> Tuple[dict, bool]:
     o = _require_odecs(parse_system(args.input), "emcf")
-    stages, certs, idx, o_can, _, ok = _explicit_chain(o)
+    run = emcf_run(o)
+    ok = _emcf_verified(run)
     report = {
         "command": "emcf",
         "input": serialize_system(o),
-        "result": serialize_system(o_can),
-        "indices": _indices_json(idx),
-        "certificates": certs,
+        "result": serialize_system(run.o_can),
+        "indices": _indices_json(run.idx),
+        "certificates": _emcf_certs(run, "total"),
         "verified": ok,
     }
     if args.stage_dump:
-        report["stages"] = stages
+        report["stages"] = _emcf_stages(run)
     return report, ok
 
 
@@ -552,8 +516,8 @@ def _cmd_invariants(args) -> Tuple[dict, bool]:
     system = parse_system(args.input)
     if isinstance(system, Dacs):
         w = wong_sequences(system)
-        o, _ = explicitate(system)
-        _, _, idx, _, _, ok = _explicit_chain(o)
+        run = emcf_run(explicitate(system)[0])
+        ok = _emcf_verified(run)
         report = {
             "command": "invariants",
             "input": serialize_system(system),
@@ -562,24 +526,26 @@ def _cmd_invariants(args) -> Tuple[dict, bool]:
                 "V_star": w.V_star.dim,
                 "W_star": w.W_star.dim,
             },
-            "indices": _indices_json(idx),
-            "fbcf_indices": _indices_json(translate_indices(idx)),
+            "indices": _indices_json(run.idx),
+            "fbcf_indices": _indices_json(translate_indices(run.idx)),
             "verified": ok,
         }
         return report, ok
-    r = invariant_subspaces(system)
-    _, _, idx, _, _, ok = _explicit_chain(system)
+    run = emcf_run(system)
+    ok = _emcf_verified(run)
+    # the triangular stage's blocks: V* = n1+n2, W* = n1+n3, U* = m1, Y* = p3
+    bd = run.tri.dims
     report = {
         "command": "invariants",
         "input": serialize_system(system),
         "dims": {"n": system.n, "m": system.m, "s": system.s, "p": system.p},
         "subspace_dims": {
-            "V_star": r.V_star.dim,
-            "W_star": r.W_star.dim,
-            "U_star": r.U_star.dim,
-            "Y_star": r.Y_star.dim,
+            "V_star": bd.n1 + bd.n2,
+            "W_star": bd.n1 + bd.n3,
+            "U_star": bd.m1,
+            "Y_star": bd.p3,
         },
-        "indices": _indices_json(idx),
+        "indices": _indices_json(run.idx),
         "verified": ok,
     }
     return report, ok
@@ -587,37 +553,26 @@ def _cmd_invariants(args) -> Tuple[dict, bool]:
 
 def _cmd_fbcf(args) -> Tuple[dict, bool]:
     d = _require_dacs(parse_system(args.input), "fbcf")
-    cert, fidx, d_can = fbcf(d)
-    ok = verify_exfb(d, d_can, cert)
-    o, rec = explicitate(d)
-    stages, certs, eidx, _, _, ok_chain = _explicit_chain(o)
-    certs[-1]["stage"] = "total_explicit"
-    certs = (
-        [
-            {
-                "stage": "explicitation",
-                "kind": "explicitation_record",
-                "Q": _mat_to_json(rec.Q),
-                "E1_dagger": _mat_to_json(rec.E1_dagger),
-                "B_v": _mat_to_json(rec.B_v),
-                "q": rec.q,
-            }
-        ]
-        + certs
-        + [_serialize_exfb(cert, "total")]
+    run = fbcf_run(d)
+    ex = run.explicit
+    ok = (
+        verify_exfb(d, run.d_can, run.cert)
+        and _emcf_verified(ex)
+        and translate_indices(ex.idx) == run.fidx
     )
-    ok = ok and ok_chain and translate_indices(eidx) == fidx
     report = {
         "command": "fbcf",
         "input": serialize_system(d),
-        "result": serialize_system(d_can),
-        "indices": _indices_json(fidx),
-        "emcf_indices": _indices_json(eidx),
-        "certificates": certs,
+        "result": serialize_system(run.d_can),
+        "indices": _indices_json(run.fidx),
+        "emcf_indices": _indices_json(ex.idx),
+        "certificates": [_serialize_record(run.rec)]
+        + _emcf_certs(ex, "total_explicit")
+        + [_serialize_exfb(run.cert, "total")],
         "verified": ok,
     }
     if args.stage_dump:
-        report["stages"] = [_stage_entry("explicit", o)] + stages
+        report["stages"] = [_stage_entry("explicit", ex.source)] + _emcf_stages(ex)
     return report, ok
 
 
@@ -705,10 +660,20 @@ def _build_parser() -> argparse.ArgumentParser:
     add("explicitate", _cmd_explicitate, "turn a dacs into an explicit system")
     add("wong", _cmd_wong, "augmented Wong sequences / invariant subspaces")
     add("invariants", _cmd_invariants, "complete canonical index datum")
-    add("mtf", _cmd_mtf, "triangular form (single input kind)")
-    add("mnf", _cmd_mnf, "block-diagonal normal form (single input kind)", stage_dump=True)
-    add("emtf", _cmd_emtf, "triangular form (two input kinds)")
-    add("emnf", _cmd_emnf, "block-diagonal normal form (two input kinds)", stage_dump=True)
+    add("mtf", partial(_cmd_triangular, mtf), "triangular form (single input kind)")
+    add(
+        "mnf",
+        partial(_cmd_normal_form, mtf, mnf),
+        "block-diagonal normal form (single input kind)",
+        stage_dump=True,
+    )
+    add("emtf", partial(_cmd_triangular, emtf), "triangular form (two input kinds)")
+    add(
+        "emnf",
+        partial(_cmd_normal_form, emtf, emnf),
+        "block-diagonal normal form (two input kinds)",
+        stage_dump=True,
+    )
     add("emcf", _cmd_emcf, "canonical form on the explicit side", stage_dump=True)
     add("fbcf", _cmd_fbcf, "feedback canonical form of a dacs", stage_dump=True)
 
@@ -742,16 +707,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, ok = args.func(args)
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        _emit(report, args.out)
     except InternalInvariantViolation as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    _emit(report, args.out)
     return 0 if ok else 1
 
 

@@ -50,6 +50,7 @@ from .systems import (
     MorseTransform,
     Odecs2,
     apply_em,
+    as_em,
     em_compose,
     em_from_merged,
     em_inverse,
@@ -786,7 +787,7 @@ def _normal_form(m: MtfSystem) -> Tuple[Odecs2, EmTransform, int, int]:
 
 def _finish_normal_form(m: MtfSystem) -> Tuple[Odecs2, EmTransform, Tuple[int, int]]:
     o_mnf, t_stages, m1u, s1 = _normal_form(m)
-    prior = m.transform if isinstance(m.transform, EmTransform) else m.transform.to_em()
+    prior = as_em(m.transform)
     total = em_compose(prior, t_stages)
     original = m.source
     if original is None:

@@ -617,8 +617,8 @@ def complement(inner: Subspace, outer: Subspace) -> RatMatrix:
         return False
 
     for j in range(inner.dim):
-        added = try_add(inner.basis.col(j))
-        assert added, "inner basis not independent"
+        if not try_add(inner.basis.col(j)):
+            raise InternalInvariantViolation("inner basis not independent")
     chosen = []
     for j in range(outer.dim):
         v = outer.basis.col(j)

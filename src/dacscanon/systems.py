@@ -22,7 +22,7 @@ pipeline output can be audited independently of how it was produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .ratmat import (
     InternalInvariantViolation,
@@ -225,6 +225,11 @@ class MorseTransform:
         return MorseTransform(t.T_x, t.T_u, t.T_y, t.F_u, t.K)
 
 
+def as_em(t: Union[EmTransform, MorseTransform]) -> EmTransform:
+    """Either certificate kind as an EmTransform."""
+    return t.to_em() if isinstance(t, MorseTransform) else t
+
+
 def em_from_merged(
     T_x: RatMatrix, T_w: RatMatrix, T_y: RatMatrix, F_w: RatMatrix, K: RatMatrix, m: int
 ) -> EmTransform:
@@ -267,7 +272,8 @@ def explicitate(d: Dacs) -> Tuple[Odecs2, ExplicitationRecord]:
     B_v = kernel_basis(d.E).basis
     o = Odecs2(A=E1d * H1, B_u=E1d * L1, B_v=B_v, C=H2, D_u=L2)
     rec = ExplicitationRecord(Q=Q, E1_dagger=E1d, B_v=B_v, q=q)
-    assert E1 * o.A == H1 and E1 * o.B_u == L1, "explicitation identities failed"
+    if E1 * o.A != H1 or E1 * o.B_u != L1:
+        raise InternalInvariantViolation("explicitation identities failed")
     return o, rec
 
 

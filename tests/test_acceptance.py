@@ -49,7 +49,7 @@ from dacscanon.ratmat import (
     rank,
 )
 from dacscanon.systems import (
-    MorseTransform,
+    as_em,
     em_compose,
     expl_membership,
     explicitate,
@@ -87,10 +87,6 @@ def _report(num: int, desc: str, verdict: str) -> None:
     record_acceptance(line)
 
 
-def _as_em(t):
-    return t.to_em() if isinstance(t, MorseTransform) else t
-
-
 # ---------------------------------------------------------------------------
 # shared lazy runs (criteria 1-3)
 # ---------------------------------------------------------------------------
@@ -116,7 +112,7 @@ def _circuit_facts(d):
     # the canonicalization certificate starts at the normal form; the
     # composition covers the whole explicit-side chain
     _CERT_POOL.append(("em", nf.system, o_can, t_em))
-    _CERT_POOL.append(("em", o, o_can, em_compose(_as_em(nf.transform), t_em)))
+    _CERT_POOL.append(("em", o, o_can, em_compose(as_em(nf.transform), t_em)))
     t_fb, fidx, d_can = fbcf(d)
     _CERT_POOL.append(("exfb", d, d_can, t_fb))
     return {
@@ -224,7 +220,7 @@ def test_criterion_3_certificate_soundness():
     assert len(_CERT_POOL) >= 410, "certificate pool unexpectedly small"
     for kind, left, right, t in _CERT_POOL:
         if kind == "em":
-            assert verify_em(left, right, _as_em(t))
+            assert verify_em(left, right, as_em(t))
         elif kind == "exfb":
             assert verify_exfb(left, right, t)
         else:
@@ -346,10 +342,10 @@ def test_criterion_5_structural_patterns():
         _check_diagonal(nf)
         if s == 0:
             tri_m = mtf(o)
-            assert verify_em(o, tri_m.system, _as_em(tri_m.transform))
+            assert verify_em(o, tri_m.system, as_em(tri_m.transform))
             _check_triangular(tri_m)
             nf_m = mnf(tri_m)
-            assert verify_em(o, nf_m.system, _as_em(nf_m.transform))
+            assert verify_em(o, nf_m.system, as_em(nf_m.transform))
             _check_diagonal(nf_m)
         checked += 1
     assert checked == 100

@@ -7,10 +7,15 @@ re-verification loop.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dacscanon
+from dacscanon import canonical, morse
 from dacscanon.cli import (
     DimensionError,
     ParseError,
@@ -20,8 +25,9 @@ from dacscanon.cli import (
     parse_system,
     serialize_system,
 )
+from dacscanon.geometry import invariant_subspaces
 from dacscanon.ratmat import RatMatrix, mat, qq
-from dacscanon.systems import Dacs, ExFbTransform, Odecs2
+from dacscanon.systems import Dacs, ExFbTransform, Odecs2, explicitate
 from test_systems import random_dacs, random_odecs
 import random
 
@@ -268,6 +274,97 @@ def test_exit_codes_for_input_errors(tmp_path):
     )
     assert main(["fbcf", zden]) == 2
     assert main(["mtf", str(FIXTURE)]) == 2  # dacs fed to an explicit-side command
+
+
+@pytest.mark.parametrize(
+    "case", ["cert_missing_matrix", "certificates_not_objects", "input_is_directory"]
+)
+def test_exit_codes_for_malformed_input(tmp_path, case, capsys):
+    # unusable input exits with 2 and a one-line error, never a traceback
+    if case == "input_is_directory":
+        argv = ["fbcf", str(tmp_path)]
+    else:
+        cert = _serialize_exfb(ExFbTransform.identity(13, 14, 2), "total")
+        if case == "cert_missing_matrix":
+            del cert["Q"]
+            obj = cert
+        else:
+            obj = {"certificates": [1, 2]}
+        path = write(tmp_path, "cert.json", obj)
+        argv = ["verify", "--left", str(FIXTURE), "--right", str(FIXTURE), "--cert", path]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _src_env():
+    src = str(Path(dacscanon.__file__).resolve().parent.parent)
+    old = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + old if old else ""))
+
+
+def test_fbcf_report_same_under_python_O(tmp_path):
+    # every proof obligation raises InternalInvariantViolation, so -O (which
+    # strips assert statements) must not change the run
+    out = str(tmp_path / "fb.json")
+    assert main(["fbcf", str(FIXTURE), "--out", out]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "dacscanon.cli", "fbcf", str(FIXTURE)],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(Path(out).read_text())
+
+
+def _count_calls(monkeypatch, func):
+    """Count calls to ``func`` through every binding in the package."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dacscanon" or name.startswith("dacscanon."):
+            for attr, value in list(vars(mod).items()):
+                if value is func:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["fbcf", "invariants", "emcf"])
+def test_one_pipeline_run_per_command(tmp_path, monkeypatch, command):
+    inp = str(FIXTURE)
+    if command == "emcf":
+        inp = str(tmp_path / "expl.json")
+        assert main(["explicitate", str(FIXTURE), "--out", inp]) == 0
+    emcf_calls = _count_calls(monkeypatch, canonical.emcf)
+    emtf_calls = _count_calls(monkeypatch, morse.emtf)
+    assert main([command, inp, "--out", str(tmp_path / "rep.json")]) == 0
+    assert (len(emcf_calls), len(emtf_calls)) == (1, 1)
+
+
+def test_invariants_subspace_dims_match_geometry(tmp_path):
+    # the report takes V*, W*, U*, Y* dimensions from the triangular stage
+    rng = random.Random(21)
+    systems = [explicitate(parse_system(str(FIXTURE)))[0]]
+    systems += [random_odecs(rng, 4, 2, s, 2) for s in (0, 1, 1, 2)]
+    for i, o in enumerate(systems):
+        p = write(tmp_path, "o%d.json" % i, serialize_system(o))
+        out = str(tmp_path / ("inv%d.json" % i))
+        assert main(["invariants", p, "--out", out]) == 0
+        r = invariant_subspaces(o)
+        want = {
+            "V_star": r.V_star.dim,
+            "W_star": r.W_star.dim,
+            "U_star": r.U_star.dim,
+            "Y_star": r.Y_star.dim,
+        }
+        got = json.loads(Path(out).read_text())["subspace_dims"]
+        assert got == want
+        if i == 0:
+            assert list(got.values()) == [5, 14, 3, 11]
 
 
 def test_mtf_requires_single_input_kind(tmp_path):
