@@ -15,7 +15,11 @@ reproducible):
   * complement: greedily extend the inner basis by the outer basis
     columns in index order;
   * right inverse: inverse of the pivot-column submatrix placed in the
-    pivot rows, zeros elsewhere.
+    pivot rows, zeros elsewhere;
+  * invertibility: elimination modulo the fixed prime 2^61 - 1 first; a
+    nonzero determinant mod p proves invertibility, and otherwise (a zero
+    determinant mod p, or a denominator divisible by p) the exact rank
+    decides.  The answer is exact and never depends on chance.
 
 gmpy2.mpq is used when available (it is markedly faster than
 fractions.Fraction on the dense eliminations done here); the stdlib
@@ -430,8 +434,54 @@ def inverse(M: RatMatrix) -> RatMatrix:
     return T
 
 
+# The fixed prime of the modular invertibility test.
+_PRIME = (1 << 61) - 1
+
+
+def _det_nonzero_mod_p(M: RatMatrix) -> bool:
+    """True when det M is nonzero modulo _PRIME (M square).
+
+    False means "undecided": det M may vanish mod p only, or an entry's
+    denominator is divisible by p, so the entry has no image mod p.
+    """
+    p = _PRIME
+    rows = []
+    for r in M._d:
+        row = []
+        for x in r:
+            d = x.denominator
+            if d == 1:
+                row.append(x.numerator % p)
+            else:
+                d %= p
+                if not d:
+                    return False
+                row.append(x.numerator * pow(d, -1, p) % p)
+        rows.append(row)
+    # Eliminate the leading column, then drop it; the pivot order does not
+    # matter for whether the determinant vanishes.
+    while rows:
+        pr = next((i for i, r in enumerate(rows) if r[0]), None)
+        if pr is None:
+            return False
+        prow = rows.pop(pr)
+        inv = pow(prow[0], -1, p)
+        tail = prow[1:]
+        for i, r in enumerate(rows):
+            f = r[0] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(r[1:], tail)] if f else r[1:]
+    return True
+
+
 def is_invertible(M: RatMatrix) -> bool:
-    return M.rows == M.cols and rank(M) == M.rows
+    """Exact invertibility test.
+
+    A nonzero determinant modulo a prime proves det M != 0; only when the
+    modular test is undecided does the exact rank decide.
+    """
+    if M.rows != M.cols:
+        return False
+    return _det_nonzero_mod_p(M) or rank(M) == M.rows
 
 
 def solve(M: RatMatrix, B: RatMatrix) -> Optional[RatMatrix]:

@@ -235,18 +235,22 @@ def em_from_merged(
 ) -> EmTransform:
     """Split a merged-input Morse transformation into the 8-tuple.
 
-    Requires the triangular structure: the upper-right m x s block of
-    T_w^{-1} must vanish (u-coordinates may not involve v).
+    Requires the triangular structure T_w = [[T_u, 0], [-T_v R, T_v]]: the
+    upper-right m x s block must vanish (u-coordinates may not involve v).
+    For an invertible T_w this is the same as the vanishing of that block
+    of T_w^{-1}.  Raises ValueError when T_w is singular.
     """
     s = T_w.rows - m
-    W = inverse(T_w)
-    if not W.submatrix(range(m), range(m, m + s)).is_zero():
+    if not is_invertible(T_w):
+        raise ValueError("merged input transform is singular")
+    u, v = range(m), range(m, m + s)
+    if not T_w.submatrix(u, v).is_zero():
         raise InternalInvariantViolation("merged input transform is not triangular")
-    T_u = inverse(W.submatrix(range(m), range(m)))
-    T_v = inverse(W.submatrix(range(m, m + s), range(m, m + s)))
-    R = W.submatrix(range(m, m + s), range(m)) * T_u
-    F_u = F_w.take_rows(range(m))
-    F_v = F_w.take_rows(range(m, m + s)) - R * F_u
+    T_u = T_w.submatrix(u, u)
+    T_v = T_w.submatrix(v, v)
+    R = -(inverse(T_v) * T_w.submatrix(v, u))
+    F_u = F_w.take_rows(u)
+    F_v = F_w.take_rows(v) - R * F_u
     return EmTransform(T_x, T_u, T_v, T_y, F_u, F_v, R, K)
 
 
@@ -310,26 +314,60 @@ def apply_em(o: Odecs2, t: EmTransform) -> Odecs2:
 
 
 def verify_exfb(d1: Dacs, d2: Dacs, t: ExFbTransform) -> bool:
-    """Exact check of the defining identities E2 = Q E1 P^-1, etc."""
-    if (d1.l, d1.n, d1.m) != (d2.l, d2.n, d2.m):
+    """Exact check that t maps d1 to d2.
+
+    With Q, P and G invertible, E2 = Q E1 P^-1 etc. hold exactly when
+
+        E2 P = Q E1,   H2 P = Q (H1 + L1 F),   L2 = Q L1 G,
+
+    which are checked as written, so no inverse is computed.
+    """
+    l, n, m = d1.l, d1.n, d1.m
+    if (d2.l, d2.n, d2.m) != (l, n, m):
+        return False
+    if [M.shape for M in (t.Q, t.P, t.F, t.G)] != [(l, l), (n, n), (m, n), (m, m)]:
         return False
     if not (is_invertible(t.Q) and is_invertible(t.P) and is_invertible(t.G)):
         return False
-    Pinv = inverse(t.P)
     return (
-        d2.E == t.Q * d1.E * Pinv
-        and d2.H == t.Q * (d1.H + d1.L * t.F) * Pinv
+        d2.E * t.P == t.Q * d1.E
+        and d2.H * t.P == t.Q * (d1.H + d1.L * t.F)
         and d2.L == t.Q * d1.L * t.G
     )
 
 
 def verify_em(o1: Odecs2, o2: Odecs2, t: EmTransform) -> bool:
-    if (o1.n, o1.m, o1.s, o1.p) != (o2.n, o2.m, o2.s, o2.p):
+    """Exact check that t maps o1 to o2 (the action of :func:`apply_em`).
+
+    With T_x, T_u, T_v and T_y invertible, o2 == apply_em(o1, t) holds
+    exactly when
+
+        A2 T_x   = T_x (A + B_u F_u + B_v (F_v + R F_u) + K (C + D_u F_u))
+        B_u2 T_u = T_x (B_u + B_v R + K D_u)
+        B_v2 T_v = T_x B_v
+        C2 T_x   = T_y (C + D_u F_u)
+        D_u2 T_u = T_y D_u
+
+    which are checked as written, so no inverse is computed.
+    """
+    n, m, s, p = o1.n, o1.m, o1.s, o1.p
+    if (o2.n, o2.m, o2.s, o2.p) != (n, m, s, p):
+        return False
+    shapes = [(n, n), (m, m), (s, s), (p, p), (m, n), (s, n), (s, m), (n, p)]
+    if [M.shape for M in (t.T_x, t.T_u, t.T_v, t.T_y, t.F_u, t.F_v, t.R, t.K)] != shapes:
         return False
     for M in (t.T_x, t.T_u, t.T_v, t.T_y):
         if not is_invertible(M):
             return False
-    return o2 == apply_em(o1, t)
+    C_fb = o1.C + o1.D_u * t.F_u
+    return (
+        o2.A * t.T_x
+        == t.T_x * (o1.A + o1.B_u * t.F_u + o1.B_v * (t.F_v + t.R * t.F_u) + t.K * C_fb)
+        and o2.B_u * t.T_u == t.T_x * (o1.B_u + o1.B_v * t.R + t.K * o1.D_u)
+        and o2.B_v * t.T_v == t.T_x * o1.B_v
+        and o2.C * t.T_x == t.T_y * C_fb
+        and o2.D_u * t.T_u == t.T_y * o1.D_u
+    )
 
 
 def exfb_compose(t1: ExFbTransform, t2: ExFbTransform) -> ExFbTransform:

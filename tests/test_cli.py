@@ -238,6 +238,23 @@ def test_verify_rejects_wrong_certificate(tmp_path):
     assert json.loads(Path(out).read_text())["verified"] is False
 
 
+def test_verify_misshaped_certificate_is_not_verified(tmp_path):
+    # a 3 x 3 Q cannot act on the fixture's 13 equations
+    t = ExFbTransform(
+        Q=RatMatrix.identity(3),
+        P=RatMatrix.identity(14),
+        F=RatMatrix.zeros(2, 14),
+        G=RatMatrix.identity(2),
+    )
+    cert = write(tmp_path, "bad.json", _serialize_exfb(t, "total"))
+    out = str(tmp_path / "v.json")
+    rc = main(
+        ["verify", "--left", str(FIXTURE), "--right", str(FIXTURE), "--cert", cert, "--out", out]
+    )
+    assert rc == 1
+    assert json.loads(Path(out).read_text())["verified"] is False
+
+
 def test_every_report_certificate_reverifies(tmp_path):
     # the report invariant: feed each report's own certificate back through
     # `verify` with the report as the right-hand system

@@ -7,6 +7,8 @@ from dacscanon.ratmat import (
     NotFullRowRank,
     NotNested,
     RatMatrix,
+    _PRIME,
+    _det_nonzero_mod_p,
     _rref,
     Subspace,
     complement,
@@ -259,3 +261,39 @@ def test_certificate_free_elimination_matches_rank_rref():
         )
         assert kernel_basis(M) == expected
         assert kernel_basis(M).dim == M.cols - rk
+
+
+def _invertibility_cases():
+    rng = random.Random(61)
+    p = _PRIME
+    cases = [RatMatrix.zeros(r, c) for r, c in [(0, 0), (0, 3), (3, 0), (2, 3)]]
+    cases += [random_matrix(rng, 3, 4), random_matrix(rng, 5, 2, bound=10**30)]
+    # invertible over Q but singular mod p, and entries with denominator p
+    cases += [
+        mat([[p, 0], [0, 1]]),
+        mat([[p + 1, 1], [1, 1]]),
+        mat([[qq(1, p), 0], [0, 1]]),
+        mat([[qq(1, p), qq(2, p)], [1, 2]]),
+        mat([[qq(3, p), 1], [p, qq(1, p)]]),
+    ]
+    for n in (1, 2, 3, 5, 8):
+        for bound in (1, 4, 10**30):
+            cases.append(random_matrix(rng, n, n, bound=bound))
+            k = rng.randint(0, n - 1)  # rank deficient
+            low_rank = random_matrix(rng, n, k, bound=bound) * random_matrix(rng, k, n, bound=bound)
+            cases.append(low_rank)
+    return cases
+
+
+def test_is_invertible_matches_exact_rank():
+    seen = set()
+    for M in _invertibility_cases():
+        expected = M.rows == M.cols and rank(M) == M.rows
+        assert is_invertible(M) == expected, M
+        seen.add(expected)
+    assert seen == {True, False}
+    # the modular test alone is undecided here; the exact rank decides
+    p = _PRIME
+    for M in (mat([[p, 0], [0, 1]]), mat([[qq(1, p), 0], [0, 1]])):
+        assert not _det_nonzero_mod_p(M)
+        assert is_invertible(M)

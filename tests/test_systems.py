@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
-from dacscanon.ratmat import RatMatrix, image, inverse, is_invertible, kernel_basis, mat, qq, rank_rref
+from dacscanon.canonical import fbcf_run
+from dacscanon.cli import parse_system
+from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
+from dacscanon.ratmat import (
+    InternalInvariantViolation,
+    RatMatrix,
+    image,
+    inverse,
+    is_invertible,
+    kernel_basis,
+    mat,
+    qq,
+    rank,
+    rank_rref,
+)
 from dacscanon.systems import (
     Dacs,
     EmTransform,
@@ -18,8 +34,10 @@ from dacscanon.systems import (
     SplitSystem,
     apply_em,
     apply_exfb,
+    as_em,
     dacs_residuals,
     em_compose,
+    em_from_merged,
     em_inverse,
     exfb_compose,
     exfb_inverse,
@@ -264,6 +282,127 @@ def test_morse_transform_round_trip():
     assert o2.B_u == mt.T_x * (o.B_u + mt.K * o.D_u) * Tui
     assert o2.C == mt.T_y * (o.C + o.D_u * mt.F_u) * Txi
     assert o2.D_u == mt.T_y * o.D_u * Tui
+
+
+def test_em_from_merged_splits_merged_input():
+    rng = random.Random(5)
+    for n, m, s, p in [(3, 2, 2, 1), (2, 0, 2, 1), (2, 2, 0, 0), (4, 1, 3, 2)]:
+        t = random_em(rng, n, m, s, p)
+        T_w, F_w = t.merged_input()
+        assert em_from_merged(t.T_x, T_w, t.T_y, F_w, t.K, m) == t
+    t = random_em(rng, 2, 1, 1, 1)
+    _, F_w = t.merged_input()
+    with pytest.raises(ValueError):  # singular T_w
+        em_from_merged(t.T_x, mat([[1, 0], [2, 0]]), t.T_y, F_w, t.K, 1)
+    with pytest.raises(InternalInvariantViolation):  # u-coordinates involve v
+        em_from_merged(t.T_x, mat([[1, 1], [0, 1]]), t.T_y, F_w, t.K, 1)
+
+
+# ---------------------------------------------------------------------------
+# certificate verification
+# ---------------------------------------------------------------------------
+
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "circuit.json"
+
+
+def verify_exfb_by_inverse(d1, d2, t):
+    """The definition: E2 = Q E1 P^-1, H2 = Q (H1 + L1 F) P^-1, L2 = Q L1 G."""
+    if (d1.l, d1.n, d1.m) != (d2.l, d2.n, d2.m):
+        return False
+    if any(rank(M) != M.rows for M in (t.Q, t.P, t.G)):
+        return False
+    Pinv = inverse(t.P)
+    return (
+        d2.E == t.Q * d1.E * Pinv
+        and d2.H == t.Q * (d1.H + d1.L * t.F) * Pinv
+        and d2.L == t.Q * d1.L * t.G
+    )
+
+
+def verify_em_by_action(o1, o2, t):
+    """The definition: o2 is the image of o1 under apply_em."""
+    if (o1.n, o1.m, o1.s, o1.p) != (o2.n, o2.m, o2.s, o2.p):
+        return False
+    if any(rank(M) != M.rows for M in (t.T_x, t.T_u, t.T_v, t.T_y)):
+        return False
+    return o2 == apply_em(o1, t)
+
+
+def _changed_entry(M, rng):
+    rows = M.to_lists()
+    i, j = rng.randrange(M.rows), rng.randrange(M.cols)
+    rows[i][j] += 1
+    return RatMatrix(rows, cols=M.cols)
+
+
+def _singular(M):
+    rows = M.to_lists()
+    rows[0] = [qq(0)] * M.cols
+    return RatMatrix(rows, cols=M.cols)
+
+
+def _variants(t, changed, singular, rng):
+    """t, t with one entry of each nonempty field in ``changed`` moved by 1,
+    and t with field ``singular`` made singular."""
+    out = [t]
+    for name in changed:
+        M = getattr(t, name)
+        if M.rows and M.cols:
+            out.append(dataclasses.replace(t, **{name: _changed_entry(M, rng)}))
+    out.append(dataclasses.replace(t, **{singular: _singular(getattr(t, singular))}))
+    return out
+
+
+def _verification_input(name):
+    """A Dacs for fbcf_run, plus known exfb certificates (d1, d2, t)."""
+    if name == "fixture":
+        return parse_system(str(FIXTURE)), []
+    base = 900001 + 2 * int(name[len("case"):])
+    d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
+    scrambled, t = random_exfb_scramble(d, Seeded(base + 1, entry_bound=1))
+    return scrambled, [(d, scrambled, t)]
+
+
+@pytest.mark.parametrize("name", ["fixture", "case0", "case3"])
+def test_inverse_free_verification_matches_definitions(name):
+    rng = random.Random(name)
+    d, exfb_cases = _verification_input(name)
+    run = fbcf_run(d)
+    ex = run.explicit
+    em_cases = [
+        (ex.source, ex.tri.system, as_em(ex.tri.transform), ("T_x", "R", "K")),
+        (ex.source, ex.nf.system, as_em(ex.nf.transform), ("T_x", "R", "K")),
+        (ex.nf.system, ex.o_can, ex.t_can, ("T_x", "R", "K")),
+        (ex.source, ex.o_can, ex.total, ("T_x", "T_u", "T_v", "T_y", "F_u", "F_v", "R", "K")),
+    ]
+    rejected = 0
+    for o1, o2, t, changed in em_cases:
+        assert verify_em(o1, o2, t)
+        for tv in _variants(t, changed, "T_x", rng):
+            want = verify_em_by_action(o1, o2, tv)
+            assert verify_em(o1, o2, tv) == want
+            rejected += not want
+    for d1, d2, t in exfb_cases + [(d, run.d_can, run.cert)]:
+        assert verify_exfb(d1, d2, t)
+        for tv in _variants(t, ("Q", "P", "F", "G"), "P", rng):
+            want = verify_exfb_by_inverse(d1, d2, tv)
+            assert verify_exfb(d1, d2, tv) == want
+            rejected += not want
+    assert rejected >= 10
+
+
+def test_misshaped_certificates_are_rejected():
+    d = parse_system(str(FIXTURE))
+    t = ExFbTransform.identity(d.l, d.n, d.m)
+    assert verify_exfb(d, d, t)
+    for name in ("Q", "P", "F", "G"):
+        assert not verify_exfb(d, d, dataclasses.replace(t, **{name: RatMatrix.identity(3)}))
+    o, _ = explicitate(d)
+    t = EmTransform.identity(o.n, o.m, o.s, o.p)
+    assert verify_em(o, o, t)
+    for name in ("T_x", "T_u", "T_v", "T_y", "F_u", "F_v", "R", "K"):
+        assert not verify_em(o, o, dataclasses.replace(t, **{name: RatMatrix.identity(3)}))
+    assert not verify_em(o, o, dataclasses.replace(t, K=RatMatrix.identity(1)))
 
 
 # ---------------------------------------------------------------------------
