@@ -17,6 +17,7 @@ coordinates — no cleanup pass needed afterwards.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 from .ratmat import (
@@ -30,6 +31,7 @@ from .ratmat import (
     inverse,
     is_invertible,
     kernel_basis,
+    place,
     qq,
     rank,
     solve,
@@ -265,25 +267,34 @@ def brunovsky_single(
     return T_x, T_u, F, kappa
 
 
+def _chain_starts(lengths: Sequence[int]) -> List[int]:
+    """State offset of each chain when the chains are stacked in order."""
+    return list(accumulate(lengths, initial=0))[:-1]
+
+
+def _reversed_chains(lengths: Sequence[int]) -> List[int]:
+    """Row order that reverses every chain in place."""
+    return [o + k - 1 - i for o, k in zip(_chain_starts(lengths), lengths) for i in range(k)]
+
+
 def _chain_diag(lengths: Sequence[int]) -> RatMatrix:
     """Block diagonal of shift blocks (ones on the superdiagonal)."""
-    blocks = []
-    for k in lengths:
-        Mk = RatMatrix.zeros(k, k).to_lists()
-        for i in range(k - 1):
-            Mk[i][i + 1] = qq(1)
-        blocks.append(RatMatrix(Mk, cols=k))
-    return block_diag(blocks)
+    rows = [o + i for o, k in zip(_chain_starts(lengths), lengths) for i in range(k - 1)]
+    n = sum(lengths)
+    return place(n, n, [(rows, [r + 1 for r in rows], RatMatrix.identity(len(rows)))])
 
 
 def _tail_selectors(lengths: Sequence[int], n: int, cols: int) -> RatMatrix:
     """n x cols matrix whose column j selects the tail of chain j."""
-    out = RatMatrix.zeros(n, cols).to_lists()
-    off = 0
-    for j, k in enumerate(lengths):
-        out[off + k - 1][j] = qq(1)
-        off += k
-    return RatMatrix(out, cols=cols)
+    tails = [o + k - 1 for o, k in zip(_chain_starts(lengths), lengths)]
+    return place(n, cols, [(tails, range(len(tails)), RatMatrix.identity(len(tails)))])
+
+
+def _head_selectors(lengths: Sequence[int]) -> RatMatrix:
+    """Matrix whose row j selects the head of chain j (one column per state)."""
+    heads = _chain_starts(lengths)
+    c = len(heads)
+    return place(c, sum(lengths), [(range(c), heads, RatMatrix.identity(c))])
 
 
 def _assert_chain_form(A: RatMatrix, B: RatMatrix, kappa: Sequence[int]) -> None:
@@ -326,12 +337,8 @@ def companion(p: List) -> RatMatrix:
     """Companion matrix of a monic polynomial: subdiagonal ones, negated
     coefficients in the last column."""
     d = len(p) - 1
-    M = RatMatrix.zeros(d, d).to_lists()
-    for i in range(d - 1):
-        M[i + 1][i] = qq(1)
-    for i in range(d):
-        M[i][d - 1] = -p[i]
-    return RatMatrix(M, cols=d)
+    last = RatMatrix.from_column([-c for c in p[:d]])
+    return place(d, d, [(range(d), [d - 1], last)], base=_chain_diag([d]).T)
 
 
 def _cyclic_vector(A: RatMatrix, degree: int) -> RatMatrix:

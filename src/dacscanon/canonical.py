@@ -26,20 +26,32 @@ one, which is verified before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ._chains import (
     NotControllable,
     NotObservable,
     _chain_diag,
+    _chain_starts,
+    _head_selectors,
     _matrix_power,
+    _reversed_chains,
     _tail_selectors,
     brunovsky_single,
     frobenius_form,
     functional_chains,
 )
 from .geometry import invariant_subspaces
-from .morse import MnfSystem, MtfSystem, _group_sizes, _state_blocks, emnf, emtf
+from .morse import (
+    MnfSystem,
+    MtfSystem,
+    _feedback_stage,
+    _group_sizes,
+    _state_blocks,
+    _static_normalizer,
+    emnf,
+    emtf,
+)
 from .ratmat import (
     InternalInvariantViolation,
     RatMatrix,
@@ -51,10 +63,8 @@ from .ratmat import (
     inverse,
     is_invertible,
     kernel_basis,
+    place,
     preimage,
-    qq,
-    rank_rref,
-    right_inverse,
     solve,
     solve_left,
     subspace_intersect,
@@ -297,24 +307,14 @@ def _two_kind_chains(
         raise InternalInvariantViolation("chain tails do not extend to an input basis")
 
     # tail-killing feedback: row r_j of M is tau_j A^{k_j}, zero elsewhere
-    mrows = [RatMatrix.zeros(1, n)] * (m + s)
-    for idx, (tau, k, _, _) in enumerate(u_chains):
-        mrows[idx] = tau * _matrix_power(A, k)
-    for idx, (tau, k, _, _) in enumerate(v_chains):
-        mrows[m + idx] = tau * _matrix_power(A, k)
-    M = vstack(mrows) if mrows else RatMatrix.zeros(0, n)
-    F_w = -(inverse(T_w) * M) if m + s else RatMatrix.zeros(0, n)
+    tail_rows = list(range(len(u_chains))) + list(range(m, m + len(v_chains)))
+    tails = [tau * _matrix_power(A, k) for tau, k, _, _ in ordered]
+    M = place(m + s, n, [([r], range(n), tail) for r, tail in zip(tail_rows, tails)])
+    F_w = -(inverse(T_w) * M)
 
     u_list = [(tau, k) for tau, k, _, _ in u_chains]
     v_list = [(tau, k) for tau, k, _, _ in v_chains]
     return u_list, v_list, T_x, T_w, F_w
-
-
-def _head_selectors(lengths: Sequence[int], offsets: Sequence[int], rows: int, n: int) -> RatMatrix:
-    out = RatMatrix.zeros(rows, n).to_lists()
-    for i, off in enumerate(offsets):
-        out[i][off] = qq(1)
-    return RatMatrix(out, cols=n)
 
 
 def brunovsky_two_inputs(
@@ -341,14 +341,8 @@ def brunovsky_two_inputs(
 
     got = apply_em(Odecs2(A, B_u, B_v, RatMatrix.zeros(0, n), RatMatrix.zeros(0, m)), t)
     want_A = _chain_diag(eps + eps_bar)
-    want_Bu = hstack(
-        [
-            _tail_selectors(eps, n, len(eps)),
-            RatMatrix.zeros(n, m - len(eps)),
-        ]
-    )
     want_Bv = vstack([RatMatrix.zeros(sum(eps), s), _tail_selectors(eps_bar, n - sum(eps), s)])
-    if got.A != want_A or got.B_u != want_Bu or got.B_v != want_Bv:
+    if got.A != want_A or got.B_u != _tail_selectors(eps, n, m) or got.B_v != want_Bv:
         raise InternalInvariantViolation("two-kind chain normalization has a wrong pattern")
     return t, eps, eps_bar
 
@@ -356,24 +350,6 @@ def brunovsky_two_inputs(
 # ---------------------------------------------------------------------------
 # prime systems
 # ---------------------------------------------------------------------------
-
-
-def _static_normalizer(D: RatMatrix) -> Tuple[RatMatrix, RatMatrix, int]:
-    """(T_y, T_u, delta) with T_y D T_u^{-1} = [[0,0],[0,I_delta]]."""
-    p, m = D.rows, D.cols
-    delta, R, Qy = rank_rref(D)
-    Rd = R.take_rows(range(delta))
-    if delta:
-        W = kernel_basis(Rd).basis
-        X = right_inverse(Rd)
-        Tu_inv = hstack([W, X])
-    else:
-        Tu_inv = RatMatrix.identity(m)
-    if not is_invertible(Tu_inv):
-        raise InternalInvariantViolation("static rank factorization failed")
-    perm = list(range(delta, p)) + list(range(delta))
-    T_y = RatMatrix.identity(p).take_rows(perm) * Qy
-    return T_y, inverse(Tu_inv), delta
 
 
 class _PrimeChain:
@@ -543,23 +519,15 @@ def prime_canonical(
     o1 = apply_em(o, t_d)
 
     # 2) absorb the static columns of B and rows of C
-    Kk = RatMatrix.zeros(n, p).to_lists()
-    Fk = RatMatrix.zeros(m, n).to_lists()
-    for j in range(delta):
-        for i in range(n):
-            Kk[i][p - delta + j] = -o1.B_u[i, m - delta + j]
-            Fk[m - delta + j][i] = -o1.C[p - delta + j, i]
-    t_kill = replace(
-        EmTransform.identity(n, m, s, p),
-        K=RatMatrix(Kk, cols=p),
-        F_u=RatMatrix(Fk, cols=n),
+    u_st, y_st = range(m - delta, m), range(p - delta, p)
+    t_kill = _feedback_stage(
+        o1, [(u_st, range(n), -o1.C.take_rows(y_st))], [(range(n), y_st, -o1.B_u.take_cols(u_st))]
     )
     o2 = apply_em(o1, t_kill)
-    for j in range(delta):
-        if any(o2.B_u[i, m - delta + j] != 0 for i in range(n)):
-            raise InternalInvariantViolation("static input columns survived the kill")
-        if any(o2.C[p - delta + j, i] != 0 for i in range(n)):
-            raise InternalInvariantViolation("static output rows survived the kill")
+    if not o2.B_u.take_cols(u_st).is_zero():
+        raise InternalInvariantViolation("static input columns survived the kill")
+    if not o2.C.take_rows(y_st).is_zero():
+        raise InternalInvariantViolation("static output rows survived the kill")
 
     # 3) output-rooted chain decomposition of the destaticized part.  The
     #   input-side engine is useless here: output injection can reroute a
@@ -575,50 +543,26 @@ def prime_canonical(
     if len(sigma) != m3 or len(sigma_bar) != s:
         raise InternalInvariantViolation("prime chain counts do not exhaust the inputs")
     ordered = u_chains + v_chains
-    c, d = len(sigma), len(sigma_bar)
 
     # 4) assemble the certificate: towers stack into T_x, drives into T_w,
     #   head coefficients into T_y, and K soaks up every correction the
     #   towers borrowed from the outputs.
-    T_x = (
-        vstack([col.T for ch in ordered for col in ch.tower])
-        if ordered
-        else RatMatrix.identity(n)
-    )
+    T_x = vstack([RatMatrix.zeros(0, n)] + [col.T for ch in ordered for col in ch.tower])
     if not is_invertible(T_x):
         raise InternalInvariantViolation("prime towers are not independent")
-    T_w_core = vstack([ch.rho for ch in ordered]) if ordered else RatMatrix.zeros(0, 0)
+    T_w_core = vstack([RatMatrix.zeros(0, m3 + s)] + [ch.rho for ch in ordered])
     if not is_invertible(T_w_core):
         raise InternalInvariantViolation("prime drive rows are dependent")
-    N = (
-        vstack([ch.tower[-1].T * o2.A for ch in ordered])
-        if ordered
-        else RatMatrix.zeros(0, n)
-    )
+    N = vstack([RatMatrix.zeros(0, n)] + [ch.tower[-1].T * o2.A for ch in ordered])
     F_w_core = -(inverse(T_w_core) * N)
 
-    # widen by the static inputs, which sit in the last u slots untouched
-    T_w = RatMatrix.zeros(m + s, m + s).to_lists()
-    F_w = RatMatrix.zeros(m + s, n).to_lists()
-    for i in range(m3 + s):
-        ri = i if i < m3 else i + delta
-        for j in range(m3 + s):
-            T_w[ri][j if j < m3 else j + delta] = T_w_core[i, j]
-        F_w[ri] = F_w_core.row(i)
-    for j in range(delta):
-        T_w[m3 + j][m3 + j] = qq(1)
-    T_w = RatMatrix(T_w, cols=m + s)
-    F_w = RatMatrix(F_w, cols=n)
-
-    # output order [sigma heads, statics, sigma_bar heads]
-    T_y_rows = RatMatrix.zeros(p, p).to_lists()
-    for i, ch in enumerate(u_chains):
-        T_y_rows[i] = ch.t.row(0) + [qq(0)] * delta
-    for j in range(delta):
-        T_y_rows[c + j][p - delta + j] = qq(1)
-    for i, ch in enumerate(v_chains):
-        T_y_rows[c + delta + i] = ch.t.row(0) + [qq(0)] * delta
-    T_y1 = RatMatrix(T_y_rows, cols=p)
+    # widen by the static inputs, which sit in the last u slots untouched;
+    # the outputs follow the same order [sigma heads, statics, sigma_bar heads]
+    live = list(range(m3)) + list(range(m, m + s))
+    T_w = place(m + s, m + s, [(live, live, T_w_core), (u_st, u_st, RatMatrix.identity(delta))])
+    F_w = place(m + s, n, [(live, range(n), F_w_core)])
+    heads = vstack([RatMatrix.zeros(0, p - delta)] + [ch.t for ch in ordered])
+    T_y1 = place(p, p, [(live, range(p - delta), heads), (u_st, y_st, RatMatrix.identity(delta))])
 
     A_canon = _chain_diag(sigma + sigma_bar)
     M = inverse(T_x) * A_canon * T_x - o2.A - hstack([o2.B_u, o2.B_v]) * F_w
@@ -656,12 +600,7 @@ def observable_dual_canonical(C4: RatMatrix, A4: RatMatrix) -> Tuple[EmTransform
         T_xd, T_ud, Fd, kappa = brunovsky_single(A4.T, C4.T)
     except NotControllable as exc:
         raise NotObservable("the pair (C4, A4) is not observable") from exc
-    rev = []
-    off = 0
-    for k in kappa:
-        rev.extend(off + k - 1 - i for i in range(k))
-        off += k
-    P_rev = RatMatrix.identity(n).take_rows(rev)
+    P_rev = RatMatrix.identity(n).take_rows(_reversed_chains(kappa))
     t = EmTransform(
         T_x=P_rev * inverse(T_xd.T),
         T_u=RatMatrix.identity(0),
@@ -675,17 +614,7 @@ def observable_dual_canonical(C4: RatMatrix, A4: RatMatrix) -> Tuple[EmTransform
     got = apply_em(
         Odecs2(A4, RatMatrix.zeros(n, 0), RatMatrix.zeros(n, 0), C4, RatMatrix.zeros(p, 0)), t
     )
-    offsets = []
-    off = 0
-    for k in kappa:
-        offsets.append(off)
-        off += k
-    want_C = vstack(
-        [
-            _head_selectors(kappa, offsets, len(kappa), n),
-            RatMatrix.zeros(p - len(kappa), n),
-        ]
-    ) if p else RatMatrix.zeros(0, n)
+    want_C = vstack([_head_selectors(kappa), RatMatrix.zeros(p - len(kappa), n)])
     if got.A != _chain_diag(kappa) or got.C != want_C:
         raise InternalInvariantViolation("dual chain normalization has a wrong pattern")
     return t, list(kappa)
@@ -703,68 +632,27 @@ def emcf_system(idx: EmcfIndices) -> Odecs2:
     a, b, c, d, e = len(eps), len(eps_bar), len(sigma), len(sigma_bar), len(eta)
     n, m, s, p = idx.n, idx.m, idx.s, idx.p
 
-    all_lengths = list(eps) + list(eps_bar) + list(sigma) + list(sigma_bar) + list(eta)
-    n2 = idx.A_nn.rows
     A = block_diag([_chain_diag(eps + eps_bar), idx.A_nn, _chain_diag(sigma + sigma_bar + eta)])
 
-    offsets = {}
-    off = 0
-    for t, k in enumerate(eps):
-        offsets[("cu", t)] = off
-        off += k
-    for t, k in enumerate(eps_bar):
-        offsets[("cv", t)] = off
-        off += k
-    off += n2
-    for t, k in enumerate(sigma):
-        offsets[("pu", t)] = off
-        off += k
-    for t, k in enumerate(sigma_bar):
-        offsets[("pv", t)] = off
-        off += k
-    for t, k in enumerate(eta):
-        offsets[("o", t)] = off
-        off += k
-    if off != n or sum(all_lengths) + n2 != n:
-        raise InternalInvariantViolation("chain offsets do not cover the states")
-
-    B_u = RatMatrix.zeros(n, m).to_lists()
-    for t, k in enumerate(eps):
-        B_u[offsets[("cu", t)] + k - 1][t] = qq(1)
-    for t, k in enumerate(sigma):
-        B_u[offsets[("pu", t)] + k - 1][a + t] = qq(1)
-    B_v = RatMatrix.zeros(n, s).to_lists()
-    for t, k in enumerate(eps_bar):
-        B_v[offsets[("cv", t)] + k - 1][t] = qq(1)
-    for t, k in enumerate(sigma_bar):
-        B_v[offsets[("pv", t)] + k - 1][b + t] = qq(1)
-    C = RatMatrix.zeros(p, n).to_lists()
-    for t in range(c):
-        C[t][offsets[("pu", t)]] = qq(1)
-    for t in range(d):
-        C[c + delta + t][offsets[("pv", t)]] = qq(1)
-    for t in range(e):
-        C[c + delta + d + t][offsets[("o", t)]] = qq(1)
-    D = RatMatrix.zeros(p, m).to_lists()
-    for i in range(delta):
-        D[c + i][a + c + i] = qq(1)
-    return Odecs2(
-        A=A,
-        B_u=RatMatrix(B_u, cols=m),
-        B_v=RatMatrix(B_v, cols=s),
-        C=RatMatrix(C, cols=n),
-        D_u=RatMatrix(D, cols=m),
+    # states [eps, eps_bar | A_nn | sigma, sigma_bar, eta], merged inputs
+    # w = (u, v) with u = [eps, sigma, statics, dead] and v = [eps_bar,
+    # sigma_bar, dead], outputs [sigma, statics, sigma_bar, eta, dead]
+    n_c, n_p = sum(eps) + sum(eps_bar), sum(sigma) + sum(sigma_bar)
+    p0 = n_c + idx.A_nn.rows
+    w_c = [*range(a), *range(m, m + b)]
+    w_p = [*range(a, a + c), *range(m + b, m + b + d)]
+    B_w = place(
+        n,
+        m + s,
+        [
+            (range(n_c), w_c, _tail_selectors(eps + eps_bar, n_c, a + b)),
+            (range(p0, p0 + n_p), w_p, _tail_selectors(sigma + sigma_bar, n_p, c + d)),
+        ],
     )
-
-
-def _embed(
-    M: RatMatrix, row_off: int, col_off: int, rows: int, cols: int
-) -> RatMatrix:
-    out = RatMatrix.zeros(rows, cols).to_lists()
-    for i in range(M.rows):
-        for j in range(M.cols):
-            out[row_off + i][col_off + j] = M[i, j]
-    return RatMatrix(out, cols=cols)
+    heads = [*range(c), *range(c + delta, c + delta + d + e)]
+    C = place(p, n, [(heads, range(p0, n), _head_selectors(sigma + sigma_bar + eta))])
+    D = place(p, m, [(range(c, c + delta), range(a + c, a + c + delta), RatMatrix.identity(delta))])
+    return Odecs2(A, B_w.take_cols(range(m)), B_w.take_cols(range(m, m + s)), C, D)
 
 
 def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
@@ -780,7 +668,6 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     m1u, s1 = _group_sizes(m)
     b1, b2, b3, b4 = _state_blocks(dims)
     n, mu, s, p = o.n, o.m, o.s, o.p
-    n1, n2, n3, n4 = dims.n1, dims.n2, dims.n3, dims.n4
     u1, u3 = list(range(m1u)), list(range(m1u, mu))
     v1, v3 = list(range(s1)), list(range(s1, s))
     y3, y4 = list(range(dims.p3)), list(range(dims.p3, p))
@@ -798,38 +685,15 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     )
     t4, eta = observable_dual_canonical(o.C.submatrix(y4, b4), o.A.submatrix(b4, b4))
 
-    m3u, s3 = mu - m1u, s - s1
     t_blk = EmTransform(
         T_x=block_diag([t1.T_x, T2f, t3.T_x, t4.T_x]),
         T_u=block_diag([t1.T_u, t3.T_u]),
         T_v=block_diag([t1.T_v, t3.T_v]),
         T_y=block_diag([t3.T_y, t4.T_y]),
-        F_u=vstack(
-            [
-                _embed(t1.F_u, 0, 0, m1u, n),
-                _embed(t3.F_u, 0, n1 + n2, m3u, n),
-            ]
-        )
-        if mu
-        else RatMatrix.zeros(0, n),
-        F_v=vstack(
-            [
-                _embed(t1.F_v, 0, 0, s1, n),
-                _embed(t3.F_v, 0, n1 + n2, s3, n),
-            ]
-        )
-        if s
-        else RatMatrix.zeros(0, n),
+        F_u=place(mu, n, [(u1, b1, t1.F_u), (u3, b3, t3.F_u)]),
+        F_v=place(s, n, [(v1, b1, t1.F_v), (v3, b3, t3.F_v)]),
         R=block_diag([t1.R, t3.R]),
-        K=vstack(
-            [
-                RatMatrix.zeros(n1 + n2, p),
-                _embed(t3.K, 0, 0, n3, p),
-                _embed(t4.K, 0, dims.p3, n4, p),
-            ]
-        )
-        if n
-        else RatMatrix.zeros(0, p),
+        K=place(n, p, [(b3, y3, t3.K), (b4, y4, t4.K)]),
     )
 
     a, b, e = len(eps), len(eps_bar), len(eta)
@@ -936,16 +800,17 @@ def build_fbcf(f: FbcfIndices) -> Dacs:
 
     a, c = len(f.eps_p), len(f.sigma_p)
     m = a + c + f.dead_u
-    L = RatMatrix.zeros(E.rows, m).to_lists()
-    row = 0
-    for t, k in enumerate(f.eps_p):
-        L[row + k - 1][t] = qq(1)
-        row += k
-    row += sum(k - 1 for k in f.eps_bar_p) + f.n_rho
-    for t, k in enumerate(f.sigma_p):
-        L[row + k - 1][a + t] = qq(1)
-        row += k
-    d = Dacs(E=E, H=H, L=RatMatrix(L, cols=m))
+    n_e, n_s = sum(f.eps_p), sum(f.sigma_p)
+    r0 = n_e + sum(k - 1 for k in f.eps_bar_p) + f.n_rho
+    L = place(
+        E.rows,
+        m,
+        [
+            (range(n_e), range(a), _tail_selectors(f.eps_p, n_e, a)),
+            (range(r0, r0 + n_s), range(a, a + c), _tail_selectors(f.sigma_p, n_s, c)),
+        ],
+    )
+    d = Dacs(E=E, H=H, L=L)
     if (d.l, d.n, d.m) != (f.l, f.n, f.m):
         raise InternalInvariantViolation("block bookkeeping mismatch")
     return d
@@ -985,14 +850,8 @@ def _exfb_from_em(
         + [("pv", k) for k in sigma_bar]
         + [("o", k) for k in eta]
     )
-    freed = set()
-    off = 0
-    starts = []
-    for kind, k in spans:
-        starts.append(off)
-        if kind in ("cv", "pv"):
-            freed.add(off + k - 1)
-        off += k
+    starts = _chain_starts([k for _, k in spans])
+    freed = {o + k - 1 for o, (kind, k) in zip(starts, spans) if kind in ("cv", "pv")}
     kept = [i for i in range(n) if i not in freed]
     if len(kept) != q:
         raise InternalInvariantViolation("freed state count does not match rank E")
@@ -1038,13 +897,8 @@ def _exfb_from_em(
         raise InternalInvariantViolation("row interleaving is not a permutation")
 
     # reverse each observable chain so its constraint sits at the bottom
-    rev = list(range(n))
-    bi = len(spans) - e
-    for k in eta:
-        o0 = starts[bi]
-        for i in range(k):
-            rev[o0 + i] = o0 + k - 1 - i
-        bi += 1
+    # (the states before them count as chains of length 1, which stay put)
+    rev = _reversed_chains([1] * (n - sum(eta)) + list(eta))
     P = RatMatrix.identity(n).take_rows(rev) * t.T_x
     return ExFbTransform(Q=Q_pre.take_rows(rows), P=P, F=t.F_u, G=inverse(t.T_u))
 
@@ -1068,11 +922,15 @@ class EmcfRun:
 
 
 def emcf_run(o: Odecs2) -> EmcfRun:
-    """Triangularize, block-diagonalize and canonicalize ``o`` once."""
+    """Triangularize, block-diagonalize and canonicalize ``o`` once; the
+    composed certificate is verified before being returned."""
     tri = emtf(o)
     nf = emnf(tri)
     t_can, idx, o_can = emcf(nf)
-    return EmcfRun(o, tri, nf, t_can, idx, o_can, em_compose(nf.transform, t_can))
+    total = em_compose(nf.transform, t_can)
+    if not verify_em(o, o_can, total):
+        raise InternalInvariantViolation("explicit certificate failed to verify")
+    return EmcfRun(o, tri, nf, t_can, idx, o_can, total)
 
 
 @dataclass(frozen=True)
@@ -1092,8 +950,6 @@ def fbcf_run(d: Dacs) -> FbcfRun:
     """:func:`fbcf` with every intermediate stage kept."""
     o, rec = explicitate(d)
     run = emcf_run(o)
-    if not verify_em(o, run.o_can, run.total):
-        raise InternalInvariantViolation("explicit certificate failed to verify")
     fidx = translate_indices(run.idx)
     d_can = build_fbcf(fidx)
     cert = _exfb_from_em(d, rec, run.total, run.idx)

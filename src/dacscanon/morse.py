@@ -29,12 +29,16 @@ from .ratmat import (
     InternalInvariantViolation,
     RatMatrix,
     Subspace,
+    _kron,
+    _unvec,
+    _vec,
     block_diag,
     complement,
     hstack,
     inverse,
     is_invertible,
     kernel_basis,
+    place,
     qq,
     rank,
     rank_rref,
@@ -113,32 +117,6 @@ class MnfSystem:
 # ---------------------------------------------------------------------------
 
 
-def _kron(A: RatMatrix, B: RatMatrix) -> RatMatrix:
-    rows = A.rows * B.rows
-    cols = A.cols * B.cols
-    out = [[qq(0)] * cols for _ in range(rows)]
-    for i in range(A.rows):
-        for j in range(A.cols):
-            a = A[i, j]
-            if a == 0:
-                continue
-            for k in range(B.rows):
-                for l in range(B.cols):
-                    out[i * B.rows + k][j * B.cols + l] = a * B[k, l]
-    return RatMatrix(out, cols=cols)
-
-
-def _vec(M: RatMatrix) -> RatMatrix:
-    """Column-major vectorization."""
-    return RatMatrix([[M[i, j]] for j in range(M.cols) for i in range(M.rows)], cols=1)
-
-
-def _unvec(v: RatMatrix, rows: int, cols: int) -> RatMatrix:
-    return RatMatrix(
-        [[v[j * rows + i, 0] for j in range(cols)] for i in range(rows)], cols=cols
-    )
-
-
 def _sylvester_operator(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     """Matrix of X -> A X - X B under column-major vectorization."""
     return _kron(RatMatrix.identity(B.rows), A) - _kron(B.T, RatMatrix.identity(A.rows))
@@ -178,14 +156,12 @@ def _pencil_poly_inverse(P0: RatMatrix, n_dyn: int) -> List[RatMatrix]:
     degree bound and the primeness assumption."""
     size = P0.rows
     deg = n_dyn
+    J = place(size, size, [(range(n_dyn), range(n_dyn), RatMatrix.identity(n_dyn))])
     pts = [qq(i) for i in range(deg + 1)]
     invs = []
     for s in pts:
-        M = P0.to_lists()
-        for j in range(n_dyn):
-            M[j][j] -= s
         try:
-            invs.append(inverse(RatMatrix(M, cols=size)))
+            invs.append(inverse(P0 - J.scale(s)))
         except ValueError as exc:
             raise InternalInvariantViolation(
                 "prime pencil is singular at a sample point"
@@ -206,10 +182,7 @@ def _pencil_poly_inverse(P0: RatMatrix, n_dyn: int) -> List[RatMatrix]:
         if k <= deg:
             term = term + P0 * Q[k]
         if 1 <= k <= deg + 1:
-            prev = Q[k - 1]
-            term = term - vstack(
-                [prev.take_rows(range(n_dyn)), RatMatrix.zeros(size - n_dyn, size)]
-            )
+            term = term - J * Q[k - 1]
         expected = RatMatrix.identity(size) if k == 0 else RatMatrix.zeros(size, size)
         if term != expected:
             raise InternalInvariantViolation("pencil inverse is not polynomial")
@@ -312,6 +285,44 @@ def _state_blocks(d: BlockDims) -> List[List[int]]:
     return [list(range(offs[i], offs[i + 1])) for i in range(4)]
 
 
+def _v_space(m: int, s: int) -> Subspace:
+    """The second-kind directions of the merged input space (u, v)."""
+    v = range(m, m + s)
+    return Subspace.from_columns(place(m + s, s, [(v, range(s), RatMatrix.identity(s))]))
+
+
+def _feedback_stage(o: Odecs2, F_blocks=(), K_blocks=()) -> EmTransform:
+    """Identity certificate for o with the merged feedback F_w (rows w = (u,
+    v)) and the output injection K placed from blocks."""
+    F_w = place(o.m + o.s, o.n, F_blocks)
+    return replace(
+        EmTransform.identity(o.n, o.m, o.s, o.p),
+        F_u=F_w.take_rows(range(o.m)),
+        F_v=F_w.take_rows(range(o.m, o.m + o.s)),
+        K=place(o.n, o.p, K_blocks),
+    )
+
+
+def _static_pattern(rows: int, cols: int, delta: int) -> RatMatrix:
+    """The rows x cols pattern [[0, 0], [0, I_delta]]."""
+    r, c = range(rows - delta, rows), range(cols - delta, cols)
+    return place(rows, cols, [(r, c, RatMatrix.identity(delta))])
+
+
+def _static_normalizer(D: RatMatrix) -> Tuple[RatMatrix, RatMatrix, int]:
+    """(T_y, T_u, delta) with T_y D T_u^{-1} = [[0, 0], [0, I_delta]]."""
+    p = D.rows
+    delta, R, Qy = rank_rref(D)
+    Rd = R.take_rows(range(delta))
+    Tu_inv = hstack([kernel_basis(Rd).basis, right_inverse(Rd)])
+    if not is_invertible(Tu_inv):
+        raise InternalInvariantViolation("static rank factorization failed")
+    T_y = RatMatrix.identity(p).take_rows(list(range(delta, p)) + list(range(delta))) * Qy
+    if T_y * D * Tu_inv != _static_pattern(p, D.cols, delta):
+        raise InternalInvariantViolation("static block did not normalize")
+    return T_y, inverse(Tu_inv), delta
+
+
 def _input_groups(m: int, s: int, m1u: int, s1: int) -> Tuple[List[int], List[int]]:
     g1 = list(range(m1u)) + list(range(m, m + s1))
     g3 = list(range(m1u, m)) + list(range(m + s1, m + s))
@@ -337,9 +348,7 @@ def _stage0(o: Odecs2) -> Tuple[EmTransform, BlockDims, int, int]:
         raise InternalInvariantViolation("state blocks do not assemble to a basis")
     T_x = inverse(basis_x)
 
-    v_space = Subspace.from_columns(
-        vstack([RatMatrix.zeros(m, s), RatMatrix.identity(s)])
-    )
+    v_space = _v_space(m, s)
     u_v = subspace_intersect(inv.U_star, v_space)
     t_u1 = complement(u_v, inv.U_star)
     t_u3 = complement(subspace_sum(inv.U_star, v_space), Subspace.full(m + s))
@@ -380,8 +389,7 @@ def _assert_stage0(o: Odecs2, d: BlockDims, g1: List[int]) -> None:
 
 def _f_stage(o: Odecs2, d: BlockDims, g3: List[int]) -> Tuple[Odecs2, EmTransform]:
     A, B_w, C, D_w = o.merged()
-    n = o.n
-    rows34 = list(range(d.n1 + d.n2, n))
+    rows34 = list(range(d.n1 + d.n2, o.n))
     cols12 = list(range(d.n1 + d.n2))
     y3 = list(range(d.p3))
     coeff = vstack([B_w.submatrix(rows34, g3), D_w.submatrix(y3, g3)])
@@ -389,41 +397,20 @@ def _f_stage(o: Odecs2, d: BlockDims, g3: List[int]) -> Tuple[Odecs2, EmTransfor
     sol = solve(coeff, rhs)
     if sol is None:
         raise InternalInvariantViolation("feedback stage is unsolvable")
-    F = [[qq(0)] * n for _ in range(o.m + o.s)]
-    for a, gi in enumerate(g3):
-        for b, cj in enumerate(cols12):
-            F[gi][cj] = sol[a, b]
-    F = RatMatrix(F, cols=n)
-    t = replace(
-        EmTransform.identity(n, o.m, o.s, o.p),
-        F_u=F.take_rows(range(o.m)),
-        F_v=F.take_rows(range(o.m, o.m + o.s)),
-    )
+    t = _feedback_stage(o, [(g3, cols12, sol)])
     return apply_em(o, t), t
 
 
 def _k_stage(o: Odecs2, d: BlockDims, g3: List[int]) -> Tuple[Odecs2, EmTransform]:
     A, B_w, C, D_w = o.merged()
-    n = o.n
-    b2 = list(range(d.n1, d.n1 + d.n2))
-    b3 = list(range(d.n1 + d.n2, d.n1 + d.n2 + d.n3))
-    b4 = list(range(d.n1 + d.n2 + d.n3, n))
+    _, b2, b3, b4 = _state_blocks(d)
     y3 = list(range(d.p3))
     coeff = hstack([C.submatrix(y3, b3), D_w.submatrix(y3, g3)])
-    target = -vstack(
-        [
-            hstack([A.submatrix(b2, b3), B_w.submatrix(b2, g3)]),
-            hstack([A.submatrix(b4, b3), B_w.submatrix(b4, g3)]),
-        ]
-    )
-    sol = solve_left(coeff, target)
+    rows24 = b2 + b4
+    sol = solve_left(coeff, -hstack([A.submatrix(rows24, b3), B_w.submatrix(rows24, g3)]))
     if sol is None:
         raise InternalInvariantViolation("output-injection stage is unsolvable")
-    K = [[qq(0)] * o.p for _ in range(n)]
-    for a, ri in enumerate(b2 + b4):
-        for b, yj in enumerate(y3):
-            K[ri][yj] = sol[a, b]
-    t = replace(EmTransform.identity(n, o.m, o.s, o.p), K=RatMatrix(K, cols=o.p))
+    t = _feedback_stage(o, K_blocks=[(rows24, y3, sol)])
     return apply_em(o, t), t
 
 
@@ -432,29 +419,11 @@ def _d_normalize(
 ) -> Tuple[Odecs2, EmTransform]:
     """Input/output changes on group 3 bringing the feedthrough block to
     [[0, 0], [0, I]]."""
-    p3 = d.p3
-    u3 = list(range(m1u, o.m))
-    D3 = o.D_u.submatrix(range(p3), u3)
-    delta, R, T = rank_rref(D3)
-    top = R.take_rows(range(delta))
-    swap = RatMatrix.zeros(p3, p3).to_lists()
-    for i in range(p3 - delta):
-        swap[i][delta + i] = qq(1)
-    for i in range(delta):
-        swap[p3 - delta + i][i] = qq(1)
-    T_a = RatMatrix(swap, cols=p3) * T
-    T_b_inv = hstack([kernel_basis(top).basis, right_inverse(top)])
-    if not is_invertible(T_b_inv):
-        raise InternalInvariantViolation("feedthrough normalizer is singular")
-    expected = RatMatrix.zeros(p3, len(u3)).to_lists()
-    for i in range(delta):
-        expected[p3 - delta + i][len(u3) - delta + i] = qq(1)
-    if T_a * D3 * T_b_inv != RatMatrix(expected, cols=len(u3)):
-        raise InternalInvariantViolation("feedthrough block did not normalize")
+    T_y3, T_u3, _ = _static_normalizer(o.D_u.submatrix(range(d.p3), range(m1u, o.m)))
     t = replace(
         EmTransform.identity(o.n, o.m, o.s, o.p),
-        T_u=block_diag([RatMatrix.identity(m1u), inverse(T_b_inv)]),
-        T_y=block_diag([T_a, RatMatrix.identity(o.p - p3)]),
+        T_u=block_diag([RatMatrix.identity(m1u), T_u3]),
+        T_y=block_diag([T_y3, RatMatrix.identity(o.p - d.p3)]),
     )
     return apply_em(o, t), t
 
@@ -484,13 +453,8 @@ def _assert_triangular(
     if not D_w.take_cols(g1).is_zero() or not D_w.take_rows(y4).is_zero():
         raise InternalInvariantViolation("feedthrough outside the group-3 block")
     if normalized:
-        u3 = list(range(m1u, o.m))
-        D3 = o.D_u.submatrix(y3, u3)
-        delta = rank(D3)
-        expected = RatMatrix.zeros(d.p3, len(u3)).to_lists()
-        for i in range(delta):
-            expected[d.p3 - delta + i][len(u3) - delta + i] = qq(1)
-        if D3 != RatMatrix(expected, cols=len(u3)):
+        D3 = o.D_u.submatrix(y3, range(m1u, o.m))
+        if D3 != _static_pattern(d.p3, D3.cols, rank(D3)):
             raise InternalInvariantViolation("feedthrough block is not normalized")
 
 
@@ -544,10 +508,7 @@ def emtf(o: Odecs2) -> MtfSystem:
 def _recover_groups(o: Odecs2, d: BlockDims) -> Tuple[int, int]:
     """Group sizes (m1u, s1) of a system already in triangular coordinates."""
     inv = invariant_subspaces(o)
-    v_space = Subspace.from_columns(
-        vstack([RatMatrix.zeros(o.m, o.s), RatMatrix.identity(o.s)])
-    )
-    s1 = subspace_intersect(inv.U_star, v_space).dim
+    s1 = subspace_intersect(inv.U_star, _v_space(o.m, o.s)).dim
     if inv.m1 != d.m1:
         raise ValueError("recorded dims do not match the system")
     return d.m1 - s1, s1
@@ -571,9 +532,8 @@ def _disjoint_spectra_stage(
     y4 = list(range(d.p3, o.p))
     blocks = [A.submatrix(b, b) for b in (b1, b2, b3, b4)]
     polys = [charpoly(Ab) for Ab in blocks]
-    t_id = EmTransform.identity(o.n, o.m, o.s, o.p)
     if _pairwise_coprime(polys):
-        return t_id
+        return EmTransform.identity(o.n, o.m, o.s, o.p)
     poly2 = polys[1]
     n = o.n
     for attempt in range(n + 1):
@@ -595,26 +555,8 @@ def _disjoint_spectra_stage(
             charpoly(blocks[2] + B_w.submatrix(b3, g3) * F2),
             charpoly(blocks[3] + K3 * C.submatrix(y4, b4)),
         ]
-        if not _pairwise_coprime(new_polys):
-            continue
-        F = [[qq(0)] * n for _ in range(o.m + o.s)]
-        for a, gi in enumerate(g1):
-            for b, cj in enumerate(b1):
-                F[gi][cj] = F1[a, b]
-        for a, gi in enumerate(g3):
-            for b, cj in enumerate(b3):
-                F[gi][cj] = F2[a, b]
-        K = [[qq(0)] * o.p for _ in range(n)]
-        for a, ri in enumerate(b4):
-            for b, yj in enumerate(y4):
-                K[ri][yj] = K3[a, b]
-        F = RatMatrix(F, cols=n)
-        return replace(
-            t_id,
-            F_u=F.take_rows(range(o.m)),
-            F_v=F.take_rows(range(o.m, o.m + o.s)),
-            K=RatMatrix(K, cols=o.p),
-        )
+        if _pairwise_coprime(new_polys):
+            return _feedback_stage(o, [(g1, b1, F1), (g3, b3, F2)], [(b4, y4, K3)])
     raise InternalInvariantViolation("no disjoint integer spectra found")
 
 
@@ -696,23 +638,7 @@ def _coupling_corrections(
     if A3 * T5 - T5 * A4 - B3 * F3 != A34 or C3 * T5 - D3 * F3 != C34:
         raise InternalInvariantViolation("block-(3,4) correction failed")
 
-    n = o.n
-    K = [[qq(0)] * o.p for _ in range(n)]
-    for a, ri in enumerate(b1):
-        for b, yj in enumerate(y3):
-            K[ri][yj] = K1[a, b]
-    F = [[qq(0)] * n for _ in range(o.m + o.s)]
-    for a, gi in enumerate(g3):
-        for b, cj in enumerate(b4):
-            F[gi][cj] = F3[a, b]
-    F = RatMatrix(F, cols=n)
-    stage = replace(
-        EmTransform.identity(n, o.m, o.s, o.p),
-        F_u=F.take_rows(range(o.m)),
-        F_v=F.take_rows(range(o.m, o.m + o.s)),
-        K=RatMatrix(K, cols=o.p),
-    )
-    return stage, T2, T5
+    return _feedback_stage(o, [(g3, b4, F3)], [(b1, y3, K1)]), T2, T5
 
 
 def _similarity_stage(
@@ -732,21 +658,13 @@ def _similarity_stage(
         )
     except NoSolution as exc:
         raise InternalInvariantViolation("decoupling equations are inconsistent") from exc
-    n = o.n
-    S = RatMatrix.identity(n).to_lists()
-    for block_rows, block_cols, X in [
-        (b1, b2, T1),
-        (b1, b3, T2),
-        (b1, b4, T3),
-        (b2, b4, T4),
-        (b3, b4, T5),
-    ]:
-        for a, ri in enumerate(block_rows):
-            for b, cj in enumerate(block_cols):
-                S[ri][cj] = X[a, b]
-    return replace(
-        EmTransform.identity(n, o.m, o.s, o.p), T_x=RatMatrix(S, cols=n)
+    S = place(
+        o.n,
+        o.n,
+        [(b1, b2, T1), (b1, b3, T2), (b1, b4, T3), (b2, b4, T4), (b3, b4, T5)],
+        base=RatMatrix.identity(o.n),
     )
+    return replace(EmTransform.identity(o.n, o.m, o.s, o.p), T_x=S)
 
 
 def _assert_diagonal(o: Odecs2, d: BlockDims, m1u: int, s1: int) -> None:

@@ -21,6 +21,11 @@ reproducible):
     determinant mod p, or a denominator divisible by p) the exact rank
     decides.  The answer is exact and never depends on chance.
 
+Matrices made of blocks are assembled by ``place``: each block is a (row
+indices, column indices, matrix) triple scattered into a zero (or a
+given) matrix.  ``block_diag``, the Kronecker product and every stage
+certificate of the pipeline are built this way.
+
 gmpy2.mpq is used when available (it is markedly faster than
 fractions.Fraction on the dense eliminations done here); the stdlib
 Fraction is a drop-in fallback.
@@ -285,26 +290,76 @@ def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("vstack col mismatch")
-    out = []
-    for m in mats:
-        out.extend(m.to_lists())
-    return RatMatrix(out, cols=cols)
+    return RatMatrix._wrap([list(r) for m in mats for r in m._d], cols)
+
+
+def place(
+    rows: int,
+    cols: int,
+    blocks: Iterable[Tuple[Sequence[int], Sequence[int], RatMatrix]],
+    base: Optional[RatMatrix] = None,
+) -> RatMatrix:
+    """rows x cols matrix assembled from blocks.
+
+    Each block is a (row_idx, col_idx, M) triple: entry (a, b) of M goes to
+    (row_idx[a], col_idx[b]).  Entries no block covers are zero, or those
+    of ``base``; a later block overwrites an earlier one.  Raises
+    ValueError when M's shape does not fit its index lists.
+    """
+    if base is None:
+        out = [[_ZERO] * cols for _ in range(rows)]
+    elif base.shape != (rows, cols):
+        raise ValueError("base has shape %s, expected %s" % (base.shape, (rows, cols)))
+    else:
+        out = base.to_lists()
+    for row_idx, col_idx, M in blocks:
+        if M.shape != (len(row_idx), len(col_idx)):
+            raise ValueError(
+                "block of shape %s does not fit %d x %d indices"
+                % (M.shape, len(row_idx), len(col_idx))
+            )
+        for i, mrow in zip(row_idx, M._d):
+            row = out[i]
+            for j, x in zip(col_idx, mrow):
+                row[j] = x
+    return RatMatrix._wrap(out, cols)
+
+
+def _kron(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    """Kronecker product of A and B."""
+    br, bc = B.rows, B.cols
+    return place(
+        A.rows * br,
+        A.cols * bc,
+        [
+            (range(i * br, (i + 1) * br), range(j * bc, (j + 1) * bc), B.scale(a))
+            for i, row in enumerate(A._d)
+            for j, a in enumerate(row)
+            if a != 0
+        ],
+    )
+
+
+def _vec(M: RatMatrix) -> RatMatrix:
+    """Column-major vectorization."""
+    return RatMatrix._wrap([[M._d[i][j]] for j in range(M.cols) for i in range(M.rows)], 1)
+
+
+def _unvec(v: RatMatrix, rows: int, cols: int) -> RatMatrix:
+    """The rows x cols matrix whose column-major vectorization is v."""
+    return RatMatrix._wrap(
+        [[v._d[j * rows + i][0] for j in range(cols)] for i in range(rows)], cols
+    )
 
 
 def block_diag(mats: Sequence[RatMatrix]) -> RatMatrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = [[_ZERO] * cols for _ in range(rows)]
+    blocks = []
     r0 = c0 = 0
     for m in mats:
-        for i in range(m.rows):
-            row = out[r0 + i]
-            mrow = m._d[i]
-            for j in range(m.cols):
-                row[c0 + j] = mrow[j]
+        blocks.append((range(r0, r0 + m.rows), range(c0, c0 + m.cols), m))
         r0 += m.rows
         c0 += m.cols
-    return RatMatrix(out, cols=cols)
+    return place(r0, c0, blocks)
 
 
 def mat(data: Sequence[Sequence[Rat]], cols: Optional[int] = None) -> RatMatrix:
@@ -496,11 +551,7 @@ def solve(M: RatMatrix, B: RatMatrix) -> Optional[RatMatrix]:
     for i in range(rk, M.rows):
         if any(x != 0 for x in TB._d[i]):
             return None
-    pivs = pivot_columns(R, rk)
-    X = [[_ZERO] * B.cols for _ in range(M.cols)]
-    for i, p in enumerate(pivs):
-        X[p] = list(TB._d[i])
-    return RatMatrix(X, cols=B.cols)
+    return place(M.cols, B.cols, [(pivot_columns(R, rk), range(B.cols), TB.take_rows(range(rk)))])
 
 
 def solve_left(M: RatMatrix, B: RatMatrix) -> Optional[RatMatrix]:
@@ -515,11 +566,7 @@ def right_inverse(M: RatMatrix) -> RatMatrix:
     if rk != M.rows:
         raise NotFullRowRank("matrix %dx%d has rank %d" % (M.rows, M.cols, rk))
     pivs = pivot_columns(R, rk)
-    Mp_inv = inverse(M.take_cols(pivs))
-    N = [[_ZERO] * M.rows for _ in range(M.cols)]
-    for k, p in enumerate(pivs):
-        N[p] = Mp_inv.row(k)
-    return RatMatrix(N, cols=M.rows)
+    return place(M.cols, M.rows, [(pivs, range(M.rows), inverse(M.take_cols(pivs)))])
 
 
 # -- subspaces ---------------------------------------------------------------------
@@ -590,18 +637,13 @@ def kernel_basis(M: RatMatrix) -> Subspace:
     """Exact kernel {x : M x = 0} with dim = cols - rank."""
     rk, R = _rref(M)
     pivs = pivot_columns(R, rk)
-    piv_set = set(pivs)
-    free = [j for j in range(M.cols) if j not in piv_set]
-    cols = []
-    for f in free:
-        v = [_ZERO] * M.cols
-        v[f] = _ONE
-        for i, p in enumerate(pivs):
-            v[p] = -R[i, f]
-        cols.append(v)
-    if not cols:
-        return Subspace.zero(M.cols)
-    B = RatMatrix(cols, cols=M.cols).T
+    free = [j for j in range(M.cols) if j not in pivs]
+    f = range(len(free))
+    B = place(
+        M.cols,
+        len(free),
+        [(free, f, RatMatrix.identity(len(free))), (pivs, f, -R.submatrix(range(rk), free))],
+    )
     return Subspace.from_columns(B)
 
 

@@ -28,6 +28,9 @@ from .ratmat import (
     InternalInvariantViolation,
     RatMatrix,
     Subspace,
+    _kron,
+    _unvec,
+    _vec,
     complement,
     hstack,
     image,
@@ -443,38 +446,22 @@ def expl_membership(
         return None
     T_v = inverse(X)
 
-    # joint linear system for (K, F_v, R), vectorized column-major
-    M1 = o.A - o0.A
-    M2 = o.B_u - o0.B_u
-    nK, nF, nR = n * p, s * n, s * m
-    rows = []
-    rhs = []
-    # eq1: K*C + B_v*F_v = M1   (n x n entries)
-    for j in range(n):  # column of the n x n equation
-        for i in range(n):  # row
-            coeff = [qq(0)] * (nK + nF + nR)
-            for k in range(p):
-                coeff[k * n + i] = o0.C[k, j]  # (K C)[i,j] = sum_k K[i,k] C[k,j]
-            for k in range(s):
-                coeff[nK + j * s + k] = o0.B_v[i, k]  # (B_v F_v)[i,j]
-            rows.append(coeff)
-            rhs.append([M1[i, j]])
-    # eq2: K*D_u + B_v*R = M2   (n x m entries)
-    for j in range(m):
-        for i in range(n):
-            coeff = [qq(0)] * (nK + nF + nR)
-            for k in range(p):
-                coeff[k * n + i] = o0.D_u[k, j]
-            for k in range(s):
-                coeff[nK + nF + j * s + k] = o0.B_v[i, k]
-            rows.append(coeff)
-            rhs.append([M2[i, j]])
-    sol = solve(RatMatrix(rows, cols=nK + nF + nR), RatMatrix(rhs, cols=1))
+    # joint linear system K C + B_v F_v = o.A - A, K D_u + B_v R = o.B_u - B_u
+    # in the unknowns (K, F_v, R), vectorized column-major
+    I_n, I_m = RatMatrix.identity(n), RatMatrix.identity(m)
+    coeff = vstack(
+        [
+            hstack([_kron(o0.C.T, I_n), _kron(I_n, o0.B_v), RatMatrix.zeros(n * n, s * m)]),
+            hstack([_kron(o0.D_u.T, I_n), RatMatrix.zeros(n * m, s * n), _kron(I_m, o0.B_v)]),
+        ]
+    )
+    sol = solve(coeff, vstack([_vec(o.A - o0.A), _vec(o.B_u - o0.B_u)]))
     if sol is None:
         return None
-    K = RatMatrix([[sol[k * n + i, 0] for k in range(p)] for i in range(n)], cols=p)
-    F_v = RatMatrix([[sol[nK + j * s + k, 0] for j in range(n)] for k in range(s)], cols=n)
-    R = RatMatrix([[sol[nK + nF + j * s + k, 0] for j in range(m)] for k in range(s)], cols=m)
+    nK, nF = n * p, s * n
+    K = _unvec(sol.take_rows(range(nK)), n, p)
+    F_v = _unvec(sol.take_rows(range(nK, nK + nF)), s, n)
+    R = _unvec(sol.take_rows(range(nK + nF, sol.rows)), s, m)
 
     # invertible T_y with T_y [C D_u] = [o.C o.D_u]
     G = hstack([o0.C, o0.D_u])
@@ -583,11 +570,8 @@ def v_reduce(o: Odecs2) -> Tuple[SplitSystem, RatMatrix]:
             raise NotAProlongation("state %d has dynamics beyond z2' = v" % k)
         prolonged.append(k)
     kept = [i for i in range(n) if i not in set(prolonged)]
-    order = kept + prolonged  # stable: kept states keep their relative order
-    P_rows = RatMatrix.zeros(n, n).to_lists()
-    for new, old in enumerate(order):
-        P_rows[new][old] = qq(1)
-    P_x = RatMatrix(P_rows, cols=n)
+    # stable: kept states keep their relative order
+    P_x = RatMatrix.identity(n).take_rows(kept + prolonged)
     A1 = o.A.submatrix(kept, kept)
     A2 = o.A.submatrix(kept, prolonged)
     B_u = o.B_u.take_rows(kept)

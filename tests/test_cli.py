@@ -27,7 +27,14 @@ from dacscanon.cli import (
 )
 from dacscanon.geometry import invariant_subspaces
 from dacscanon.ratmat import RatMatrix, mat, qq
-from dacscanon.systems import Dacs, ExFbTransform, Odecs2, explicitate
+from dacscanon.systems import (
+    Dacs,
+    ExFbTransform,
+    Odecs2,
+    explicitate,
+    verify_em,
+    verify_exfb,
+)
 from test_systems import random_dacs, random_odecs
 import random
 
@@ -294,12 +301,31 @@ def test_exit_codes_for_input_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["cert_missing_matrix", "certificates_not_objects", "input_is_directory"]
+    "case",
+    [
+        "cert_missing_matrix",
+        "certificates_not_objects",
+        "input_is_directory",
+        "json_nested_too_deeply",
+        "dims_boolean",
+        "dims_negative",
+    ],
 )
 def test_exit_codes_for_malformed_input(tmp_path, case, capsys):
     # unusable input exits with 2 and a one-line error, never a traceback
     if case == "input_is_directory":
         argv = ["fbcf", str(tmp_path)]
+    elif case == "json_nested_too_deeply":
+        argv = ["fbcf", write(tmp_path, "deep.json", "[" * 50000)]
+    elif case == "dims_boolean":
+        # "l": true used to be read as 1, which fits this file's one row
+        obj = {"kind": "dacs", "dims": {"l": True, "n": 1, "m": 0},
+               "E": [["1"]], "H": [["0"]], "L": [[]]}
+        argv = ["fbcf", write(tmp_path, "bool.json", obj)]
+    elif case == "dims_negative":
+        obj = {"kind": "odecs2", "dims": {"n": -1, "m": 0, "s": 0, "p": 0},
+               "A": [], "Bu": [], "Bv": [], "C": [], "Du": []}
+        argv = ["emcf", write(tmp_path, "neg.json", obj)]
     else:
         cert = _serialize_exfb(ExFbTransform.identity(13, 14, 2), "total")
         if case == "cert_missing_matrix":
@@ -310,7 +336,10 @@ def test_exit_codes_for_malformed_input(tmp_path, case, capsys):
         path = write(tmp_path, "cert.json", obj)
         argv = ["verify", "--left", str(FIXTURE), "--right", str(FIXTURE), "--cert", path]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case.startswith("dims_"):
+        assert "dims." in err  # rejected while parsing, not deep in ratmat
 
 
 def _src_env():
@@ -358,8 +387,28 @@ def test_one_pipeline_run_per_command(tmp_path, monkeypatch, command):
         assert main(["explicitate", str(FIXTURE), "--out", inp]) == 0
     emcf_calls = _count_calls(monkeypatch, canonical.emcf)
     emtf_calls = _count_calls(monkeypatch, morse.emtf)
+    # each certificate is checked once, by the stage that emits it: emtf,
+    # emnf and the composed explicit one, plus the implicit one for fbcf
+    em_checks = _count_calls(monkeypatch, verify_em)
+    exfb_checks = _count_calls(monkeypatch, verify_exfb)
     assert main([command, inp, "--out", str(tmp_path / "rep.json")]) == 0
     assert (len(emcf_calls), len(emtf_calls)) == (1, 1)
+    assert (len(em_checks), len(exfb_checks)) == ((3, 1) if command == "fbcf" else (3, 0))
+
+
+def test_failed_pipeline_check_exits_1(tmp_path, monkeypatch, capsys):
+    # the report verdict rests on the pipeline's own checks, so a failed one
+    # must end the command with exit code 1, not with a report
+    o = random_odecs(random.Random(8), 4, 2, 1, 2)
+    p = write(tmp_path, "o.json", serialize_system(o))
+    for name, mod in list(sys.modules.items()):
+        if name == "dacscanon" or name.startswith("dacscanon."):
+            if getattr(mod, "verify_em", None) is verify_em:
+                monkeypatch.setattr(mod, "verify_em", lambda *args: False)
+    assert main(["emtf", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verification failure")
 
 
 def test_invariants_subspace_dims_match_geometry(tmp_path):

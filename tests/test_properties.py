@@ -1,0 +1,93 @@
+"""Property tests of the canonical forms on drawn index data (hypothesis).
+
+The feedback canonical form is a fixed point of the pipeline: decoding the
+system built from any index datum returns that datum and that system.
+Index translation keeps the system dimensions that explicitation relates.
+"""
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from dacscanon._chains import frobenius_form
+from dacscanon.canonical import EmcfIndices, FbcfIndices, build_fbcf, fbcf, translate_indices
+from dacscanon.harness import Seeded, random_exfb_scramble
+from dacscanon.ratmat import RatMatrix
+from dacscanon.systems import explicitate
+
+MAX_STATES = 12
+SETTINGS = settings(
+    max_examples=50,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+def _index_list(max_blocks=2, max_index=3):
+    return st.lists(st.integers(1, max_index), max_size=max_blocks).map(
+        lambda lst: tuple(sorted(lst, reverse=True))
+    )
+
+
+@st.composite
+def _frobenius_block(draw, max_size=2):
+    k = draw(st.integers(0, max_size))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=k * k, max_size=k * k))
+    M = RatMatrix([entries[i * k : (i + 1) * k] for i in range(k)], cols=k)
+    return frobenius_form(M)[1]
+
+
+@st.composite
+def fbcf_indices(draw):
+    A_rho = draw(_frobenius_block())
+    f = FbcfIndices(
+        eps_p=draw(_index_list()),
+        eps_bar_p=draw(_index_list()),
+        sigma_p=draw(_index_list()),
+        sigma_bar_p=draw(_index_list()),
+        eta_p=draw(_index_list()),
+        n_rho=A_rho.rows,
+        A_rho=A_rho,
+        dead_u=draw(st.integers(0, 1)),
+    )
+    assume(f.n <= MAX_STATES)
+    return f
+
+
+@st.composite
+def emcf_indices(draw):
+    e = EmcfIndices(
+        eps=draw(_index_list()),
+        eps_bar=draw(_index_list()),
+        A_nn=RatMatrix.zeros(*(2 * [draw(st.integers(0, 2))])),
+        sigma=draw(_index_list()),
+        delta=draw(st.integers(0, 2)),
+        sigma_bar=draw(_index_list()),
+        eta=draw(_index_list()),
+        dead_u=draw(st.integers(0, 1)),
+        dead_y=draw(st.integers(0, 1)),
+    )
+    assume(e.n <= MAX_STATES)
+    return e
+
+
+@SETTINGS
+@given(f=fbcf_indices(), seed=st.integers(0, 10**6))
+def test_canonical_form_is_a_fixed_point(f, seed):
+    d = build_fbcf(f)
+    _, got, d_can = fbcf(d)
+    assert got == f
+    assert d_can == d
+    # and the indices survive an implicit-side scramble
+    scrambled, _ = random_exfb_scramble(d, Seeded(seed, entry_bound=1))
+    assert fbcf(scrambled)[1] == f
+
+
+@SETTINGS
+@given(e=emcf_indices())
+def test_translate_indices_keeps_dimensions(e):
+    f = translate_indices(e)
+    # l = rank E + p with rank E = n - s; states and controls carry over
+    assert (f.l, f.n, f.m) == (e.n - e.s + e.p, e.n, e.m)
+    o, _ = explicitate(build_fbcf(f))
+    assert (o.n, o.m, o.s, o.p) == (e.n, e.m, e.s, e.p)

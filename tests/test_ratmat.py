@@ -9,8 +9,12 @@ from dacscanon.ratmat import (
     RatMatrix,
     _PRIME,
     _det_nonzero_mod_p,
+    _kron,
     _rref,
+    _unvec,
+    _vec,
     Subspace,
+    block_diag,
     complement,
     hstack,
     image,
@@ -19,6 +23,7 @@ from dacscanon.ratmat import (
     kernel_basis,
     mat,
     pivot_columns,
+    place,
     preimage,
     qq,
     rank,
@@ -297,3 +302,53 @@ def test_is_invertible_matches_exact_rank():
     for M in (mat([[p, 0], [0, 1]]), mat([[qq(1, p), 0], [0, 1]])):
         assert not _det_nonzero_mod_p(M)
         assert is_invertible(M)
+
+
+def test_place_scatters_blocks():
+    M = mat([[1, 2], [3, 4]])
+    # entry (a, b) goes to (row_idx[a], col_idx[b]); index lists need not be sorted
+    got = place(3, 4, [([2, 0], [1, 3], M), ([1], range(1), mat([[5]]))])
+    assert got == mat([[0, 3, 0, 4], [5, 0, 0, 0], [0, 1, 0, 2]])
+    # with a base, uncovered entries come from it and later blocks win
+    base = RatMatrix.identity(2)
+    got = place(2, 2, [([0], [0, 1], mat([[7, 8]])), ([0], [1], mat([[9]]))], base=base)
+    assert got == mat([[7, 9], [0, 1]])
+    assert base == RatMatrix.identity(2)  # the base is not modified
+    # zero-size results and blocks
+    assert place(0, 3, []) == RatMatrix.zeros(0, 3)
+    assert place(2, 0, [(range(2), [], RatMatrix.zeros(2, 0))]) == RatMatrix.zeros(2, 0)
+    empty_blocks = [([], [], RatMatrix.zeros(0, 0)), ([], [1], RatMatrix.zeros(0, 1))]
+    assert place(2, 2, empty_blocks) == RatMatrix.zeros(2, 2)
+    assert place(0, 0, [], base=RatMatrix.identity(0)) == RatMatrix.identity(0)
+    # a block whose shape does not fit its index lists, or a misfit base
+    with pytest.raises(ValueError):
+        place(2, 2, [([0], [0, 1], mat([[1]]))])
+    with pytest.raises(ValueError):
+        place(2, 2, [([0, 1], [0], mat([[1, 2]]))])
+    with pytest.raises(ValueError):
+        place(2, 2, [], base=RatMatrix.identity(3))
+
+
+def test_block_diag_kron_and_vec_match_definitions():
+    rng = random.Random(17)
+    for shapes in [((2, 3), (2, 2)), ((0, 2), (3, 1)), ((2, 2), (0, 3)), ((1, 1), (1, 1))]:
+        A, B = (random_matrix(rng, r, c) for r, c in shapes)
+        K = _kron(A, B)
+        assert K.shape == (A.rows * B.rows, A.cols * B.cols)
+        for i in range(A.rows):
+            for j in range(A.cols):
+                for k in range(B.rows):
+                    for l in range(B.cols):
+                        assert K[i * B.rows + k, j * B.cols + l] == A[i, j] * B[k, l]
+        D = block_diag([A, B])
+        assert D.shape == (A.rows + B.rows, A.cols + B.cols)
+        assert D.submatrix(range(A.rows), range(A.cols)) == A
+        assert D.submatrix(range(A.rows, D.rows), range(A.cols, D.cols)) == B
+        assert D.submatrix(range(A.rows), range(A.cols, D.cols)).is_zero()
+        assert D.submatrix(range(A.rows, D.rows), range(A.cols)).is_zero()
+        v = _vec(A)
+        assert v.shape == (A.rows * A.cols, 1)
+        assert [v[j * A.rows + i, 0] for i in range(A.rows) for j in range(A.cols)] == [
+            A[i, j] for i in range(A.rows) for j in range(A.cols)
+        ]
+        assert _unvec(v, A.rows, A.cols) == A
