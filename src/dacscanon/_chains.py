@@ -72,19 +72,6 @@ def poly_mul(p: List, q: List) -> List:
     return poly_trim(out)
 
 
-def poly_add(p: List, q: List) -> List:
-    out = [qq(0)] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += b
-    return poly_trim(out)
-
-
-def poly_scale(p: List, c) -> List:
-    return poly_trim([a * qq(c) for a in p])
-
-
 def poly_divmod(p: List, q: List) -> Tuple[List, List]:
     q = poly_trim(list(q))
     if not q:

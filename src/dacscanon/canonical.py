@@ -40,6 +40,7 @@ from ._chains import (
     brunovsky_single,
     frobenius_form,
     functional_chains,
+    tower_matrix,
 )
 from .geometry import invariant_subspaces
 from .morse import (
@@ -283,13 +284,7 @@ def _two_kind_chains(
             raise InternalInvariantViolation("first-kind tail row touches second-kind columns")
 
     ordered = u_chains + v_chains
-    towers = []
-    for tau, k, _, _ in ordered:
-        cur = tau
-        for _ in range(k):
-            towers.append(cur)
-            cur = cur * A
-    T_x = vstack(towers) if towers else RatMatrix.zeros(0, n)
+    T_x = tower_matrix([(tau, k) for tau, k, _, _ in ordered], A)
     if T_x.rows != n or not is_invertible(T_x):
         raise InternalInvariantViolation("chain towers do not form a basis")
 
@@ -495,26 +490,39 @@ def prime_canonical(
     of size ``delta`` = rank D_u between the last inputs and the middle
     outputs, and chains fed by second-kind inputs (lengths ``sigma_bar``).
     Raises NotPrime otherwise.
+
+    :func:`emcf` calls the construction directly, without this test: the
+    triangular stage cut its prime block out along the full system's V*,
+    W*, U* and Y*, and the normal form's product check on the polynomial
+    inverse of the block's pencil proved that square pencil unimodular,
+    which is primeness.  The construction's own pattern check and the
+    verified composed certificate still guard that path.
     """
     o = Odecs2(A=A, B_u=B_u, B_v=B_v, C=C, D_u=D_u)
-    n, m, s, p = o.n, o.m, o.s, o.p
     inv = invariant_subspaces(o)
     failures = []
     if inv.V_star.dim != 0:
         failures.append("V* is nonzero")
-    if inv.W_star.dim != n:
+    if inv.W_star.dim != o.n:
         failures.append("W* is not the whole state space")
     if inv.U_star.dim != 0:
         failures.append("U* is nonzero")
-    if inv.Y_star.dim != p:
+    if inv.Y_star.dim != o.p:
         failures.append("Y* is not the whole output space")
     if failures:
         raise NotPrime("; ".join(failures))
+    return _prime_canonical(o)
+
+
+def _prime_canonical(o: Odecs2) -> Tuple[EmTransform, List[int], int, List[int]]:
+    """The construction of :func:`prime_canonical` on a system known to be
+    prime."""
+    n, m, s, p = o.n, o.m, o.s, o.p
     if m + s != p:
         raise InternalInvariantViolation("prime system with m + s != p")
 
     # 1) rotate the static part of D into the last inputs and outputs
-    T_y0, T_u0, delta = _static_normalizer(D_u)
+    T_y0, T_u0, delta = _static_normalizer(o.D_u)
     t_d = replace(EmTransform.identity(n, m, s, p), T_u=T_u0, T_y=T_y0)
     o1 = apply_em(o, t_d)
 
@@ -676,12 +684,14 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
         o.A.submatrix(b1, b1), o.B_u.submatrix(b1, u1), o.B_v.submatrix(b1, v1)
     )
     T2f, A_nn, _ = frobenius_form(o.A.submatrix(b2, b2))
-    t3, sigma, delta, sigma_bar = prime_canonical(
-        o.A.submatrix(b3, b3),
-        o.B_u.submatrix(b3, u3),
-        o.B_v.submatrix(b3, v3),
-        o.C.submatrix(y3, b3),
-        o.D_u.submatrix(y3, u3),
+    t3, sigma, delta, sigma_bar = _prime_canonical(
+        Odecs2(
+            o.A.submatrix(b3, b3),
+            o.B_u.submatrix(b3, u3),
+            o.B_v.submatrix(b3, v3),
+            o.C.submatrix(y3, b3),
+            o.D_u.submatrix(y3, u3),
+        )
     )
     t4, eta = observable_dual_canonical(o.C.submatrix(y4, b4), o.A.submatrix(b4, b4))
 

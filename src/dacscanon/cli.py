@@ -51,8 +51,8 @@ from .systems import (
     ExFbTransform,
     ExplicitationRecord,
     Odecs2,
+    _expl_membership,
     as_em,
-    expl_membership,
     explicitate,
     verify_em,
     verify_exfb,
@@ -396,7 +396,7 @@ def _require_odecs(system, command: str) -> Odecs2:
 def _cmd_explicitate(args) -> Tuple[dict, bool]:
     d = _require_dacs(parse_system(args.input), "explicitate")
     o, rec = explicitate(d)
-    ok = expl_membership(o, d) is not None
+    ok = _expl_membership(o, o) is not None
     report = {
         "command": "explicitate",
         "input": serialize_system(d),

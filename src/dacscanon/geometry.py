@@ -23,7 +23,7 @@ equality tests are plain comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from .ratmat import (
     InternalInvariantViolation,

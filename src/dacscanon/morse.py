@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from ._chains import NotControllable, charpoly, pole_place, poly_gcd, poly_mul
+from ._chains import NotControllable, charpoly, pole_place, poly_gcd
 from .geometry import invariant_subspaces
 from .ratmat import (
     InternalInvariantViolation,
@@ -150,33 +150,26 @@ def _pencil_poly_inverse(P0: RatMatrix, n_dyn: int) -> List[RatMatrix]:
     J is the identity on the first ``n_dyn`` coordinates and zero after.
 
     The pencil of a prime block is unimodular -- its determinant is a nonzero
-    constant -- so the inverse is again a polynomial matrix, of degree at
-    most n_dyn.  It is found by inverting at n_dyn + 1 sample points and
-    interpolating entrywise; the final product check certifies both the
-    degree bound and the primeness assumption."""
+    constant -- so P0 = P(0) is invertible and P(s) = P0 (I - s N) with
+    N = P0^{-1} J.  Then det(I - s N) = det P(s) / det P0 is constant, so N
+    is nilpotent, and a nilpotent N of rank at most rank J = n_dyn has
+    N^{n_dyn + 1} = 0.  The inverse is therefore the finite series
+
+        P(s)^{-1} = sum_{k=0}^{n_dyn} s^k N^k P0^{-1},   Q_k = N^k P0^{-1}.
+
+    The final product check certifies both the degree bound and the
+    primeness assumption."""
     size = P0.rows
     deg = n_dyn
     J = place(size, size, [(range(n_dyn), range(n_dyn), RatMatrix.identity(n_dyn))])
-    pts = [qq(i) for i in range(deg + 1)]
-    invs = []
-    for s in pts:
-        try:
-            invs.append(inverse(P0 - J.scale(s)))
-        except ValueError as exc:
-            raise InternalInvariantViolation(
-                "prime pencil is singular at a sample point"
-            ) from exc
-    Q = [RatMatrix.zeros(size, size) for _ in range(deg + 1)]
-    for i, s_i in enumerate(pts):
-        basis = [qq(1)]
-        denom = qq(1)
-        for j, s_j in enumerate(pts):
-            if j != i:
-                basis = poly_mul(basis, [-s_j, qq(1)])
-                denom *= s_i - s_j
-        for k, c in enumerate(basis):
-            if c != 0:
-                Q[k] = Q[k] + invs[i].scale(c / denom)
+    try:
+        P0_inv = inverse(P0)
+    except ValueError as exc:
+        raise InternalInvariantViolation("prime pencil is singular at s = 0") from exc
+    N = P0_inv * J
+    Q = [P0_inv]
+    for _ in range(deg):
+        Q.append(N * Q[-1])
     for k in range(deg + 2):
         term = RatMatrix.zeros(size, size)
         if k <= deg:
@@ -374,7 +367,7 @@ def _stage0(o: Odecs2) -> Tuple[EmTransform, BlockDims, int, int]:
 
 
 def _assert_stage0(o: Odecs2, d: BlockDims, g1: List[int]) -> None:
-    A, B_w, C, D_w = o.merged()
+    _, B_w, C, D_w = o.merged()
     lower = list(range(d.n1, o.n))
     if not B_w.submatrix(lower, g1).is_zero():
         raise InternalInvariantViolation("group-1 inputs act outside the first block")
@@ -433,7 +426,7 @@ def _assert_triangular(
 ) -> None:
     A, B_w, C, D_w = o.merged()
     b1, b2, b3, b4 = _state_blocks(d)
-    g1, g3 = _input_groups(o.m, o.s, m1u, s1)
+    g1, _ = _input_groups(o.m, o.s, m1u, s1)
     y3 = list(range(d.p3))
     y4 = list(range(d.p3, o.p))
     zero_blocks = [
@@ -527,7 +520,7 @@ def _disjoint_spectra_stage(
     """Feedback and output injection (preserving the triangular pattern) that
     make the four diagonal blocks' characteristic polynomials pairwise
     coprime.  Identity when they already are."""
-    A, B_w, C, D_w = o.merged()
+    A, B_w, C, _ = o.merged()
     b1, b2, b3, b4 = _state_blocks(d)
     y4 = list(range(d.p3, o.p))
     blocks = [A.submatrix(b, b) for b in (b1, b2, b3, b4)]
@@ -584,7 +577,7 @@ def _coupling_corrections(
     matrix [[A3 - s I, B3], [C3, D3]] has full rank for every s).  Returns
     the (K, F) stage plus the T2, T5 blocks for the similarity."""
     A, B_w, C, D_w = o.merged()
-    b1, b2, b3, b4 = _state_blocks(d)
+    b1, _, b3, b4 = _state_blocks(d)
     y3 = list(range(d.p3))
     n1, n3, n4, p3 = d.n1, d.n3, d.n4, d.p3
     A1 = A.submatrix(b1, b1)
@@ -619,22 +612,20 @@ def _coupling_corrections(
     if A1 * T2 - T2 * A3 - K1 * C3 != A13 or T2 * B3 + K1 * D3 != -B13:
         raise InternalInvariantViolation("block-(1,3) correction failed")
 
-    # The second system uses the column-sign-flipped pencil P(s) J with
-    # J = diag(I, -I), whose inverse is J Q(s):
-    #     [[T5], [F3]] = sum_k J Q_k [[A34], [C34]] A4^k.
+    # The second system says P(s) [[T5], [-F3]] = [[A34], [C34]] +
+    # [[T5], [0]] (A4 - s I) for every s; evaluating at s = A4 from the
+    # right kills the unknown-bearing term:
+    #     [[T5], [-F3]] = sum_k Q_k [[A34], [C34]] A4^k.
     A34 = A.submatrix(b3, b4)
     C34 = C.submatrix(y3, b4)
     acc2 = RatMatrix.zeros(n3 + m3, n4)
     pow2 = vstack([A34, C34])
     for k, Qk in enumerate(Q):
-        flipped = vstack(
-            [Qk.take_rows(range(n3)), Qk.take_rows(range(n3, n3 + m3)).scale(qq(-1))]
-        )
-        acc2 = acc2 + flipped * pow2
+        acc2 = acc2 + Qk * pow2
         if k + 1 < len(Q):
             pow2 = pow2 * A4
     T5 = acc2.take_rows(range(n3))
-    F3 = acc2.take_rows(range(n3, n3 + m3))
+    F3 = -acc2.take_rows(range(n3, n3 + m3))
     if A3 * T5 - T5 * A4 - B3 * F3 != A34 or C3 * T5 - D3 * F3 != C34:
         raise InternalInvariantViolation("block-(3,4) correction failed")
 
@@ -669,9 +660,9 @@ def _similarity_stage(
 
 def _assert_diagonal(o: Odecs2, d: BlockDims, m1u: int, s1: int) -> None:
     _assert_triangular(o, d, m1u, s1, normalized=False)
-    A, B_w, C, D_w = o.merged()
+    A, B_w, C, _ = o.merged()
     b1, b2, b3, b4 = _state_blocks(d)
-    g1, g3 = _input_groups(o.m, o.s, m1u, s1)
+    _, g3 = _input_groups(o.m, o.s, m1u, s1)
     y3 = list(range(d.p3))
     for rows, cols in [(b1, b2), (b1, b3), (b1, b4), (b2, b4), (b3, b4)]:
         if not A.submatrix(rows, cols).is_zero():

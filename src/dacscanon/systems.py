@@ -41,6 +41,7 @@ from .ratmat import (
     rank_rref,
     right_inverse,
     solve,
+    solve_left,
     vstack,
 )
 
@@ -435,7 +436,13 @@ def expl_membership(
 
     which is a finite exact linear-solvability problem in the unknowns.
     """
-    o0, _rec = explicitate(d)
+    return _expl_membership(o, explicitate(d)[0])
+
+
+def _expl_membership(
+    o: Odecs2, o0: Odecs2
+) -> Optional[Tuple[RatMatrix, RatMatrix, RatMatrix, RatMatrix, RatMatrix]]:
+    """:func:`expl_membership` against the canonical explicitation o0."""
     if (o.n, o.m, o.s, o.p) != (o0.n, o0.m, o0.s, o0.p):
         return None
     n, m, s, p = o0.n, o0.m, o0.s, o0.p
@@ -468,7 +475,7 @@ def expl_membership(
     Gt = hstack([o.C, o.D_u])
     r, RG, TG = rank_rref(G)
     Rr = RG.take_rows(range(r))
-    S = solve_rows_in_terms_of(Rr, Gt)
+    S = solve_left(Rr, Gt)
     if S is None:
         return None
     rt, _, _ = rank_rref(Gt)
@@ -488,12 +495,6 @@ def expl_membership(
         and o.D_u == T_y * o0.D_u
     )
     return (F_v, R, K, T_v, T_y) if ok else None
-
-
-def solve_rows_in_terms_of(Rr: RatMatrix, Gt: RatMatrix) -> Optional[RatMatrix]:
-    """S with S * Rr = Gt, or None (Rr has full row rank)."""
-    St = solve(Rr.T, Gt.T)
-    return None if St is None else St.T
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +536,7 @@ class SplitSystem:
 
 def prolong(lz: SplitSystem) -> Odecs2:
     """Append the dynamics z2' = v, making z2 part of the state."""
-    n1, s, m, p = lz.n1, lz.s, lz.m, lz.p
+    n1, s, m = lz.n1, lz.s, lz.m
     A = vstack(
         [
             hstack([lz.A1, lz.A2]),

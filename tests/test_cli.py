@@ -391,9 +391,20 @@ def test_one_pipeline_run_per_command(tmp_path, monkeypatch, command):
     # emnf and the composed explicit one, plus the implicit one for fbcf
     em_checks = _count_calls(monkeypatch, verify_em)
     exfb_checks = _count_calls(monkeypatch, verify_exfb)
+    # primeness is proven once, by the triangular stage's subspaces
+    subspace_calls = _count_calls(monkeypatch, invariant_subspaces)
     assert main([command, inp, "--out", str(tmp_path / "rep.json")]) == 0
     assert (len(emcf_calls), len(emtf_calls)) == (1, 1)
     assert (len(em_checks), len(exfb_checks)) == ((3, 1) if command == "fbcf" else (3, 0))
+    assert len(subspace_calls) == 1
+
+
+def test_explicitate_command_explicitates_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, explicitate)
+    out = tmp_path / "expl.json"
+    assert main(["explicitate", str(FIXTURE), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert json.loads(out.read_text())["verified"] is True
 
 
 def test_failed_pipeline_check_exits_1(tmp_path, monkeypatch, capsys):

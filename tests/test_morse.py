@@ -7,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from dacscanon.ratmat import RatMatrix, hstack, inverse, qq, rank, vstack
+from dacscanon import morse
+from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
+from dacscanon.ratmat import (
+    InternalInvariantViolation,
+    RatMatrix,
+    hstack,
+    inverse,
+    place,
+    qq,
+    rank,
+    vstack,
+)
 from dacscanon.systems import (
     EmTransform,
     MorseTransform,
@@ -427,6 +438,69 @@ def test_carried_groups_match_recovery_single_kind():
         carried, recovered = mnf(tri), mnf(bare)
         assert _same_form(carried, recovered)
         assert carried.groups == recovered.groups == tri.groups
+
+
+# -- prime pencil inverse -------------------------------------------------------
+
+
+def _pencils_met(monkeypatch):
+    """Every (P0, n_dyn) the normal form inverts on the circuit fixture and
+    on criterion-2 cases 0-9."""
+    met = []
+    real = morse._pencil_poly_inverse
+
+    def recording(P0, n_dyn):
+        met.append((P0, n_dyn))
+        return real(P0, n_dyn)
+
+    monkeypatch.setattr(morse, "_pencil_poly_inverse", recording)
+    systems = [parse_system(str(FIXTURE))]
+    for case in range(10):
+        base = 900001 + 2 * case
+        d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
+        systems.append(random_exfb_scramble(d, Seeded(base + 1, entry_bound=1))[0])
+    for d in systems:
+        emnf(emtf(explicitate(d)[0]))
+    monkeypatch.undo()
+    return met
+
+
+def _hand_built_pencils():
+    # x1' = x2, x2' = u1, y1 = x1, y2 = 2 u2 (a prime block with a static
+    # part), hidden by output injection K and feedback F, which keep the
+    # pencil's J = diag(I, 0) shape
+    base = mat([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 2]])
+    K = mat([[1, 0, 1, 2], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
+    F = mat([[1, 0, 0, 0], [0, 1, 0, 0], [1, -1, 1, 0], [2, 0, 0, 1]])
+    with_D = K * base * F
+    assert not with_D.submatrix(range(2, 4), range(2, 4)).is_zero()
+    return [
+        (RatMatrix.zeros(0, 0), 0),
+        (mat([[2, 1], [1, 1]]), 0),
+        (with_D, 2),
+    ]
+
+
+def test_pencil_poly_inverse_matches_pointwise_inverse(monkeypatch):
+    met = _pencils_met(monkeypatch)
+    assert len(met) >= 11
+    for P0, n_dyn in met + _hand_built_pencils():
+        Q = morse._pencil_poly_inverse(P0, n_dyn)
+        assert 1 <= len(Q) <= n_dyn + 1
+        size = P0.rows
+        J = place(size, size, [(range(n_dyn), range(n_dyn), RatMatrix.identity(n_dyn))])
+        for s in range(n_dyn + 2):
+            series = RatMatrix.zeros(size, size)
+            for k, Qk in enumerate(Q):
+                series = series + Qk.scale(qq(s) ** k)
+            assert series == inverse(P0 - J.scale(qq(s)))
+
+
+@pytest.mark.parametrize("P0", [mat([[1]]), mat([[0]])], ids=["not_unimodular", "singular_P0"])
+def test_pencil_poly_inverse_rejects_non_prime_pencils(P0):
+    # 1 - s is not unimodular; -s is singular at s = 0
+    with pytest.raises(InternalInvariantViolation):
+        morse._pencil_poly_inverse(P0, 1)
 
 
 if __name__ == "__main__":

@@ -19,3 +19,54 @@ def test_no_assert_statements_in_library():
     ]
     assert sorted(SRC.glob("*.py")), "no library source found"
     assert not offenders, "assert statements in the library: %s" % offenders
+
+
+def _loaded_names(tree):
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unread_names(path):
+    """Imports the module never reads and function-local names bound but
+    never read inside their function (names starting with `_` exempt)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    read = _loaded_names(tree) | _exported_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    found.append("%s:%d import %s" % (path.name, node.lineno, name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local_read = _loaded_names(node)
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Store)
+                    and not sub.id.startswith("_")
+                    and sub.id not in local_read
+                ):
+                    found.append("%s:%d %s() local %s" % (path.name, sub.lineno, node.name, sub.id))
+    return found
+
+
+def test_no_unread_imports_or_locals_in_library():
+    # an import or a local nothing reads is dead code, usually left behind
+    # by a refactor or by tuple unpacking
+    offenders = [f for path in sorted(SRC.glob("*.py")) for f in _unread_names(path)]
+    assert not offenders, "names bound but never read: %s" % offenders
