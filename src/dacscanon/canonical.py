@@ -879,10 +879,10 @@ def _exfb_from_em(
     # interleave dynamics and output rows into the canonical block order
     rows: List[int] = []
     bi = 0
-    for t_i, k in enumerate(eps):
+    for k in eps:
         rows.extend(kept_pos[starts[bi] + i] for i in range(k))
         bi += 1
-    for t_i, k in enumerate(eps_bar):
+    for k in eps_bar:
         rows.extend(kept_pos[starts[bi] + i] for i in range(k - 1))
         bi += 1
     rows.extend(kept_pos[starts[bi] + i] for i in range(n2))

@@ -2,12 +2,21 @@
 
 Everything downstream (explicitation, Wong sequences, Morse forms, the
 feedback canonical form) is built on the operations in this module.  All
-arithmetic is exact: entries are arbitrary-precision rationals, kept in
-lowest terms with positive denominator by the scalar type itself.  Ranks,
-kernels and the lattice operations (sum, intersection, preimage,
-complement) are therefore decidable, and subspaces get a *canonical*
-basis — column-reduced echelon form — so subspace equality is plain
-matrix equality.
+arithmetic is exact.  Ranks, kernels and the lattice operations (sum,
+intersection, preimage, complement) are therefore decidable, and subspaces
+get a *canonical* basis — column-reduced echelon form — so subspace
+equality is plain matrix equality.
+
+A matrix stores each row as a list of integers over one positive
+denominator, in primitive form: the gcd of the integers and the
+denominator is 1.  That form is unique for a row of rationals, because its
+denominator is then the lcm of the entries' reduced denominators; so
+``==`` and ``hash`` compare the stored integers.  Products, sums, slices,
+stacks, ``place`` and the eliminations all work on the integers and bring
+a result row back to that form with one gcd, where it can have a common
+factor.  Entries become scalars (rationals of the scalar type below) only
+at the boundary: the constructor's coercion, indexing, ``row``, ``col``,
+``to_lists`` and ``repr``.
 
 Determinism rules (fixed so that certificates and canonical forms are
 reproducible):
@@ -26,13 +35,15 @@ indices, column indices, matrix) triple scattered into a zero (or a
 given) matrix.  ``block_diag``, the Kronecker product and every stage
 certificate of the pipeline are built this way.
 
-gmpy2.mpq is used when available (it is markedly faster than
-fractions.Fraction on the dense eliminations done here); the stdlib
-Fraction is a drop-in fallback.
+With gmpy2 available the stored integers are gmpy2.mpz and the boundary
+scalars gmpy2.mpq (markedly faster than Python ints on the large
+eliminations done here); Python ints with the stdlib Fraction are the
+drop-in fallback.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 try:  # pragma: no cover - exercised implicitly by the import
@@ -45,9 +56,6 @@ except ImportError:  # pragma: no cover
     from math import lcm as _int_lcm
 
 Rat = Union[int, str, "QQ"]
-
-_ZERO = QQ(0)
-_ONE = QQ(1)
 
 
 def qq(x: Rat, den: int = None) -> "QQ":
@@ -64,14 +72,23 @@ def qq(x: Rat, den: int = None) -> "QQ":
     return QQ(x, den)
 
 
-def _int_row(row: Sequence["QQ"]) -> Tuple[List, "int"]:
-    """(numerators, d): the row scaled by its common denominator d."""
-    d = 1
-    for x in row:
-        xd = x.denominator
-        if xd != 1:
-            d = _int_lcm(d, xd)
-    return [x.numerator * (d // x.denominator) for x in row], d
+def _prim(ints: List, d) -> Tuple[List, "int"]:
+    """The row ints / d (d > 0) in primitive form: both divided by their gcd."""
+    g = _int_gcd(d, *ints) if d != 1 else 1
+    return (ints, d) if g == 1 else ([x // g for x in ints], d // g)
+
+
+def _join(parts: Sequence[Tuple[List, "int"]]) -> Tuple[List, "int"]:
+    """The primitive rows ``parts`` laid side by side, as one primitive row.
+
+    Each part is scaled to the lcm of the parts' denominators, which is the
+    lcm of all the entries' reduced denominators, so no gcd sweep is needed.
+    """
+    L = _int_lcm(1, *[d for _, d in parts])
+    row: List = []
+    for n, d in parts:
+        row.extend(n if d == L else [x * (L // d) for x in n])
+    return row, L
 
 
 class NotNested(ValueError):
@@ -96,17 +113,22 @@ class RatMatrix:
 
     Zero-row and zero-column matrices are representable (pass explicit
     ``cols`` when there are no rows).  Instances are never mutated after
-    construction; all operations return new matrices.
+    construction; all operations return new matrices, which may share
+    row lists with their operands.
     """
 
-    __slots__ = ("rows", "cols", "_d")
+    __slots__ = ("rows", "cols", "_r")
 
     def __init__(self, data: Sequence[Sequence[Rat]], cols: Optional[int] = None):
-        d = [[qq(x) for x in row] for row in data]
-        self.rows = len(d)
-        if d:
-            self.cols = len(d[0])
-            if any(len(r) != self.cols for r in d):
+        r = []
+        for row in data:
+            q = [qq(x) for x in row]
+            L = _int_lcm(1, *[x.denominator for x in q])
+            r.append(([x.numerator * (L // x.denominator) for x in q], L))
+        self.rows = len(r)
+        if r:
+            self.cols = len(r[0][0])
+            if any(len(n) != self.cols for n, _ in r):
                 raise ValueError("ragged rows")
             if cols is not None and cols != self.cols:
                 raise ValueError("cols mismatch")
@@ -114,32 +136,28 @@ class RatMatrix:
             if cols is None:
                 raise ValueError("empty matrix needs explicit cols")
             self.cols = cols
-        self._d = d
+        self._r = r
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _wrap(d: List[List["QQ"]], cols: int) -> "RatMatrix":
-        """Take rows already holding scalar-type entries as they are.
+    def _wrap(r: List[Tuple[List, "int"]], cols: int) -> "RatMatrix":
+        """Take rows already in primitive (ints, denominator) form as they are.
 
-        The operations below build their results from scalar-type entries,
-        so they skip the per-entry coercion and the shape checks of
-        ``__init__``.
+        The operations below build their results in that form, so they skip
+        the coercion and the shape checks of ``__init__``.
         """
         m = RatMatrix.__new__(RatMatrix)
-        m.rows, m.cols, m._d = len(d), cols, d
+        m.rows, m.cols, m._r = len(r), cols, r
         return m
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix._wrap([[_ZERO] * cols for _ in range(rows)], cols)
+        return RatMatrix._wrap([([0] * cols, 1)] * rows, cols)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        m = [[_ZERO] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = _ONE
-        return RatMatrix._wrap(m, n)
+        return RatMatrix._wrap([([int(i == j) for j in range(n)], 1) for i in range(n)], n)
 
     @staticmethod
     def from_column(v: Sequence[Rat]) -> "RatMatrix":
@@ -153,116 +171,105 @@ class RatMatrix:
 
     def __getitem__(self, ij: Tuple[int, int]) -> "QQ":
         i, j = ij
-        return self._d[i][j]
+        n, d = self._r[i]
+        return QQ(n[j], d)
 
     def row(self, i: int) -> List["QQ"]:
-        return list(self._d[i])
+        n, d = self._r[i]
+        return [QQ(x, d) for x in n]
 
     def col(self, j: int) -> List["QQ"]:
-        return [r[j] for r in self._d]
+        return [QQ(n[j], d) for n, d in self._r]
 
     def to_lists(self) -> List[List["QQ"]]:
-        return [list(r) for r in self._d]
+        return [[QQ(x, d) for x in n] for n, d in self._r]
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RatMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._d == other._d
+            and self._r == other._r
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self._d)))
+        return hash((self.rows, self.cols, tuple((tuple(n), d) for n, d in self._r)))
 
     def __repr__(self) -> str:
         if self.rows == 0 or self.cols == 0:
             return "RatMatrix(%dx%d)" % (self.rows, self.cols)
-        body = "\n".join("[" + "  ".join(str(x) for x in r) + "]" for r in self._d)
+        body = "\n".join("[" + "  ".join(str(x) for x in r) + "]" for r in self.to_lists())
         return "RatMatrix(%dx%d)\n%s" % (self.rows, self.cols, body)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._d for x in r)
+        return not any(any(n) for n, _ in self._r)
 
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch %s + %s" % (self.shape, other.shape))
-        return RatMatrix._wrap(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._d, other._d)],
-            self.cols,
-        )
+        out = []
+        for (a, da), (b, db) in zip(self._r, other._r):
+            if da != db:
+                L = _int_lcm(da, db)
+                fa, fb, da = L // da, L // db, L
+                a, b = [x * fa for x in a], [y * fb for y in b]
+            out.append(_prim([x + y for x, y in zip(a, b)], da))
+        return RatMatrix._wrap(out, self.cols)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch %s - %s" % (self.shape, other.shape))
-        return RatMatrix._wrap(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._d, other._d)],
-            self.cols,
-        )
+        return self + -other
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix._wrap([[-x for x in r] for r in self._d], self.cols)
+        return RatMatrix._wrap([([-x for x in n], d) for n, d in self._r], self.cols)
 
     def scale(self, c: Rat) -> "RatMatrix":
         c = qq(c)
-        return RatMatrix._wrap([[c * x for x in r] for r in self._d], self.cols)
+        cn, cd = c.numerator, c.denominator
+        return RatMatrix._wrap([_prim([x * cn for x in n], d * cd) for n, d in self._r], self.cols)
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
         if not isinstance(other, RatMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dims %s * %s" % (self.shape, other.shape))
-        # Scale both factors to integers (one common denominator per row)
-        # and do the inner products in plain integer arithmetic; rational
-        # normalization then happens once per output entry instead of once
-        # per multiply-add.
-        ocols = other.cols
-        L = 1
-        bint = []
-        for rb in other._d:
-            ints, d = _int_row(rb)
-            bint.append((ints, d))
-            if d != 1:
-                L = _int_lcm(L, d)
-        if L != 1:
-            bint = [
-                (ints if d == L else [x * (L // d) for x in ints], L)
-                for ints, d in bint
-            ]
-        brows = [ints for ints, _ in bint]
+        # Scale the right factor's rows to one denominator L; then row i of
+        # the product is an integer combination of them over d_i * L.
+        L = _int_lcm(1, *[d for _, d in other._r])
+        brows = [n if d == L else [x * (L // d) for x in n] for n, d in other._r]
+        bcols = list(zip(*brows)) or [()] * other.cols
         out = []
-        for ra in self._d:
-            ia, da = _int_row(ra)
-            D = da * L
-            acc = [0] * ocols
-            for k, a in enumerate(ia):
-                if a:
-                    rb = brows[k]
-                    for j in range(ocols):
-                        b = rb[j]
-                        if b:
-                            acc[j] += a * b
-            out.append([qq(x, D) if x else _ZERO for x in acc])
-        return RatMatrix._wrap(out, ocols)
+        for a, d in self._r:
+            picked = [(x, b) for x, b in zip(a, brows) if x]
+            if 3 * len(picked) <= len(a):  # sparse row: add up the rows it picks
+                acc = [0] * other.cols
+                for x, b in picked:
+                    acc = [s + x * y for s, y in zip(acc, b)]
+            else:
+                acc = [sum(map(mul, a, c)) for c in bcols]
+            out.append(_prim(acc, d * L))
+        return RatMatrix._wrap(out, other.cols)
 
     @property
     def T(self) -> "RatMatrix":
-        return RatMatrix._wrap(
-            [[self._d[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.rows,
-        )
+        L = _int_lcm(1, *[d for _, d in self._r])
+        f = [L // d for _, d in self._r]
+        cols = list(zip(*(n for n, _ in self._r))) or [()] * self.cols
+        return RatMatrix._wrap([_prim(list(map(mul, c, f)), L) for c in cols], self.rows)
 
     # -- slicing / stacking -------------------------------------------------------
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "RatMatrix":
-        ri = list(row_idx)
         ci = list(col_idx)
-        return RatMatrix._wrap([[self._d[i][j] for j in ci] for i in ri], len(ci))
+        return RatMatrix._wrap(
+            [_prim([n[j] for j in ci], d) for n, d in (self._r[i] for i in row_idx)], len(ci)
+        )
 
     def take_rows(self, row_idx: Iterable[int]) -> "RatMatrix":
-        return self.submatrix(row_idx, range(self.cols))
+        return RatMatrix._wrap([self._r[i] for i in row_idx], self.cols)
 
     def take_cols(self, col_idx: Iterable[int]) -> "RatMatrix":
         return self.submatrix(range(self.rows), col_idx)
@@ -276,11 +283,7 @@ def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack row mismatch")
     cols = sum(m.cols for m in mats)
-    out = [[] for _ in range(rows)]
-    for m in mats:
-        for i in range(rows):
-            out[i].extend(m._d[i])
-    return RatMatrix._wrap(out, cols)
+    return RatMatrix._wrap([_join(parts) for parts in zip(*(m._r for m in mats))], cols)
 
 
 def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
@@ -290,7 +293,7 @@ def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("vstack col mismatch")
-    return RatMatrix._wrap([list(r) for m in mats for r in m._d], cols)
+    return RatMatrix._wrap([r for m in mats for r in m._r], cols)
 
 
 def place(
@@ -307,48 +310,53 @@ def place(
     ValueError when M's shape does not fit its index lists.
     """
     if base is None:
-        out = [[_ZERO] * cols for _ in range(rows)]
+        nums, dens = [[0] * cols for _ in range(rows)], [1] * rows
     elif base.shape != (rows, cols):
         raise ValueError("base has shape %s, expected %s" % (base.shape, (rows, cols)))
     else:
-        out = base.to_lists()
+        nums, dens = [list(n) for n, _ in base._r], [d for _, d in base._r]
     for row_idx, col_idx, M in blocks:
         if M.shape != (len(row_idx), len(col_idx)):
             raise ValueError(
                 "block of shape %s does not fit %d x %d indices"
                 % (M.shape, len(row_idx), len(col_idx))
             )
-        for i, mrow in zip(row_idx, M._d):
-            row = out[i]
-            for j, x in zip(col_idx, mrow):
+        for i, (m, dm) in zip(row_idx, M._r):
+            d = dens[i]
+            if d != dm:
+                L = dens[i] = _int_lcm(d, dm)
+                if L != d:
+                    nums[i] = [x * (L // d) for x in nums[i]]
+                m = [x * (L // dm) for x in m]
+            row = nums[i]
+            for j, x in zip(col_idx, m):
                 row[j] = x
-    return RatMatrix._wrap(out, cols)
+    # an overwritten entry may have needed a factor of the denominator
+    return RatMatrix._wrap([_prim(n, d) for n, d in zip(nums, dens)], cols)
 
 
 def _kron(A: RatMatrix, B: RatMatrix) -> RatMatrix:
     """Kronecker product of A and B."""
-    br, bc = B.rows, B.cols
-    return place(
-        A.rows * br,
-        A.cols * bc,
-        [
-            (range(i * br, (i + 1) * br), range(j * bc, (j + 1) * bc), B.scale(a))
-            for i, row in enumerate(A._d)
-            for j, a in enumerate(row)
-            if a != 0
-        ],
-    )
+    zero = [0] * B.cols
+    out = []
+    for ra, da in A._r:
+        for rb, db in B._r:
+            row: List = []
+            for a in ra:
+                row.extend([a * b for b in rb] if a else zero)
+            out.append(_prim(row, da * db))
+    return RatMatrix._wrap(out, A.cols * B.cols)
 
 
 def _vec(M: RatMatrix) -> RatMatrix:
     """Column-major vectorization."""
-    return RatMatrix._wrap([[M._d[i][j]] for j in range(M.cols) for i in range(M.rows)], 1)
+    return RatMatrix._wrap([_prim([n[j]], d) for j in range(M.cols) for n, d in M._r], 1)
 
 
 def _unvec(v: RatMatrix, rows: int, cols: int) -> RatMatrix:
     """The rows x cols matrix whose column-major vectorization is v."""
     return RatMatrix._wrap(
-        [[v._d[j * rows + i][0] for j in range(cols)] for i in range(rows)], cols
+        [_join([v._r[j * rows + i] for j in range(cols)]) for i in range(rows)], cols
     )
 
 
@@ -371,7 +379,7 @@ def mat(data: Sequence[Sequence[Rat]], cols: Optional[int] = None) -> RatMatrix:
 
 
 def _eliminate(M: RatMatrix, certify: bool) -> Tuple[int, List[List], List]:
-    """Gauss-Jordan elimination of M as integer rows over row denominators.
+    """Gauss-Jordan elimination of M's integer rows over their denominators.
 
     Returns (rank, num, den): row i of the reduced form is num[i][:cols] /
     den[i].  With ``certify`` each row is augmented by the identity, and
@@ -380,21 +388,17 @@ def _eliminate(M: RatMatrix, certify: bool) -> Tuple[int, List[List], List]:
     of num[i] and den[i] does), so both modes give the same reduced form.
     """
     rows, cols = M.rows, M.cols
-    # Each working row is an integer vector over a single positive
-    # denominator.  Normalizing a pivot to 1 is then just a denominator
-    # change, and eliminations are pure integer cross-multiplications
-    # followed by one gcd sweep, which is markedly cheaper than per-entry
-    # rational arithmetic.  The produced values are identical to the naive
-    # rational elimination.
-    num: List[List] = []
-    den: List = []
-    for i in range(rows):
-        ints, d = _int_row(M._d[i])
-        if certify:
-            ints.extend([0] * rows)
-            ints[cols + i] = d
-        num.append(ints)
-        den.append(d)
+    # Normalizing a pivot to 1 is just a denominator change, and
+    # eliminations are integer cross-multiplications followed by one gcd
+    # sweep, which is markedly cheaper than per-entry rational arithmetic.
+    # The produced values are identical to the naive rational elimination.
+    num: List[List] = [n for n, _ in M._r]
+    den: List = [d for _, d in M._r]
+    if certify:
+        for i in range(rows):
+            e = [0] * rows
+            e[i] = den[i]
+            num[i] = num[i] + e
     piv_r = 0
     for pc in range(cols):
         pr = None
@@ -415,22 +419,8 @@ def _eliminate(M: RatMatrix, certify: bool) -> Tuple[int, List[List], List]:
             if i == piv_r:
                 continue
             f = num[i][pc]
-            if not f:
-                continue
-            ri = num[i]
-            nv = [e * a - f * b for a, b in zip(ri, prow)]
-            nd = den[i] * e
-            g = nd
-            for x in nv:
-                if x:
-                    g = _int_gcd(g, x)
-                    if g == 1:
-                        break
-            if g != 1:
-                nv = [x // g for x in nv]
-                nd //= g
-            num[i] = nv
-            den[i] = nd
+            if f:
+                num[i], den[i] = _prim([e * a - f * b for a, b in zip(num[i], prow)], den[i] * e)
         piv_r += 1
         if piv_r == rows:
             break
@@ -438,11 +428,8 @@ def _eliminate(M: RatMatrix, certify: bool) -> Tuple[int, List[List], List]:
 
 
 def _rat_block(num: List[List], den: List, lo: int, hi: int) -> RatMatrix:
-    """Columns lo..hi-1 of the integer rows, divided by their denominators."""
-    return RatMatrix._wrap(
-        [[qq(r[j], d) if r[j] else _ZERO for j in range(lo, hi)] for r, d in zip(num, den)],
-        hi - lo,
-    )
+    """Columns lo..hi-1 of the integer rows over their denominators."""
+    return RatMatrix._wrap([_prim(r[lo:hi], d) for r, d in zip(num, den)], hi - lo)
 
 
 def _rref(M: RatMatrix) -> Tuple[int, RatMatrix]:
@@ -472,7 +459,7 @@ def pivot_columns(R: RatMatrix, rk: int) -> List[int]:
     pivs = []
     j = 0
     for i in range(rk):
-        while R[i, j] == 0:
+        while not R._r[i][0][j]:
             j += 1
         pivs.append(j)
         j += 1
@@ -496,23 +483,18 @@ _PRIME = (1 << 61) - 1
 def _det_nonzero_mod_p(M: RatMatrix) -> bool:
     """True when det M is nonzero modulo _PRIME (M square).
 
-    False means "undecided": det M may vanish mod p only, or an entry's
-    denominator is divisible by p, so the entry has no image mod p.
+    False means "undecided": det M may vanish mod p only, or a row's
+    denominator (and so an entry's) is divisible by p, so the row has no
+    image mod p.  Each row's denominator is inverted once.
     """
     p = _PRIME
     rows = []
-    for r in M._d:
-        row = []
-        for x in r:
-            d = x.denominator
-            if d == 1:
-                row.append(x.numerator % p)
-            else:
-                d %= p
-                if not d:
-                    return False
-                row.append(x.numerator * pow(d, -1, p) % p)
-        rows.append(row)
+    for n, d in M._r:
+        d %= p
+        if not d:
+            return False
+        inv = pow(d, -1, p)
+        rows.append([x * inv % p for x in n])
     # Eliminate the leading column, then drop it; the pivot order does not
     # matter for whether the determinant vanishes.
     while rows:
@@ -548,9 +530,8 @@ def solve(M: RatMatrix, B: RatMatrix) -> Optional[RatMatrix]:
         raise ValueError("solve row mismatch")
     rk, R, T = rank_rref(M)
     TB = T * B
-    for i in range(rk, M.rows):
-        if any(x != 0 for x in TB._d[i]):
-            return None
+    if any(any(n) for n, _ in TB._r[rk:]):
+        return None
     return place(M.cols, B.cols, [(pivot_columns(R, rk), range(B.cols), TB.take_rows(range(rk)))])
 
 
@@ -688,36 +669,13 @@ def complement(inner: Subspace, outer: Subspace) -> RatMatrix:
         raise ValueError("ambient mismatch")
     if not inner.is_subspace_of(outer):
         raise NotNested("inner subspace not contained in outer")
-    n = inner.ambient_dim
-    # incremental row-echelon of the chosen vectors (as rows)
-    reduced: List[Tuple[int, List["QQ"]]] = []  # (pivot index, reduced row)
-
-    def try_add(v: List["QQ"]) -> bool:
-        w = list(v)
-        for p, r in reduced:
-            f = w[p]
-            if f != 0:
-                for j in range(n):
-                    if r[j] != 0:
-                        w[j] = w[j] - f * r[j]
-        for p in range(n):
-            if w[p] != 0:
-                inv = _ONE / w[p]
-                w = [x * inv for x in w]
-                reduced.append((p, w))
-                return True
-        return False
-
-    for j in range(inner.dim):
-        if not try_add(inner.basis.col(j)):
-            raise InternalInvariantViolation("inner basis not independent")
-    chosen = []
-    for j in range(outer.dim):
-        v = outer.basis.col(j)
-        if try_add(v):
-            chosen.append(v)
-    if len(chosen) != outer.dim - inner.dim:
+    # a column enlarges the span of the columns before it exactly when it
+    # is a pivot column of their echelon form
+    k = inner.dim
+    rk, R = _rref(hstack([inner.basis, outer.basis]))
+    pivs = pivot_columns(R, rk)
+    if pivs[:k] != list(range(k)):
+        raise InternalInvariantViolation("inner basis not independent")
+    if rk != outer.dim:
         raise InternalInvariantViolation("complement dimension bookkeeping failed")
-    if not chosen:
-        return RatMatrix.zeros(n, 0)
-    return RatMatrix(chosen, cols=n).T
+    return outer.basis.take_cols([j - k for j in pivs[k:]])

@@ -290,11 +290,23 @@ def explicitate(d: Dacs) -> Tuple[Odecs2, ExplicitationRecord]:
 # ---------------------------------------------------------------------------
 
 
+def _require_invertible(M: RatMatrix, name: str) -> None:
+    if not is_invertible(M):
+        raise SingularTransform(name + " is singular")
+
+
+def _inverse_of(M: RatMatrix, name: str) -> RatMatrix:
+    """inverse(M), or SingularTransform naming the block."""
+    try:
+        return inverse(M)
+    except ValueError:
+        raise SingularTransform(name + " is singular") from None
+
+
 def apply_exfb(d: Dacs, t: ExFbTransform) -> Dacs:
-    for M, name in ((t.Q, "Q"), (t.P, "P"), (t.G, "G")):
-        if not is_invertible(M):
-            raise SingularTransform(name + " is singular")
-    Pinv = inverse(t.P)
+    _require_invertible(t.Q, "Q")
+    Pinv = _inverse_of(t.P, "P")
+    _require_invertible(t.G, "G")
     return Dacs(
         E=t.Q * d.E * Pinv,
         H=t.Q * (d.H + d.L * t.F) * Pinv,
@@ -303,12 +315,10 @@ def apply_exfb(d: Dacs, t: ExFbTransform) -> Dacs:
 
 
 def apply_em(o: Odecs2, t: EmTransform) -> Odecs2:
-    for M, name in ((t.T_x, "T_x"), (t.T_u, "T_u"), (t.T_v, "T_v"), (t.T_y, "T_y")):
-        if not is_invertible(M):
-            raise SingularTransform(name + " is singular")
-    Txi = inverse(t.T_x)
-    Tui = inverse(t.T_u)
-    Tvi = inverse(t.T_v)
+    Txi = _inverse_of(t.T_x, "T_x")
+    Tui = _inverse_of(t.T_u, "T_u")
+    Tvi = _inverse_of(t.T_v, "T_v")
+    _require_invertible(t.T_y, "T_y")
     A = t.T_x * (o.A + o.B_u * t.F_u + o.B_v * (t.F_v + t.R * t.F_u) + t.K * (o.C + o.D_u * t.F_u)) * Txi
     B_u = t.T_x * (o.B_u + o.B_v * t.R + t.K * o.D_u) * Tui
     B_v = t.T_x * o.B_v * Tvi
@@ -490,7 +500,7 @@ def _expl_membership(
     ok = (
         o.A == o0.A + K * o0.C + o0.B_v * F_v
         and o.B_u == o0.B_u + o0.B_v * R + K * o0.D_u
-        and o.B_v == o0.B_v * inverse(T_v)
+        and o.B_v == o0.B_v * X
         and o.C == T_y * o0.C
         and o.D_u == T_y * o0.D_u
     )

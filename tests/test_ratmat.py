@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dacscanon.ratmat import (
     NotFullRowRank,
@@ -32,6 +35,7 @@ from dacscanon.ratmat import (
     solve,
     subspace_intersect,
     subspace_sum,
+    vstack,
 )
 
 
@@ -352,3 +356,245 @@ def test_block_diag_kron_and_vec_match_definitions():
             A[i, j] for i in range(A.rows) for j in range(A.cols)
         ]
         assert _unvec(v, A.rows, A.cols) == A
+
+
+# ---------------------------------------------------------------------------
+# differential test against a plain list-of-Fraction reference
+# ---------------------------------------------------------------------------
+
+F = Fraction
+SETTINGS = settings(
+    max_examples=80,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+# 2^61 - 1 (the modular test's prime) and products of large primes
+BIG_DENOMINATORS = [
+    _PRIME,
+    _PRIME * (2**31 - 1),
+    1000000007 * 998244353,
+    (10**9 + 7) * (10**9 + 9) * _PRIME,
+]
+ENTRIES = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3).map(F),
+    st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 6)),
+    st.builds(F, st.integers(-(10**30), 10**30), st.sampled_from(BIG_DENOMINATORS)),
+)
+DIMS = st.integers(0, 4)
+
+
+@st.composite
+def fraction_rows(draw, rows, cols):
+    """rows x cols Fraction lists; some rows are drawn all zero."""
+    zero = draw(st.sets(st.integers(0, max(rows - 1, 0)))) if rows else set()
+    return [
+        [F(0)] * cols if i in zero else draw(st.lists(ENTRIES, min_size=cols, max_size=cols))
+        for i in range(rows)
+    ]
+
+
+def ref_mul(a, b, k, cols):
+    return [[sum((r[t] * b[t][j] for t in range(k)), F(0)) for j in range(cols)] for r in a]
+
+
+def ref_T(a, rows, cols):
+    return [[a[i][j] for i in range(rows)] for j in range(cols)]
+
+
+def ref_rref(a, rows, cols):
+    """Gauss-Jordan with the library's pivoting: (rank, R, T) with T a = R."""
+    R = [list(r) for r in a]
+    T = [[F(int(i == j)) for j in range(rows)] for i in range(rows)]
+    piv = 0
+    for pc in range(cols):
+        pr = next((i for i in range(piv, rows) if R[i][pc]), None)
+        if pr is None:
+            continue
+        R[piv], R[pr], T[piv], T[pr] = R[pr], R[piv], T[pr], T[piv]
+        inv = 1 / R[piv][pc]
+        R[piv], T[piv] = [x * inv for x in R[piv]], [x * inv for x in T[piv]]
+        for i in range(rows):
+            f = R[i][pc]
+            if i != piv and f:
+                R[i] = [x - f * y for x, y in zip(R[i], R[piv])]
+                T[i] = [x - f * y for x, y in zip(T[i], T[piv])]
+        piv += 1
+    return piv, R, T
+
+
+def ref_pivots(R, rk):
+    return [next(j for j, x in enumerate(R[i]) if x) for i in range(rk)]
+
+
+def ref_span(vectors, n):
+    """Canonical basis (column echelon form) of the span, as n x k lists."""
+    rk, R, _ = ref_rref(vectors, len(vectors), n)
+    return ref_T(R[:rk], rk, n)
+
+
+def ref_det(a, n):
+    d, M = F(1), [list(r) for r in a]
+    for c in range(n):
+        p = next((i for i in range(c, n) if M[i][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            M[c], M[p], d = M[p], M[c], -d
+        d *= M[c][c]
+        for i in range(c + 1, n):
+            f = M[i][c] / M[c][c]
+            M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    return d
+
+
+def same(M, ref, cols):
+    """M holds exactly the values ref, and is equal (and hash equal) to the
+    matrix built afresh from them, so its stored form is the canonical one."""
+    assert M.shape == (len(ref), cols)
+    assert M.to_lists() == ref
+    assert [M.row(i) for i in range(M.rows)] == ref
+    assert [M.col(j) for j in range(cols)] == ref_T(ref, len(ref), cols)
+    assert all(M[i, j] == ref[i][j] for i in range(M.rows) for j in range(cols))
+    fresh = RatMatrix(ref, cols=cols)
+    assert M == fresh and hash(M) == hash(fresh)
+    assert repr(M) == repr(fresh)
+
+
+@SETTINGS
+@given(st.data(), DIMS, DIMS, DIMS)
+def test_arithmetic_matches_fraction_reference(data, r, k, c):
+    a = data.draw(fraction_rows(r, k))
+    b = data.draw(fraction_rows(r, k))
+    e = data.draw(fraction_rows(k, c))
+    s = data.draw(ENTRIES)
+    A, B, E = RatMatrix(a, cols=k), RatMatrix(b, cols=k), RatMatrix(e, cols=c)
+    same(A, a, k)
+    same(A + B, [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)], k)
+    same(A - B, [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)], k)
+    same(-A, [[-x for x in p] for p in a], k)
+    same(A.scale(s), [[s * x for x in p] for p in a], k)
+    same(A * E, ref_mul(a, e, k, c), c)
+    same(A.T, ref_T(a, r, k), r)
+    assert A.is_zero() == all(x == 0 for p in a for x in p)
+
+
+@SETTINGS
+@given(st.data(), DIMS, DIMS, DIMS)
+def test_slicing_and_stacking_match_fraction_reference(data, r, k, c):
+    a = data.draw(fraction_rows(r, k))
+    b = data.draw(fraction_rows(r, c))
+    e = data.draw(fraction_rows(c, k))
+    A, B, E = RatMatrix(a, cols=k), RatMatrix(b, cols=c), RatMatrix(e, cols=k)
+    ri = data.draw(st.lists(st.integers(0, r - 1), max_size=4)) if r else []
+    ci = data.draw(st.lists(st.integers(0, k - 1), max_size=4)) if k else []
+    same(A.submatrix(ri, ci), [[a[i][j] for j in ci] for i in ri], len(ci))
+    same(A.take_rows(ri), [a[i] for i in ri], k)
+    same(A.take_cols(ci), [[p[j] for j in ci] for p in a], len(ci))
+    same(hstack([A, B, A]), [p + q + p for p, q in zip(a, b)], 2 * k + c)
+    same(vstack([A, E, A]), a + e + a, k)
+    same(block_diag([A, B]), [p + [F(0)] * c for p in a] + [[F(0)] * k + q for q in b], k + c)
+    same(_kron(A, B), [[x * y for x in p for y in q] for p in a for q in b], k * c)
+    same(_vec(A), [[a[i][j]] for j in range(k) for i in range(r)], 1)
+    same(_unvec(_vec(A), r, k), a, k)
+    # overlapping blocks over a base: a later block overwrites an earlier one
+    out = [list(p) for p in a]
+    blocks = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        bi = data.draw(st.lists(st.integers(0, r - 1), max_size=3, unique=True)) if r else []
+        bj = data.draw(st.lists(st.integers(0, k - 1), max_size=3, unique=True)) if k else []
+        m = data.draw(fraction_rows(len(bi), len(bj)))
+        blocks.append((bi, bj, RatMatrix(m, cols=len(bj))))
+        for i, row in zip(bi, m):
+            for j, x in zip(bj, row):
+                out[i][j] = x
+    same(place(r, k, blocks, base=A), out, k)
+    covered = {(i, j) for bi, bj, _ in blocks for i in bi for j in bj}
+    fresh = [[out[i][j] if (i, j) in covered else F(0) for j in range(k)] for i in range(r)]
+    same(place(r, k, blocks), fresh, k)
+
+
+@SETTINGS
+@given(st.data(), DIMS, DIMS, DIMS)
+def test_eliminations_match_fraction_reference(data, r, k, c):
+    a = data.draw(fraction_rows(r, k))
+    b = data.draw(fraction_rows(r, c))
+    A, B = RatMatrix(a, cols=k), RatMatrix(b, cols=c)
+    rk, R, T = ref_rref(a, r, k)
+    got = rank_rref(A)
+    assert got[0] == rk == rank(A)
+    same(got[1], R, k)
+    same(got[2], T, r)
+    # first echelon solution of A X = B: free variables zero
+    TB = ref_mul(T, b, r, c)
+    X = None
+    if all(x == 0 for p in TB[rk:] for x in p):
+        X = [[F(0)] * c for _ in range(k)]
+        for i, j in enumerate(ref_pivots(R, rk)):
+            X[j] = TB[i]
+    sol = solve(A, B)
+    assert (sol is None) == (X is None)
+    if X is not None:
+        same(sol, X, c)
+    pivs = ref_pivots(R, rk)
+    free = [j for j in range(k) if j not in pivs]
+    null = []
+    for f in free:
+        v = [F(int(j == f)) for j in range(k)]
+        for i, j in enumerate(pivs):
+            v[j] = -R[i][f]
+        null.append(v)
+    same(kernel_basis(A).basis, ref_span(null, k), len(free))
+    # square: invertibility, inverse and the modular determinant test
+    n = min(r, k)
+    S = A.submatrix(range(n), range(n))
+    s = [p[:n] for p in a[:n]]
+    det = ref_det(s, n)
+    assert is_invertible(S) == (det != 0)
+    if det != 0:
+        same(inverse(S), ref_rref(s, n, n)[2], n)
+    else:
+        with pytest.raises(ValueError):
+            inverse(S)
+    p = _PRIME
+    if any(x.denominator % p == 0 for row in s for x in row):
+        assert not _det_nonzero_mod_p(S)
+    else:
+        assert _det_nonzero_mod_p(S) == (det.numerator % p != 0)
+
+
+@SETTINGS
+@given(st.data(), DIMS, DIMS, DIMS)
+def test_complement_matches_greedy_fraction_reference(data, n, k, j):
+    spanning = RatMatrix(data.draw(fraction_rows(n, k)), cols=k)
+    outer = image(spanning)
+    inner = image(spanning * RatMatrix(data.draw(fraction_rows(k, j)), cols=j))
+
+    def ref_rank(vectors):
+        return ref_rref(vectors, len(vectors), n)[0]
+
+    chosen = []
+    for v in ref_T(outer.basis.to_lists(), n, outer.dim):
+        span = ref_T(inner.basis.to_lists(), n, inner.dim) + chosen
+        if ref_rank(span + [v]) > ref_rank(span):
+            chosen.append(v)
+    same(complement(inner, outer), ref_T(chosen, len(chosen), n), len(chosen))
+
+
+def test_equal_values_spelled_differently_are_equal_and_hash_equal():
+    p = _PRIME
+    spellings = [
+        mat([["1/2", 3, 0], [0, -2, "1/%d" % p]]),
+        mat([["2/4", "6/2", "0/7"], [F(0), F(-4, 2), F(3, 3 * p)]]),
+        mat([[F(1, 2), F(3), 0], ["0", "-2", F(1, p)]]),
+        mat([["1/4", 1, "1/3"], [1, -1, "1/%d" % (2 * p)]])
+        + mat([["1/4", 2, "-1/3"], [-1, -1, "1/%d" % (2 * p)]]),
+        mat([[1, 6, 0], [0, -4, "2/%d" % p]]).scale("1/2"),
+    ]
+    for M in spellings[1:]:
+        assert M == spellings[0] and hash(M) == hash(spellings[0])
+    zero = RatMatrix.zeros(2, 3)
+    for M in spellings:
+        assert M - M == zero and hash(M - M) == hash(zero)
+        assert M.scale(0) == zero and (M * RatMatrix.zeros(3, 0)).shape == (2, 0)

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import dacscanon
+from dacscanon.ratmat import RatMatrix
 
 SRC = Path(dacscanon.__file__).resolve().parent
 
@@ -70,3 +71,40 @@ def test_no_unread_imports_or_locals_in_library():
     # by a refactor or by tuple unpacking
     offenders = [f for path in sorted(SRC.glob("*.py")) for f in _unread_names(path)]
     assert not offenders, "names bound but never read: %s" % offenders
+
+
+def _unread_loop_targets(path):
+    """`for` statements whose target names (`_`-names exempt) are never
+    read in the loop's own body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            read = set().union(*(_loaded_names(stmt) for stmt in node.body))
+            for sub in ast.walk(node.target):
+                if isinstance(sub, ast.Name) and not sub.id.startswith("_") and sub.id not in read:
+                    found.append("%s:%d loop target %s" % (path.name, node.lineno, sub.id))
+    return found
+
+
+def test_no_unread_loop_targets_in_library():
+    # a loop variable its body never reads is dead: loop over the values
+    # actually used (the function-wide unread-locals rule misses a name
+    # that another loop of the same function reads)
+    offenders = [f for path in sorted(SRC.glob("*.py")) for f in _unread_loop_targets(path)]
+    assert not offenders, "loop targets never read in their loop: %s" % offenders
+
+
+def test_matrix_storage_is_private_to_ratmat():
+    # only ratmat reads RatMatrix's private storage, so the representation
+    # can change without touching any other module
+    private = {name for name in RatMatrix.__slots__ if name.startswith("_")}
+    assert private, "RatMatrix has no private slots"
+    offenders = [
+        "%s:%d .%s" % (path.name, node.lineno, node.attr)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "ratmat.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert not offenders, "RatMatrix storage read outside ratmat: %s" % offenders

@@ -190,6 +190,26 @@ def test_exfb_rejects_singular():
     assert not verify_exfb(d, d, t)
 
 
+@pytest.mark.parametrize("block", ["Q", "P", "G"])
+def test_apply_exfb_names_the_singular_block(block):
+    rng = random.Random(5)
+    d = random_dacs(rng, 2, 3, 2)
+    t = random_exfb(rng, 2, 3, 2)
+    t = dataclasses.replace(t, **{block: _singular(getattr(t, block))})
+    with pytest.raises(SingularTransform, match="^%s is singular$" % block):
+        apply_exfb(d, t)
+
+
+@pytest.mark.parametrize("block", ["T_x", "T_u", "T_v", "T_y"])
+def test_apply_em_names_the_singular_block(block):
+    rng = random.Random(6)
+    o = random_odecs(rng, 3, 2, 2, 2)
+    t = random_em(rng, 3, 2, 2, 2)
+    t = dataclasses.replace(t, **{block: _singular(getattr(t, block))})
+    with pytest.raises(SingularTransform, match="^%s is singular$" % block):
+        apply_em(o, t)
+
+
 # ---------------------------------------------------------------------------
 # explicit-side certificates
 # ---------------------------------------------------------------------------
