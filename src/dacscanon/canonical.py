@@ -47,7 +47,6 @@ from .morse import (
     MnfSystem,
     MtfSystem,
     _feedback_stage,
-    _group_sizes,
     _state_blocks,
     _static_normalizer,
     emnf,
@@ -673,7 +672,7 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     the indices are the complete invariant.
     """
     o, dims = m.system, m.dims
-    m1u, s1 = _group_sizes(m)
+    m1u, s1 = m.groups
     b1, b2, b3, b4 = _state_blocks(dims)
     n, mu, s, p = o.n, o.m, o.s, o.p
     u1, u3 = list(range(m1u)), list(range(m1u, mu))

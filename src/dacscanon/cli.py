@@ -52,7 +52,6 @@ from .systems import (
     ExplicitationRecord,
     Odecs2,
     _expl_membership,
-    as_em,
     explicitate,
     verify_em,
     verify_exfb,
@@ -456,7 +455,7 @@ def _cmd_triangular(tf, args) -> Tuple[dict, bool]:
         "input": serialize_system(o),
         "result": serialize_system(tri.system),
         "block_dims": dict(tri.dims._asdict()),
-        "certificates": [_serialize_em(as_em(tri.transform), "triangular")],
+        "certificates": [_serialize_em(tri.transform, "triangular")],
         "verified": True,
     }
     return report, True
@@ -473,8 +472,8 @@ def _cmd_normal_form(tf, nf_fn, args) -> Tuple[dict, bool]:
         "result": serialize_system(nf.system),
         "block_dims": dict(nf.dims._asdict()),
         "certificates": [
-            _serialize_em(as_em(tri.transform), "triangular"),
-            _serialize_em(as_em(nf.transform), "total"),
+            _serialize_em(tri.transform, "triangular"),
+            _serialize_em(nf.transform, "total"),
         ],
         "verified": True,
     }

@@ -60,8 +60,9 @@ class WongResult:
 class InvariantResult:
     """Invariant subspace sequences of an explicit system (merged form).
 
-    Indexing matches WongResult; U_seq[i] pairs with V_seq[i] and
-    Y_seq[i] with W_seq[i].  The decomposition counts split the state,
+    Indexing matches WongResult.  The input and output companions of the
+    limits are U* = {w : B_w w in V*, D_w w = 0} and
+    Y* = [C D_w] (W* x R^(m+s)).  The decomposition counts split the state,
     input and output spaces:
 
         n1 = dim(V* ∩ W*), n2 = dim V* - n1, n3 = dim W* - n1,
@@ -72,8 +73,6 @@ class InvariantResult:
     V_seq: List[Subspace]
     W_seq: List[Subspace]
     What_seq: List[Subspace]
-    U_seq: List[Subspace]
-    Y_seq: List[Subspace]
     V_star: Subspace
     W_star: Subspace
     U_star: Subspace
@@ -163,11 +162,9 @@ def invariant_subspaces(o: Odecs2) -> InvariantResult:
     if What_seq[-1] != W_seq[-1]:
         raise InternalInvariantViolation("W and What sequences reached different limits")
 
-    U_seq = [preimage(BD, _embed_top(V, p)) for V in V_seq]
-    Y_seq = [image(CD * _sum_with_full_inputs(W, mw)) for W in W_seq]
-
     V_star, W_star = V_seq[-1], W_seq[-1]
-    U_star, Y_star = U_seq[-1], Y_seq[-1]
+    U_star = preimage(BD, _embed_top(V_star, p))
+    Y_star = image(CD * _sum_with_full_inputs(W_star, mw))
     n1 = subspace_intersect(V_star, W_star).dim
     n2 = V_star.dim - n1
     n3 = W_star.dim - n1
@@ -178,8 +175,6 @@ def invariant_subspaces(o: Odecs2) -> InvariantResult:
         V_seq=V_seq,
         W_seq=W_seq,
         What_seq=What_seq,
-        U_seq=U_seq,
-        Y_seq=Y_seq,
         V_star=V_star,
         W_star=W_star,
         U_star=U_star,

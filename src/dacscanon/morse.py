@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple
 
 from ._chains import NotControllable, charpoly, pole_place, poly_gcd
 from .geometry import invariant_subspaces
@@ -51,13 +51,10 @@ from .ratmat import (
 )
 from .systems import (
     EmTransform,
-    MorseTransform,
     Odecs2,
     apply_em,
-    as_em,
     em_compose,
     em_from_merged,
-    em_inverse,
     verify_em,
 )
 
@@ -86,17 +83,17 @@ class BlockDims(NamedTuple):
 class MtfSystem:
     """A system in triangular form together with its certificate.
 
-    ``groups`` holds the input-group sizes (m1u, s1) and ``source`` the
-    system the certificate maps from.  Both follow from the other fields
-    and are carried only to avoid recomputing them; a hand-built instance
-    may leave them out.
+    ``transform`` maps ``source`` to ``system``.  ``groups`` holds the
+    input-group sizes (m1u, s1): of the first input group, m1u inputs are
+    of the first kind and s1 of the second.  The later stages read both, so
+    a hand-built instance must supply them; neither takes part in ``==``.
     """
 
     system: Odecs2
     dims: BlockDims
-    transform: Union[MorseTransform, EmTransform]
-    groups: Optional[Tuple[int, int]] = field(default=None, compare=False)
-    source: Optional[Odecs2] = field(default=None, compare=False, repr=False)
+    transform: EmTransform
+    groups: Tuple[int, int] = field(compare=False)
+    source: Odecs2 = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -108,8 +105,8 @@ class MnfSystem:
 
     system: Odecs2
     dims: BlockDims
-    transform: Union[MorseTransform, EmTransform]
-    groups: Optional[Tuple[int, int]] = field(default=None, compare=False)
+    transform: EmTransform
+    groups: Tuple[int, int] = field(compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +448,18 @@ def _assert_triangular(
             raise InternalInvariantViolation("feedthrough block is not normalized")
 
 
-def _triangular_form(o: Odecs2) -> Tuple[Odecs2, EmTransform, BlockDims, int, int]:
+def mtf(o: Odecs2) -> MtfSystem:
+    """Triangular form of a single-input-kind system: :func:`emtf` on an
+    Odecs2 with s = 0, so the certificate is an EmTransform with empty
+    v-blocks (the classical Morse action)."""
+    if o.s != 0:
+        raise ValueError("mtf expects no second-kind inputs; use emtf")
+    return emtf(o)
+
+
+def emtf(o: Odecs2) -> MtfSystem:
+    """Triangular form with both input kinds; the input transform never mixes
+    second-kind inputs into the first kind."""
     t0, d, m1u, s1 = _stage0(o)
     o1 = apply_em(o, t0)
     g1, g3 = _input_groups(o.m, o.s, m1u, s1)
@@ -463,55 +471,12 @@ def _triangular_form(o: Odecs2) -> Tuple[Odecs2, EmTransform, BlockDims, int, in
     _assert_triangular(o4, d, m1u, s1)
     if not verify_em(o, o4, total):
         raise InternalInvariantViolation("triangular-form certificate failed to verify")
-    return o4, total, d, m1u, s1
-
-
-def mtf(o) -> MtfSystem:
-    """Triangular form of a single-input-kind system (certificate included).
-
-    Accepts an Odecs2 with s = 0 or a plain (A, B, C, D) tuple.
-    """
-    if isinstance(o, tuple):
-        A, B, C, D = o
-        o = Odecs2(A, B, RatMatrix.zeros(A.rows, 0), C, D)
-    if o.s != 0:
-        raise ValueError("mtf expects no second-kind inputs; use emtf")
-    sys4, total, d, m1u, s1 = _triangular_form(o)
-    return MtfSystem(
-        system=sys4,
-        dims=d,
-        transform=MorseTransform.from_em(total),
-        groups=(m1u, s1),
-        source=o,
-    )
-
-
-def emtf(o: Odecs2) -> MtfSystem:
-    """Triangular form with both input kinds; the input transform never mixes
-    second-kind inputs into the first kind."""
-    sys4, total, d, m1u, s1 = _triangular_form(o)
-    return MtfSystem(system=sys4, dims=d, transform=total, groups=(m1u, s1), source=o)
+    return MtfSystem(system=o4, dims=d, transform=total, groups=(m1u, s1), source=o)
 
 
 # ---------------------------------------------------------------------------
 # normal form
 # ---------------------------------------------------------------------------
-
-
-def _recover_groups(o: Odecs2, d: BlockDims) -> Tuple[int, int]:
-    """Group sizes (m1u, s1) of a system already in triangular coordinates."""
-    inv = invariant_subspaces(o)
-    s1 = subspace_intersect(inv.U_star, _v_space(o.m, o.s)).dim
-    if inv.m1 != d.m1:
-        raise ValueError("recorded dims do not match the system")
-    return d.m1 - s1, s1
-
-
-def _group_sizes(m: Union[MtfSystem, MnfSystem]) -> Tuple[int, int]:
-    """The carried group sizes (m1u, s1), recovered when not carried."""
-    if m.groups is not None:
-        return m.groups
-    return _recover_groups(m.system, m.dims)
 
 
 def _disjoint_spectra_stage(
@@ -676,9 +641,21 @@ def _assert_diagonal(o: Odecs2, d: BlockDims, m1u: int, s1: int) -> None:
         raise InternalInvariantViolation("diagonal blocks share eigenvalues")
 
 
-def _normal_form(m: MtfSystem) -> Tuple[Odecs2, EmTransform, int, int]:
+def mnf(m: MtfSystem) -> MnfSystem:
+    """Block-diagonal normal form of a single-input-kind triangular form:
+    :func:`emnf` on a system with s = 0."""
+    if m.system.s != 0:
+        raise ValueError("mnf expects no second-kind inputs; use emnf")
+    return emnf(m)
+
+
+def emnf(m: MtfSystem) -> MnfSystem:
+    """Two-input-kind normal form; the composed certificate maps
+    ``m.source``, the system the triangular form was computed from.  The
+    extra stages use no input transform at all, so the certificate stays
+    lower-block-triangular."""
     o, d = m.system, m.dims
-    m1u, s1 = _group_sizes(m)
+    m1u, s1 = m.groups
     try:
         _assert_triangular(o, d, m1u, s1, normalized=False)
     except InternalInvariantViolation as exc:
@@ -691,34 +668,7 @@ def _normal_form(m: MtfSystem) -> Tuple[Odecs2, EmTransform, int, int]:
     t_sim = _similarity_stage(o_corr, d, T2, T5)
     o_mnf = apply_em(o_corr, t_sim)
     _assert_diagonal(o_mnf, d, m1u, s1)
-    return o_mnf, em_compose(em_compose(t_spec, t_corr), t_sim), m1u, s1
-
-
-def _finish_normal_form(m: MtfSystem) -> Tuple[Odecs2, EmTransform, Tuple[int, int]]:
-    o_mnf, t_stages, m1u, s1 = _normal_form(m)
-    prior = as_em(m.transform)
-    total = em_compose(prior, t_stages)
-    original = m.source
-    if original is None:
-        original = apply_em(m.system, em_inverse(prior))
-    if not verify_em(original, o_mnf, total):
+    total = em_compose(m.transform, em_compose(em_compose(t_spec, t_corr), t_sim))
+    if not verify_em(m.source, o_mnf, total):
         raise InternalInvariantViolation("normal-form certificate failed to verify")
-    return o_mnf, total, (m1u, s1)
-
-
-def mnf(m: MtfSystem) -> MnfSystem:
-    """Block-diagonal normal form of a triangular-form system; the composed
-    certificate maps the system the triangular form was computed from."""
-    if m.system.s != 0:
-        raise ValueError("mnf expects no second-kind inputs; use emnf")
-    o_mnf, total, groups = _finish_normal_form(m)
-    return MnfSystem(
-        system=o_mnf, dims=m.dims, transform=MorseTransform.from_em(total), groups=groups
-    )
-
-
-def emnf(m: MtfSystem) -> MnfSystem:
-    """Two-input-kind normal form; the extra stages use no input transform at
-    all, so the composed certificate stays lower-block-triangular."""
-    o_mnf, total, groups = _finish_normal_form(m)
-    return MnfSystem(system=o_mnf, dims=m.dims, transform=total, groups=groups)
+    return MnfSystem(system=o_mnf, dims=d, transform=total, groups=m.groups)

@@ -22,7 +22,7 @@ pipeline output can be audited independently of how it was produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .ratmat import (
     InternalInvariantViolation,
@@ -199,41 +199,6 @@ class EmTransform:
         return T_w, F_w
 
 
-@dataclass(frozen=True)
-class MorseTransform:
-    """Single-input-kind (s = 0) specialization of EmTransform."""
-
-    T_x: RatMatrix
-    T_u: RatMatrix
-    T_y: RatMatrix
-    F_u: RatMatrix
-    K: RatMatrix
-
-    def to_em(self) -> EmTransform:
-        n, m = self.T_x.rows, self.T_u.rows
-        return EmTransform(
-            self.T_x,
-            self.T_u,
-            RatMatrix.identity(0),
-            self.T_y,
-            self.F_u,
-            RatMatrix.zeros(0, n),
-            RatMatrix.zeros(0, m),
-            self.K,
-        )
-
-    @staticmethod
-    def from_em(t: EmTransform) -> "MorseTransform":
-        if t.T_v.rows != 0:
-            raise ValueError("not a single-input-kind transform (s != 0)")
-        return MorseTransform(t.T_x, t.T_u, t.T_y, t.F_u, t.K)
-
-
-def as_em(t: Union[EmTransform, MorseTransform]) -> EmTransform:
-    """Either certificate kind as an EmTransform."""
-    return t.to_em() if isinstance(t, MorseTransform) else t
-
-
 def em_from_merged(
     T_x: RatMatrix, T_w: RatMatrix, T_y: RatMatrix, F_w: RatMatrix, K: RatMatrix, m: int
 ) -> EmTransform:
@@ -314,17 +279,31 @@ def apply_exfb(d: Dacs, t: ExFbTransform) -> Dacs:
     )
 
 
+def _feedback_terms(o: Odecs2, t: EmTransform) -> Tuple[RatMatrix, RatMatrix, RatMatrix]:
+    """The blocks of o under t's feedback and output injection, before its
+    coordinate changes:
+
+        A + B_u F_u + B_v (F_v + R F_u) + K (C + D_u F_u),
+        B_u + B_v R + K D_u,   C + D_u F_u.
+    """
+    C_fb = o.C + o.D_u * t.F_u
+    A_fb = o.A + o.B_u * t.F_u + o.B_v * (t.F_v + t.R * t.F_u) + t.K * C_fb
+    return A_fb, o.B_u + o.B_v * t.R + t.K * o.D_u, C_fb
+
+
 def apply_em(o: Odecs2, t: EmTransform) -> Odecs2:
     Txi = _inverse_of(t.T_x, "T_x")
     Tui = _inverse_of(t.T_u, "T_u")
     Tvi = _inverse_of(t.T_v, "T_v")
     _require_invertible(t.T_y, "T_y")
-    A = t.T_x * (o.A + o.B_u * t.F_u + o.B_v * (t.F_v + t.R * t.F_u) + t.K * (o.C + o.D_u * t.F_u)) * Txi
-    B_u = t.T_x * (o.B_u + o.B_v * t.R + t.K * o.D_u) * Tui
-    B_v = t.T_x * o.B_v * Tvi
-    C = t.T_y * (o.C + o.D_u * t.F_u) * Txi
-    D_u = t.T_y * o.D_u * Tui
-    return Odecs2(A=A, B_u=B_u, B_v=B_v, C=C, D_u=D_u)
+    A_fb, B_fb, C_fb = _feedback_terms(o, t)
+    return Odecs2(
+        A=t.T_x * A_fb * Txi,
+        B_u=t.T_x * B_fb * Tui,
+        B_v=t.T_x * o.B_v * Tvi,
+        C=t.T_y * C_fb * Txi,
+        D_u=t.T_y * o.D_u * Tui,
+    )
 
 
 def verify_exfb(d1: Dacs, d2: Dacs, t: ExFbTransform) -> bool:
@@ -373,11 +352,10 @@ def verify_em(o1: Odecs2, o2: Odecs2, t: EmTransform) -> bool:
     for M in (t.T_x, t.T_u, t.T_v, t.T_y):
         if not is_invertible(M):
             return False
-    C_fb = o1.C + o1.D_u * t.F_u
+    A_fb, B_fb, C_fb = _feedback_terms(o1, t)
     return (
-        o2.A * t.T_x
-        == t.T_x * (o1.A + o1.B_u * t.F_u + o1.B_v * (t.F_v + t.R * t.F_u) + t.K * C_fb)
-        and o2.B_u * t.T_u == t.T_x * (o1.B_u + o1.B_v * t.R + t.K * o1.D_u)
+        o2.A * t.T_x == t.T_x * A_fb
+        and o2.B_u * t.T_u == t.T_x * B_fb
         and o2.B_v * t.T_v == t.T_x * o1.B_v
         and o2.C * t.T_x == t.T_y * C_fb
         and o2.D_u * t.T_u == t.T_y * o1.D_u
@@ -459,9 +437,12 @@ def _expl_membership(
 
     # T_v from B_v T_v^{-1} = o.B_v (B_v has full column rank)
     X = solve(o0.B_v, o.B_v)
-    if X is None or not is_invertible(X):
+    if X is None:
         return None
-    T_v = inverse(X)
+    try:
+        T_v = inverse(X)
+    except ValueError:
+        return None
 
     # joint linear system K C + B_v F_v = o.A - A, K D_u + B_v R = o.B_u - B_u
     # in the unknowns (K, F_v, R), vectorized column-major

@@ -49,7 +49,6 @@ from dacscanon.ratmat import (
     rank,
 )
 from dacscanon.systems import (
-    as_em,
     em_compose,
     expl_membership,
     explicitate,
@@ -112,7 +111,7 @@ def _circuit_facts(d):
     # the canonicalization certificate starts at the normal form; the
     # composition covers the whole explicit-side chain
     _CERT_POOL.append(("em", nf.system, o_can, t_em))
-    _CERT_POOL.append(("em", o, o_can, em_compose(as_em(nf.transform), t_em)))
+    _CERT_POOL.append(("em", o, o_can, em_compose(nf.transform, t_em)))
     t_fb, fidx, d_can = fbcf(d)
     _CERT_POOL.append(("exfb", d, d_can, t_fb))
     return {
@@ -220,7 +219,7 @@ def test_criterion_3_certificate_soundness():
     assert len(_CERT_POOL) >= 410, "certificate pool unexpectedly small"
     for kind, left, right, t in _CERT_POOL:
         if kind == "em":
-            assert verify_em(left, right, as_em(t))
+            assert verify_em(left, right, t)
         elif kind == "exfb":
             assert verify_exfb(left, right, t)
         else:
@@ -342,10 +341,10 @@ def test_criterion_5_structural_patterns():
         _check_diagonal(nf)
         if s == 0:
             tri_m = mtf(o)
-            assert verify_em(o, tri_m.system, as_em(tri_m.transform))
+            assert verify_em(o, tri_m.system, tri_m.transform)
             _check_triangular(tri_m)
             nf_m = mnf(tri_m)
-            assert verify_em(o, nf_m.system, as_em(nf_m.transform))
+            assert verify_em(o, nf_m.system, nf_m.transform)
             _check_diagonal(nf_m)
         checked += 1
     assert checked == 100

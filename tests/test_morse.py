@@ -21,7 +21,6 @@ from dacscanon.ratmat import (
 )
 from dacscanon.systems import (
     EmTransform,
-    MorseTransform,
     Odecs2,
     apply_em,
     explicitate,
@@ -29,10 +28,8 @@ from dacscanon.systems import (
 )
 from dacscanon.geometry import invariant_subspaces
 from dacscanon._chains import charpoly, poly_gcd
-from dacscanon.canonical import emcf
 from dacscanon.cli import parse_system
 from dacscanon.morse import (
-    MnfSystem,
     MtfSystem,
     NonUniqueWarning,
     NoSolution,
@@ -151,6 +148,7 @@ def check_triangular_pattern(r):
     A, B_w, C, D_w = o.merged()
     b1, b2, b3, b4 = blocks_of(r)
     m1u, s1 = group_sizes(o)
+    assert r.groups == (m1u, s1)
     g1 = list(range(m1u)) + list(range(o.m, o.m + s1))
     g3 = list(range(m1u, o.m)) + list(range(o.m + s1, o.m + o.s))
     y3, y4 = list(range(d.p3)), list(range(d.p3, o.p))
@@ -205,31 +203,17 @@ def check_block_properties(r):
     assert inv3.Y_star.dim == sub.p
 
 
-def as_em(t):
-    return t.to_em() if isinstance(t, MorseTransform) else t
-
-
 def test_mtf_random_systems():
     rng = random.Random(11)
     for n, m, p in [(3, 1, 1), (4, 2, 2), (3, 2, 1), (2, 1, 2)]:
         for _ in range(2):
             o = random_odecs(rng, n, m, 0, p)
             r = mtf(o)
-            assert isinstance(r.transform, MorseTransform)
-            assert verify_em(o, r.system, as_em(r.transform))
+            assert isinstance(r.transform, EmTransform) and r.transform.T_v.rows == 0
+            assert verify_em(o, r.system, r.transform)
             inv = invariant_subspaces(o)
             assert r.dims == (inv.n1, inv.n2, inv.n3, inv.n4, inv.m1, inv.m3, inv.p3, inv.p4)
             check_block_properties(r)
-
-
-def test_mtf_accepts_plain_tuple():
-    A = mat([[0, 1], [0, 0]])
-    B = mat([[0], [1]])
-    C = mat([[1, 0]])
-    D = RatMatrix.zeros(1, 1)
-    r = mtf((A, B, C, D))
-    assert r.system.n == 2 and r.system.s == 0
-    check_triangular_pattern(r)
 
 
 def test_mtf_rejects_second_kind_inputs():
@@ -237,6 +221,8 @@ def test_mtf_rejects_second_kind_inputs():
     o = random_odecs(rng, 2, 1, 1, 1)
     with pytest.raises(ValueError):
         mtf(o)
+    with pytest.raises(ValueError):
+        mnf(emtf(o))
 
 
 def tight_blocks_system(rng):
@@ -293,7 +279,7 @@ def test_mtf_dims_invariant_under_scrambling():
         scrambled = apply_em(o, t)
         r = mtf(scrambled)
         assert tuple(r.dims) == expected
-        assert verify_em(scrambled, r.system, as_em(r.transform))
+        assert verify_em(scrambled, r.system, r.transform)
 
 
 def test_emtf_random_systems():
@@ -317,7 +303,8 @@ def test_emtf_with_no_second_kind_matches_mtf():
     r2 = emtf(o)
     assert r1.system == r2.system
     assert r1.dims == r2.dims
-    assert as_em(r1.transform) == r2.transform
+    assert r1.transform == r2.transform
+    assert mnf(r1) == emnf(r2)
 
 
 # -- normal form --------------------------------------------------------------
@@ -348,17 +335,13 @@ def test_mnf_on_already_diagonal_system_is_identity():
     wrapped = MtfSystem(
         system=diag,
         dims=d,
-        transform=MorseTransform(
-            T_x=RatMatrix.identity(5),
-            T_u=RatMatrix.identity(2),
-            T_y=RatMatrix.identity(2),
-            F_u=RatMatrix.zeros(2, 5),
-            K=RatMatrix.zeros(5, 2),
-        ),
+        transform=EmTransform.identity(5, 2, 0, 2),
+        groups=first.groups,
+        source=diag,
     )
     again = mnf(wrapped)
     assert again.system == diag
-    t = as_em(again.transform)
+    t = again.transform
     assert t.T_x == RatMatrix.identity(5)
     assert t.F_u.is_zero() and t.K.is_zero()
 
@@ -369,8 +352,8 @@ def test_mnf_random_pipeline():
         for _ in range(2):
             o = random_odecs(rng, n, m, 0, p)
             r = mnf(mtf(o))
-            assert isinstance(r.transform, MorseTransform)
-            assert verify_em(o, r.system, as_em(r.transform))
+            assert isinstance(r.transform, EmTransform) and r.transform.T_v.rows == 0
+            assert verify_em(o, r.system, r.transform)
             check_diagonal_pattern(r)
 
 
@@ -396,48 +379,11 @@ def test_mnf_rejects_non_triangular_input():
     r = mtf(o)
     dense = random_odecs(rng, 3, 1, 0, 1)
     with pytest.raises(ValueError):
-        mnf(MtfSystem(system=dense, dims=r.dims, transform=r.transform))
-
-
-# -- carried input groups ----------------------------------------------------------
-
-
-def _same_form(a, b):
-    return (a.system, a.dims, a.transform) == (b.system, b.dims, b.transform)
-
-
-def test_carried_groups_match_recovery():
-    # emtf carries the input-group sizes (and its source) to the later
-    # stages; the same triangular system wrapped by hand carries neither and
-    # takes the recovery path, which must reach the same results
-    circuit, _ = explicitate(parse_system(FIXTURE))
-    rng = random.Random(23)
-    systems = [circuit] + [
-        random_odecs(rng, n, m, s, p)
-        for n, m, s, p in [(3, 1, 1, 1), (4, 2, 1, 2), (4, 1, 2, 2), (5, 2, 2, 1)]
-    ]
-    for o in systems:
-        tri = emtf(o)
-        assert tri.groups is not None and tri.source is o
-        bare = MtfSystem(system=tri.system, dims=tri.dims, transform=tri.transform)
-        carried, recovered = emnf(tri), emnf(bare)
-        assert _same_form(carried, recovered)
-        assert carried.groups == recovered.groups == tri.groups
-        bare_nf = MnfSystem(
-            system=carried.system, dims=carried.dims, transform=carried.transform
+        mnf(
+            MtfSystem(
+                system=dense, dims=r.dims, transform=r.transform, groups=r.groups, source=o
+            )
         )
-        assert emcf(carried) == emcf(bare_nf)
-
-
-def test_carried_groups_match_recovery_single_kind():
-    rng = random.Random(24)
-    for n, m, p in [(3, 1, 1), (4, 2, 2)]:
-        o = random_odecs(rng, n, m, 0, p)
-        tri = mtf(o)
-        bare = MtfSystem(system=tri.system, dims=tri.dims, transform=tri.transform)
-        carried, recovered = mnf(tri), mnf(bare)
-        assert _same_form(carried, recovered)
-        assert carried.groups == recovered.groups == tri.groups
 
 
 # -- prime pencil inverse -------------------------------------------------------

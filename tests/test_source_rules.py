@@ -1,12 +1,16 @@
 """Rules the library source keeps."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dacscanon
 from dacscanon.ratmat import RatMatrix
 
 SRC = Path(dacscanon.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements_in_library():
@@ -108,3 +112,17 @@ def test_matrix_storage_is_private_to_ratmat():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert not offenders, "RatMatrix storage read outside ratmat: %s" % offenders
+
+
+def test_benchmark_span_table_matches_library():
+    # perfbench/spans.py names library functions by module and attribute;
+    # installing its recorder fails when one of them was renamed or deleted
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Recorder())"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
