@@ -77,9 +77,10 @@ from .systems import (
     ExFbTransform,
     ExplicitationRecord,
     Odecs2,
+    _carrying,
+    _em_from_merged,
     apply_em,
     em_compose,
-    em_from_merged,
     explicitate,
     verify_em,
     verify_exfb,
@@ -235,7 +236,9 @@ class FbcfIndices:
 
 def _two_kind_chains(
     A: RatMatrix, B_u: RatMatrix, B_v: RatMatrix
-) -> Tuple[List[Tuple[RatMatrix, int]], List[Tuple[RatMatrix, int]], RatMatrix, RatMatrix, RatMatrix]:
+) -> Tuple[
+    List[Tuple[RatMatrix, int]], List[Tuple[RatMatrix, int]], RatMatrix, RatMatrix, RatMatrix, RatMatrix
+]:
     """Chain decomposition of (A, [B_u B_v]) with second-kind priority.
 
     Each chain is found as a row functional tau with tau A^l [B_u B_v] = 0
@@ -247,7 +250,7 @@ def _two_kind_chains(
     entry makes the chain second-kind, with the smallest such column as
     pivot.
 
-    Returns (u_chains, v_chains, T_x, T_w, F_w): chains as (tau, length)
+    Returns (u_chains, v_chains, T_x, T_w, T_w^{-1}, F_w): chains as (tau, length)
     with pivots consumed, T_x the stacked functional towers (first-kind
     chains first, lengths nonincreasing within each kind), T_w the merged
     input transform whose rows are [u-chain tails, u-completions, v-chain
@@ -304,11 +307,12 @@ def _two_kind_chains(
     tail_rows = list(range(len(u_chains))) + list(range(m, m + len(v_chains)))
     tails = [tau * _matrix_power(A, k) for tau, k, _, _ in ordered]
     M = place(m + s, n, [([r], range(n), tail) for r, tail in zip(tail_rows, tails)])
-    F_w = -(inverse(T_w) * M)
+    T_w_inv = inverse(T_w)
+    F_w = -(T_w_inv * M)
 
     u_list = [(tau, k) for tau, k, _, _ in u_chains]
     v_list = [(tau, k) for tau, k, _, _ in v_chains]
-    return u_list, v_list, T_x, T_w, F_w
+    return u_list, v_list, T_x, T_w, T_w_inv, F_w
 
 
 def brunovsky_two_inputs(
@@ -326,9 +330,9 @@ def brunovsky_two_inputs(
     n, m, s = A.rows, B_u.cols, B_v.cols
     if B_u.rows != n or B_v.rows != n:
         raise ValueError("input matrices must have n rows")
-    u_chains, v_chains, T_x, T_w, F_w = _two_kind_chains(A, B_u, B_v)
-    t = em_from_merged(
-        T_x, T_w, RatMatrix.identity(0), F_w, RatMatrix.zeros(n, 0), m
+    u_chains, v_chains, T_x, T_w, T_w_inv, F_w = _two_kind_chains(A, B_u, B_v)
+    t = _em_from_merged(
+        T_x, T_w, RatMatrix.identity(0), F_w, RatMatrix.zeros(n, 0), m, T_w_inv=T_w_inv
     )
     eps = [k for _, k in u_chains]
     eps_bar = [k for _, k in v_chains]
@@ -521,8 +525,9 @@ def _prime_canonical(o: Odecs2) -> Tuple[EmTransform, List[int], int, List[int]]
         raise InternalInvariantViolation("prime system with m + s != p")
 
     # 1) rotate the static part of D into the last inputs and outputs
-    T_y0, T_u0, delta = _static_normalizer(o.D_u)
+    T_y0, T_u0, T_u0_inv, delta = _static_normalizer(o.D_u)
     t_d = replace(EmTransform.identity(n, m, s, p), T_u=T_u0, T_y=T_y0)
+    t_d = _carrying(t_d, t_d.T_x, T_u0_inv, t_d.T_v)
     o1 = apply_em(o, t_d)
 
     # 2) absorb the static columns of B and rows of C
@@ -561,22 +566,26 @@ def _prime_canonical(o: Odecs2) -> Tuple[EmTransform, List[int], int, List[int]]
     if not is_invertible(T_w_core):
         raise InternalInvariantViolation("prime drive rows are dependent")
     N = vstack([RatMatrix.zeros(0, n)] + [ch.tower[-1].T * o2.A for ch in ordered])
-    F_w_core = -(inverse(T_w_core) * N)
+    T_w_core_inv = inverse(T_w_core)
+    F_w_core = -(T_w_core_inv * N)
 
     # widen by the static inputs, which sit in the last u slots untouched;
     # the outputs follow the same order [sigma heads, statics, sigma_bar heads]
     live = list(range(m3)) + list(range(m, m + s))
-    T_w = place(m + s, m + s, [(live, live, T_w_core), (u_st, u_st, RatMatrix.identity(delta))])
+    statics = (u_st, u_st, RatMatrix.identity(delta))
+    T_w = place(m + s, m + s, [(live, live, T_w_core), statics])
+    T_w_inv = place(m + s, m + s, [(live, live, T_w_core_inv), statics])
     F_w = place(m + s, n, [(live, range(n), F_w_core)])
     heads = vstack([RatMatrix.zeros(0, p - delta)] + [ch.t for ch in ordered])
     T_y1 = place(p, p, [(live, range(p - delta), heads), (u_st, y_st, RatMatrix.identity(delta))])
 
     A_canon = _chain_diag(sigma + sigma_bar)
-    M = inverse(T_x) * A_canon * T_x - o2.A - hstack([o2.B_u, o2.B_v]) * F_w
+    T_x_inv = inverse(T_x)
+    M = T_x_inv * A_canon * T_x - o2.A - hstack([o2.B_u, o2.B_v]) * F_w
     K = solve_left(o2.C, M)
     if K is None:
         raise InternalInvariantViolation("prime corrections are not output injections")
-    t_chain = em_from_merged(T_x, T_w, T_y1, F_w, K, m)
+    t_chain = _em_from_merged(T_x, T_w, T_y1, F_w, K, m, T_x_inv=T_x_inv, T_w_inv=T_w_inv)
     o3 = apply_em(o2, t_chain)
 
     total = em_compose(em_compose(t_d, t_kill), t_chain)
@@ -618,6 +627,7 @@ def observable_dual_canonical(C4: RatMatrix, A4: RatMatrix) -> Tuple[EmTransform
         R=RatMatrix.identity(0),
         K=Fd.T,
     )
+    t = _carrying(t, T_xd.T * P_rev.T, t.T_u, t.T_v)  # P_rev^{-1} = P_rev^T
     got = apply_em(
         Odecs2(A4, RatMatrix.zeros(n, 0), RatMatrix.zeros(n, 0), C4, RatMatrix.zeros(p, 0)), t
     )
@@ -694,6 +704,7 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     )
     t4, eta = observable_dual_canonical(o.C.submatrix(y4, b4), o.A.submatrix(b4, b4))
 
+    (x1, u1i, v1i), (x3, u3i, v3i) = t1.inverses(), t3.inverses()
     t_blk = EmTransform(
         T_x=block_diag([t1.T_x, T2f, t3.T_x, t4.T_x]),
         T_u=block_diag([t1.T_u, t3.T_u]),
@@ -704,6 +715,8 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
         R=block_diag([t1.R, t3.R]),
         K=place(n, p, [(b3, y3, t3.K), (b4, y4, t4.K)]),
     )
+    x_inv = block_diag([x1, inverse(T2f), x3, t4.inverses()[0]])
+    t_blk = _carrying(t_blk, x_inv, block_diag([u1i, u3i]), block_diag([v1i, v3i]))
 
     a, b, e = len(eps), len(eps_bar), len(eta)
     dead_u, dead_v, dead_y = m1u - a, s1 - b, dims.p4 - e
@@ -714,6 +727,7 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
         T_u=RatMatrix.identity(mu).take_rows(uperm),
         T_v=RatMatrix.identity(s).take_rows(vperm),
     )
+    t_perm = _carrying(t_perm, t_perm.T_x, t_perm.T_u.T, t_perm.T_v.T)  # permutations
 
     total = em_compose(t_blk, t_perm)
     idx = EmcfIndices(
@@ -909,7 +923,7 @@ def _exfb_from_em(
     # (the states before them count as chains of length 1, which stay put)
     rev = _reversed_chains([1] * (n - sum(eta)) + list(eta))
     P = RatMatrix.identity(n).take_rows(rev) * t.T_x
-    return ExFbTransform(Q=Q_pre.take_rows(rows), P=P, F=t.F_u, G=inverse(t.T_u))
+    return ExFbTransform(Q=Q_pre.take_rows(rows), P=P, F=t.F_u, G=t.inverses()[1])
 
 
 @dataclass(frozen=True)

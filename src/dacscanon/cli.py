@@ -43,7 +43,7 @@ from .canonical import (
 )
 from .geometry import invariant_subspaces, wong_sequences
 from .harness import Seeded, random_exfb_scramble, random_fbcf
-from .morse import emnf, emtf, mnf, mtf
+from .morse import _require_single_kind, emnf, emtf, mnf, mtf
 from .ratmat import InternalInvariantViolation, RatMatrix, qq
 from .systems import (
     Dacs,
@@ -461,10 +461,14 @@ def _cmd_triangular(tf, args) -> Tuple[dict, bool]:
     return report, True
 
 
-def _cmd_normal_form(tf, nf_fn, args) -> Tuple[dict, bool]:
-    """mnf / emnf, with ``tf``, ``nf_fn`` the matching stage functions."""
+def _cmd_normal_form(nf_fn, args) -> Tuple[dict, bool]:
+    """mnf / emnf, with ``nf_fn`` the matching stage function.  Both start
+    from emtf; mnf's check on the input kinds runs before it, so a refusal
+    names the command that was run."""
     o = _require_odecs(parse_system(args.input), args.command)
-    tri = tf(o)
+    if nf_fn is mnf:
+        _require_single_kind(o, "mnf")
+    tri = emtf(o)
     nf = nf_fn(tri)
     report = {
         "command": args.command,
@@ -645,14 +649,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add("mtf", partial(_cmd_triangular, mtf), "triangular form (single input kind)")
     add(
         "mnf",
-        partial(_cmd_normal_form, mtf, mnf),
+        partial(_cmd_normal_form, mnf),
         "block-diagonal normal form (single input kind)",
         stage_dump=True,
     )
     add("emtf", partial(_cmd_triangular, emtf), "triangular form (two input kinds)")
     add(
         "emnf",
-        partial(_cmd_normal_form, emtf, emnf),
+        partial(_cmd_normal_form, emnf),
         "block-diagonal normal form (two input kinds)",
         stage_dump=True,
     )

@@ -29,6 +29,7 @@ from .ratmat import (
     InternalInvariantViolation,
     RatMatrix,
     Subspace,
+    _annihilator,
     hstack,
     image,
     kernel_basis,
@@ -123,8 +124,9 @@ def wong_sequences(d: Dacs) -> WongResult:
 
 
 def _embed_top(S: Subspace, below: int) -> Subspace:
-    """S x {0} inside a taller ambient space."""
-    return Subspace.from_columns(vstack([S.basis, RatMatrix.zeros(below, S.dim)]))
+    """S x {0} inside a taller ambient space.  Zero rows appended to a
+    canonical basis leave it canonical."""
+    return Subspace(S.ambient_dim + below, vstack([S.basis, RatMatrix.zeros(below, S.dim)]))
 
 
 def _sum_with_full_inputs(S: Subspace, mw: int) -> RatMatrix:
@@ -147,13 +149,14 @@ def invariant_subspaces(o: Odecs2) -> InvariantResult:
     CD = hstack([C, D_w])
     AB = hstack([A, B_w])
     ImBD = image(BD)
-    KerCD = kernel_basis(CD)
 
     def v_step(S):
         return preimage(AC, subspace_sum(_embed_top(S, p), ImBD))
 
     def w_step(S):
-        both = subspace_intersect(image(_sum_with_full_inputs(S, mw)), KerCD)
+        # (S x R^mw) ∩ ker [C D_w] is the kernel of [[N_S, 0], [C, D_w]]
+        N_S = _annihilator(S)
+        both = kernel_basis(vstack([hstack([N_S, RatMatrix.zeros(N_S.rows, mw)]), CD]))
         return image(AB * both.basis)
 
     V_seq = _iterate(Subspace.full(n), v_step, n)

@@ -52,9 +52,10 @@ from .ratmat import (
 from .systems import (
     EmTransform,
     Odecs2,
+    _carrying,
+    _em_from_merged,
     apply_em,
     em_compose,
-    em_from_merged,
     verify_em,
 )
 
@@ -285,12 +286,13 @@ def _feedback_stage(o: Odecs2, F_blocks=(), K_blocks=()) -> EmTransform:
     """Identity certificate for o with the merged feedback F_w (rows w = (u,
     v)) and the output injection K placed from blocks."""
     F_w = place(o.m + o.s, o.n, F_blocks)
-    return replace(
+    t = replace(
         EmTransform.identity(o.n, o.m, o.s, o.p),
         F_u=F_w.take_rows(range(o.m)),
         F_v=F_w.take_rows(range(o.m, o.m + o.s)),
         K=place(o.n, o.p, K_blocks),
     )
+    return _carrying(t, t.T_x, t.T_u, t.T_v)
 
 
 def _static_pattern(rows: int, cols: int, delta: int) -> RatMatrix:
@@ -299,8 +301,8 @@ def _static_pattern(rows: int, cols: int, delta: int) -> RatMatrix:
     return place(rows, cols, [(r, c, RatMatrix.identity(delta))])
 
 
-def _static_normalizer(D: RatMatrix) -> Tuple[RatMatrix, RatMatrix, int]:
-    """(T_y, T_u, delta) with T_y D T_u^{-1} = [[0, 0], [0, I_delta]]."""
+def _static_normalizer(D: RatMatrix) -> Tuple[RatMatrix, RatMatrix, RatMatrix, int]:
+    """(T_y, T_u, T_u^{-1}, delta) with T_y D T_u^{-1} = [[0, 0], [0, I_delta]]."""
     p = D.rows
     delta, R, Qy = rank_rref(D)
     Rd = R.take_rows(range(delta))
@@ -310,7 +312,7 @@ def _static_normalizer(D: RatMatrix) -> Tuple[RatMatrix, RatMatrix, int]:
     T_y = RatMatrix.identity(p).take_rows(list(range(delta, p)) + list(range(delta))) * Qy
     if T_y * D * Tu_inv != _static_pattern(p, D.cols, delta):
         raise InternalInvariantViolation("static block did not normalize")
-    return T_y, inverse(Tu_inv), delta
+    return T_y, inverse(Tu_inv), Tu_inv, delta
 
 
 def _input_groups(m: int, s: int, m1u: int, s1: int) -> Tuple[List[int], List[int]]:
@@ -357,9 +359,8 @@ def _stage0(o: Odecs2) -> Tuple[EmTransform, BlockDims, int, int]:
         raise InternalInvariantViolation("output blocks do not assemble to a basis")
     T_y = inverse(basis_y)
 
-    t0 = em_from_merged(
-        T_x, T_w, T_y, RatMatrix.zeros(m + s, n), RatMatrix.zeros(n, p), m
-    )
+    zero_F, zero_K = RatMatrix.zeros(m + s, n), RatMatrix.zeros(n, p)
+    t0 = _em_from_merged(T_x, T_w, T_y, zero_F, zero_K, m, T_x_inv=basis_x, T_w_inv=basis_w)
     return t0, d, m1u, s1
 
 
@@ -409,12 +410,13 @@ def _d_normalize(
 ) -> Tuple[Odecs2, EmTransform]:
     """Input/output changes on group 3 bringing the feedthrough block to
     [[0, 0], [0, I]]."""
-    T_y3, T_u3, _ = _static_normalizer(o.D_u.submatrix(range(d.p3), range(m1u, o.m)))
+    T_y3, T_u3, T_u3_inv, _ = _static_normalizer(o.D_u.submatrix(range(d.p3), range(m1u, o.m)))
     t = replace(
         EmTransform.identity(o.n, o.m, o.s, o.p),
         T_u=block_diag([RatMatrix.identity(m1u), T_u3]),
         T_y=block_diag([T_y3, RatMatrix.identity(o.p - d.p3)]),
     )
+    t = _carrying(t, t.T_x, block_diag([RatMatrix.identity(m1u), T_u3_inv]), t.T_v)
     return apply_em(o, t), t
 
 
@@ -448,12 +450,17 @@ def _assert_triangular(
             raise InternalInvariantViolation("feedthrough block is not normalized")
 
 
+def _require_single_kind(o: Odecs2, stage: str) -> None:
+    """The ValueError of the single-kind entry points for s != 0."""
+    if o.s != 0:
+        raise ValueError("%s expects no second-kind inputs; use em%s" % (stage, stage[1:]))
+
+
 def mtf(o: Odecs2) -> MtfSystem:
     """Triangular form of a single-input-kind system: :func:`emtf` on an
     Odecs2 with s = 0, so the certificate is an EmTransform with empty
     v-blocks (the classical Morse action)."""
-    if o.s != 0:
-        raise ValueError("mtf expects no second-kind inputs; use emtf")
+    _require_single_kind(o, "mtf")
     return emtf(o)
 
 
@@ -644,8 +651,7 @@ def _assert_diagonal(o: Odecs2, d: BlockDims, m1u: int, s1: int) -> None:
 def mnf(m: MtfSystem) -> MnfSystem:
     """Block-diagonal normal form of a single-input-kind triangular form:
     :func:`emnf` on a system with s = 0."""
-    if m.system.s != 0:
-        raise ValueError("mnf expects no second-kind inputs; use emnf")
+    _require_single_kind(m.system, "mnf")
     return emnf(m)
 
 

@@ -21,6 +21,13 @@ at the boundary: the constructor's coercion, indexing, ``row``, ``col``,
 Determinism rules (fixed so that certificates and canonical forms are
 reproducible):
   * pivoting: leftmost column, first nonzero row;
+  * kernel: pivoting from the rightmost column instead, so the kernel
+    vectors built on the free columns already form the canonical basis
+    and need no second elimination;
+  * annihilator: the rows e_j - sum_c K[j, c] e_{q_c}, for the rows j of
+    a canonical basis K that are not leading rows q_c, are read off K
+    with no elimination; preimage, intersection and containment are
+    kernels and products of these;
   * complement: greedily extend the inner basis by the outer basis
     columns in index order;
   * right inverse: inverse of the pivot-column submatrix placed in the
@@ -378,7 +385,9 @@ def mat(data: Sequence[Sequence[Rat]], cols: Optional[int] = None) -> RatMatrix:
 # -- elimination -------------------------------------------------------------------
 
 
-def _eliminate(M: RatMatrix, certify: bool) -> Tuple[int, List[List], List]:
+def _eliminate(
+    M: RatMatrix, certify: bool, from_right: bool = False
+) -> Tuple[int, List[List], List]:
     """Gauss-Jordan elimination of M's integer rows over their denominators.
 
     Returns (rank, num, den): row i of the reduced form is num[i][:cols] /
@@ -386,6 +395,8 @@ def _eliminate(M: RatMatrix, certify: bool) -> Tuple[int, List[List], List]:
     num[i][cols:] / den[i] is row i of the row-operation certificate.  Row
     i's values do not depend on the augmentation (only the common scaling
     of num[i] and den[i] does), so both modes give the same reduced form.
+    With ``from_right`` the pivot columns are sought from the last column
+    leftwards (the reduced form of M with its columns reversed).
     """
     rows, cols = M.rows, M.cols
     # Normalizing a pivot to 1 is just a denominator change, and
@@ -400,7 +411,7 @@ def _eliminate(M: RatMatrix, certify: bool) -> Tuple[int, List[List], List]:
             e[i] = den[i]
             num[i] = num[i] + e
     piv_r = 0
-    for pc in range(cols):
+    for pc in range(cols - 1, -1, -1) if from_right else range(cols):
         pr = None
         for i in range(piv_r, rows):
             if num[i][pc]:
@@ -602,9 +613,7 @@ class Subspace:
 
     def contains_matrix(self, M: RatMatrix) -> bool:
         """Do all columns of M lie in this subspace?"""
-        if M.cols == 0:
-            return True
-        return solve(self.basis, M) is not None
+        return (_annihilator(self) * M).is_zero()
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         return other.contains_matrix(self.basis)
@@ -615,27 +624,61 @@ def image(M: RatMatrix) -> Subspace:
 
 
 def kernel_basis(M: RatMatrix) -> Subspace:
-    """Exact kernel {x : M x = 0} with dim = cols - rank."""
-    rk, R = _rref(M)
-    pivs = pivot_columns(R, rk)
-    free = [j for j in range(M.cols) if j not in pivs]
-    f = range(len(free))
-    B = place(
-        M.cols,
-        len(free),
-        [(free, f, RatMatrix.identity(len(free))), (pivs, f, -R.submatrix(range(rk), free))],
-    )
-    return Subspace.from_columns(B)
+    """Exact kernel {x : M x = 0} with dim = cols - rank.
+
+    The elimination seeks its pivots from the right, so each free column f
+    is a combination of the pivot columns after it.  The kernel vector with
+    x_f = 1 and zeros at the other free columns is then zero before f, and
+    these vectors are the canonical basis as they stand.
+    """
+    rk, num, den = _eliminate(M, certify=False, from_right=True)
+    cols = M.cols
+    # the pivot of a row reduced from the right is its last nonzero entry
+    pivs = [max(j for j, x in enumerate(r) if x) for r in num[:rk]]
+    free = sorted(set(range(cols)).difference(pivs))
+    rows: List = [None] * cols
+    for k, f in enumerate(free):
+        unit = [0] * len(free)
+        unit[k] = 1
+        rows[f] = (unit, 1)
+    for r, d, p in zip(num, den, pivs):
+        rows[p] = _prim([-r[f] for f in free], d)
+    return Subspace(cols, RatMatrix._wrap(rows, len(free)))
+
+
+def _annihilator(S: Subspace) -> RatMatrix:
+    """A matrix N with ker N = S, read off S's canonical basis K.
+
+    Column c of K has its leading 1 in row q_c, and the other columns are
+    zero in that row.  For every other row j, N has the row e_j - sum_c
+    K[j, c] e_{q_c}, which vanishes on each column of K; these rows are
+    independent (N is the identity on the non-leading coordinates), so
+    their kernel has dimension dim S.  No elimination is needed.
+    """
+    K = S.basis
+    pivs: List[int] = []
+    out = []
+    for j, (n, d) in enumerate(K._r):
+        if len(pivs) < K.cols and n[len(pivs)]:
+            pivs.append(j)
+            continue
+        # n is zero past the columns whose leading row is above j, and
+        # (d, n) is primitive, so the row below is too
+        row = [0] * K.rows
+        row[j] = d
+        for q, x in zip(pivs, n):
+            row[q] = -x
+        out.append((row, d))
+    return RatMatrix._wrap(out, K.rows)
 
 
 def preimage(M: RatMatrix, S: Subspace) -> Subspace:
-    """{x : M x in S}, computed exactly."""
+    """{x : M x in S}, the kernel of N_S M for an annihilator N_S of S."""
     if S.ambient_dim != M.rows:
         raise ValueError("preimage ambient mismatch")
     if S.dim == 0:
         return kernel_basis(M)
-    K = kernel_basis(hstack([M, -S.basis]))
-    return Subspace.from_columns(K.basis.take_rows(range(M.cols)))
+    return kernel_basis(_annihilator(S) * M)
 
 
 def subspace_sum(S1: Subspace, S2: Subspace) -> Subspace:
@@ -649,9 +692,7 @@ def subspace_intersect(S1: Subspace, S2: Subspace) -> Subspace:
         raise ValueError("ambient mismatch")
     if S1.dim == 0 or S2.dim == 0:
         return Subspace.zero(S1.ambient_dim)
-    K = kernel_basis(hstack([S1.basis, S2.basis]))
-    coeff = K.basis.take_rows(range(S1.dim))
-    return Subspace.from_columns(S1.basis * coeff)
+    return kernel_basis(vstack([_annihilator(S1), _annihilator(S2)]))
 
 
 def orthogonal_complement(S: Subspace) -> Subspace:

@@ -37,6 +37,7 @@ from .ratmat import (
     inverse,
     is_invertible,
     kernel_basis,
+    place,
     qq,
     rank_rref,
     right_inverse,
@@ -158,7 +159,15 @@ class ExFbTransform:
 
 @dataclass(frozen=True)
 class EmTransform:
-    """Certificate for explicit-side equivalence (the 8-tuple action)."""
+    """Certificate for explicit-side equivalence (the 8-tuple action).
+
+    The inverses of T_x, T_u and T_v ride along in a plain attribute, not
+    a field, so ``==``, ``hash``, ``repr``, ``replace`` and ``fields`` see
+    only the eight blocks.  The stage that builds a transform attaches the
+    inverses it already holds; :meth:`inverses` computes any missing one
+    once, on first use, so a transform built through the constructor
+    carries none until then.
+    """
 
     T_x: RatMatrix
     T_u: RatMatrix
@@ -182,6 +191,15 @@ class EmTransform:
             RatMatrix.zeros(n, p),
         )
 
+    def inverses(self) -> Tuple[RatMatrix, RatMatrix, RatMatrix]:
+        """(T_x^{-1}, T_u^{-1}, T_v^{-1}).  Raises SingularTransform naming
+        the first singular block."""
+        carried = self.__dict__.setdefault("_inverses", [None, None, None])
+        for k, name in enumerate(("T_x", "T_u", "T_v")):
+            if carried[k] is None:
+                carried[k] = _inverse_of(getattr(self, name), name)
+        return tuple(carried)
+
     def merged_input(self) -> Tuple[RatMatrix, RatMatrix]:
         """(T_w, F_w) of the merged single-input-kind view.
 
@@ -198,6 +216,28 @@ class EmTransform:
         F_w = vstack([self.F_u, self.F_v + self.R * self.F_u])
         return T_w, F_w
 
+    def merged_input_inverse(self) -> RatMatrix:
+        """T_w^{-1} = [[T_u^{-1}, 0], [R T_u^{-1}, T_v^{-1}]], from the
+        carried inverses."""
+        _, Tui, Tvi = self.inverses()
+        m, s = self.T_u.rows, self.T_v.rows
+        u, v = range(m), range(m, m + s)
+        return place(m + s, m + s, [(u, u, Tui), (v, u, self.R * Tui), (v, v, Tvi)])
+
+
+def _carrying(
+    t: EmTransform,
+    T_x_inv: Optional[RatMatrix],
+    T_u_inv: Optional[RatMatrix],
+    T_v_inv: Optional[RatMatrix],
+) -> EmTransform:
+    """t with the given inverses of its T_x, T_u and T_v attached (None
+    leaves one to be computed on first use).  Only for inverses the caller
+    holds exactly: a wrong one would make :func:`apply_em` wrong, though
+    never a certificate check, which reads no inverse."""
+    t.__dict__["_inverses"] = [T_x_inv, T_u_inv, T_v_inv]
+    return t
+
 
 def em_from_merged(
     T_x: RatMatrix, T_w: RatMatrix, T_y: RatMatrix, F_w: RatMatrix, K: RatMatrix, m: int
@@ -209,6 +249,22 @@ def em_from_merged(
     For an invertible T_w this is the same as the vanishing of that block
     of T_w^{-1}.  Raises ValueError when T_w is singular.
     """
+    return _em_from_merged(T_x, T_w, T_y, F_w, K, m)
+
+
+def _em_from_merged(
+    T_x: RatMatrix,
+    T_w: RatMatrix,
+    T_y: RatMatrix,
+    F_w: RatMatrix,
+    K: RatMatrix,
+    m: int,
+    T_x_inv: Optional[RatMatrix] = None,
+    T_w_inv: Optional[RatMatrix] = None,
+) -> EmTransform:
+    """:func:`em_from_merged` for a caller that holds T_x^{-1} or T_w^{-1};
+    the result carries them (T_w^{-1}'s diagonal blocks are T_u^{-1} and
+    T_v^{-1})."""
     s = T_w.rows - m
     if not is_invertible(T_w):
         raise ValueError("merged input transform is singular")
@@ -217,10 +273,12 @@ def em_from_merged(
         raise InternalInvariantViolation("merged input transform is not triangular")
     T_u = T_w.submatrix(u, u)
     T_v = T_w.submatrix(v, v)
-    R = -(inverse(T_v) * T_w.submatrix(v, u))
+    T_u_inv = None if T_w_inv is None else T_w_inv.submatrix(u, u)
+    T_v_inv = inverse(T_v) if T_w_inv is None else T_w_inv.submatrix(v, v)
+    R = -(T_v_inv * T_w.submatrix(v, u))
     F_u = F_w.take_rows(u)
     F_v = F_w.take_rows(v) - R * F_u
-    return EmTransform(T_x, T_u, T_v, T_y, F_u, F_v, R, K)
+    return _carrying(EmTransform(T_x, T_u, T_v, T_y, F_u, F_v, R, K), T_x_inv, T_u_inv, T_v_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +350,7 @@ def _feedback_terms(o: Odecs2, t: EmTransform) -> Tuple[RatMatrix, RatMatrix, Ra
 
 
 def apply_em(o: Odecs2, t: EmTransform) -> Odecs2:
-    Txi = _inverse_of(t.T_x, "T_x")
-    Tui = _inverse_of(t.T_u, "T_u")
-    Tvi = _inverse_of(t.T_v, "T_v")
+    Txi, Tui, Tvi = t.inverses()
     _require_invertible(t.T_y, "T_y")
     A_fb, B_fb, C_fb = _feedback_terms(o, t)
     return Odecs2(
@@ -378,27 +434,42 @@ def exfb_inverse(t: ExFbTransform) -> ExFbTransform:
 
 
 def em_compose(t1: EmTransform, t2: EmTransform) -> EmTransform:
-    """Certificate for applying t1 first, then t2 (merged-form algebra)."""
+    """Certificate for applying t1 first, then t2 (merged-form algebra).
+    It carries the inverses T1^{-1} T2^{-1}."""
     Tw1, Fw1 = t1.merged_input()
     Tw2, Fw2 = t2.merged_input()
+    Tx1i, Tw1i = t1.inverses()[0], t1.merged_input_inverse()
     T_x = t2.T_x * t1.T_x
     T_y = t2.T_y * t1.T_y
     T_w = Tw2 * Tw1
-    F_w = Fw1 + inverse(Tw1) * Fw2 * t1.T_x
-    K = t1.K + inverse(t1.T_x) * t2.K * t1.T_y
-    return em_from_merged(T_x, T_w, T_y, F_w, K, t1.T_u.rows)
+    F_w = Fw1 + Tw1i * Fw2 * t1.T_x
+    K = t1.K + Tx1i * t2.K * t1.T_y
+    return _em_from_merged(
+        T_x,
+        T_w,
+        T_y,
+        F_w,
+        K,
+        t1.T_u.rows,
+        T_x_inv=Tx1i * t2.inverses()[0],
+        T_w_inv=Tw1i * t2.merged_input_inverse(),
+    )
 
 
 def em_inverse(t: EmTransform) -> EmTransform:
+    """The certificate undoing t; it carries t's blocks as its inverses."""
     Tw, Fw = t.merged_input()
-    Txi = inverse(t.T_x)
-    return em_from_merged(
+    Txi = t.inverses()[0]
+    Tyi = inverse(t.T_y)
+    return _em_from_merged(
         Txi,
-        inverse(Tw),
-        inverse(t.T_y),
+        t.merged_input_inverse(),
+        Tyi,
         -(Tw * Fw * Txi),
-        -(t.T_x * t.K * inverse(t.T_y)),
+        -(t.T_x * t.K * Tyi),
         t.T_u.rows,
+        T_x_inv=t.T_x,
+        T_w_inv=Tw,
     )
 
 

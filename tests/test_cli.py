@@ -450,6 +450,16 @@ def test_mtf_requires_single_input_kind(tmp_path):
     assert main(["mtf", expl]) == 2  # circuit explicitation has s = 12
 
 
+@pytest.mark.parametrize("cmd, dump", [("mtf", []), ("mnf", []), ("mnf", ["--stage-dump"])])
+def test_single_kind_commands_refuse_by_their_own_name(tmp_path, capsys, cmd, dump):
+    expl = str(tmp_path / "expl.json")
+    assert main(["explicitate", str(FIXTURE), "--out", expl]) == 0
+    capsys.readouterr()
+    assert main([cmd, expl] + dump) == 2  # circuit explicitation has s = 12
+    want = "error: %s expects no second-kind inputs; use em%s\n" % (cmd, cmd[1:])
+    assert capsys.readouterr().err == want
+
+
 def test_mtf_mnf_on_single_kind_system(tmp_path):
     rng = random.Random(3)
     o = random_odecs(rng, 4, 2, 0, 2)

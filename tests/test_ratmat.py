@@ -598,3 +598,96 @@ def test_equal_values_spelled_differently_are_equal_and_hash_equal():
     for M in spellings:
         assert M - M == zero and hash(M - M) == hash(zero)
         assert M.scale(0) == zero and (M * RatMatrix.zeros(3, 0)).shape == (2, 0)
+
+
+# ---------------------------------------------------------------------------
+# subspace operations against the elimination formulas they replace
+# ---------------------------------------------------------------------------
+
+
+def elim_kernel(M):
+    """Kernel by a left-to-right RREF, canonicalized by a second one."""
+    rk, R = _rref(M)
+    pivs = pivot_columns(R, rk)
+    free = [j for j in range(M.cols) if j not in pivs]
+    f = range(len(free))
+    B = place(
+        M.cols,
+        len(free),
+        [(free, f, RatMatrix.identity(len(free))), (pivs, f, -R.submatrix(range(rk), free))],
+    )
+    return Subspace.from_columns(B)
+
+
+def elim_preimage(M, S):
+    """{x : M x in S} as the top block of the kernel of [M | -S]."""
+    if S.dim == 0:
+        return elim_kernel(M)
+    K = elim_kernel(hstack([M, -S.basis]))
+    return Subspace.from_columns(K.basis.take_rows(range(M.cols)))
+
+
+def elim_intersect(S1, S2):
+    """S1 ∩ S2 from the kernel of [S1 | S2]."""
+    if S1.dim == 0 or S2.dim == 0:
+        return Subspace.zero(S1.ambient_dim)
+    K = elim_kernel(hstack([S1.basis, S2.basis]))
+    return Subspace.from_columns(S1.basis * K.basis.take_rows(range(S1.dim)))
+
+
+def elim_contains(S, M):
+    return M.cols == 0 or solve(S.basis, M) is not None
+
+
+def elim_complement(inner, outer):
+    if not elim_contains(outer, inner.basis):
+        return None
+    rk, R = _rref(hstack([inner.basis, outer.basis]))
+    return outer.basis.take_cols([j - inner.dim for j in pivot_columns(R, rk)[inner.dim :]])
+
+
+@st.composite
+def drawn_matrices(draw, rows, cols):
+    """rows x cols, of full or deficient rank (a product through a thinner
+    inner dimension)."""
+    inner = draw(st.integers(0, max(rows, cols)))
+    if inner >= min(rows, cols):
+        return RatMatrix(draw(fraction_rows(rows, cols)), cols=cols)
+    left = RatMatrix(draw(fraction_rows(rows, inner)), cols=inner)
+    return left * RatMatrix(draw(fraction_rows(inner, cols)), cols=cols)
+
+
+@st.composite
+def drawn_subspaces(draw, n):
+    kind = draw(st.sampled_from(["zero", "full", "span"]))
+    if kind == "zero":
+        return Subspace.zero(n)
+    if kind == "full":
+        return Subspace.full(n)
+    return image(draw(drawn_matrices(n, draw(DIMS))))
+
+
+@SETTINGS
+@given(st.data(), DIMS, DIMS)
+def test_subspace_operations_match_elimination_formulas(data, r, n):
+    M = data.draw(drawn_matrices(r, n))
+    K = kernel_basis(M)
+    assert K == elim_kernel(M) and hash(K) == hash(elim_kernel(M))
+    assert K.dim == n - rank(M) and (M * K.basis).is_zero()
+    S = data.draw(drawn_subspaces(r))
+    assert preimage(M, S) == elim_preimage(M, S)
+    S1, S2 = data.draw(drawn_subspaces(n)), data.draw(drawn_subspaces(n))
+    both = subspace_intersect(S1, S2)
+    assert both == elim_intersect(S1, S2) == subspace_intersect(S2, S1)
+    inside = S1.basis * data.draw(drawn_matrices(S1.dim, data.draw(DIMS)))
+    anywhere = data.draw(drawn_matrices(n, data.draw(DIMS)))
+    for X in (inside, anywhere, S2.basis):
+        assert S1.contains_matrix(X) == elim_contains(S1, X)
+    assert S1.contains_matrix(inside)
+    for inner in (both, S2):
+        want = elim_complement(inner, S1)
+        if want is None:
+            with pytest.raises(NotNested):
+                complement(inner, S1)
+        else:
+            assert complement(inner, S1) == want

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dacscanon.canonical import fbcf_run
+from dacscanon.canonical import emcf_run, fbcf_run
 from dacscanon.cli import parse_system
 from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 from dacscanon.ratmat import (
@@ -602,6 +602,81 @@ def test_full_row_rank_E_gives_zero_residuals():
     xs, _ = simulate_odecs(o, [1, 0, -1], [[2]] * 4, [[1]] * 4, qq(1, 3), 4)
     for r in dacs_residuals(d, xs, [[2]] * 4, qq(1, 3)):
         assert r.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# inverses carried by explicit-side certificates
+# ---------------------------------------------------------------------------
+
+
+def carried(t):
+    """The inverses t carries (None where it carries none yet)."""
+    return t.__dict__.get("_inverses", [None, None, None])
+
+
+def assert_carries_true_inverses(t):
+    for block, Mi in zip(("T_x", "T_u", "T_v"), carried(t)):
+        M = getattr(t, block)
+        assert Mi is not None, "%s^-1 is not carried" % block
+        I = RatMatrix.identity(M.rows)
+        assert M * Mi == I and Mi * M == I, "%s^-1 is wrong" % block
+
+
+@pytest.mark.parametrize("name", ["fixture", "case1", "random"])
+def test_pipeline_transforms_carry_their_inverses(name):
+    if name == "random":
+        o = random_odecs(random.Random(11), 5, 2, 2, 2)
+    else:
+        o, _ = explicitate(_verification_input(name)[0])
+    run = emcf_run(o)
+    tri, nf = run.tri.transform, run.nf.transform
+    stages = [tri, nf, run.t_can, run.total]
+    composed = [em_compose(tri, run.t_can), em_compose(run.total, em_inverse(run.total))]
+    for t in stages + composed + [em_inverse(t) for t in stages]:
+        assert_carries_true_inverses(t)
+        assert em_inverse(em_inverse(t)) == t
+
+
+def test_carried_inverses_stay_out_of_eq_hash_and_repr():
+    rng = random.Random(12)
+    t = random_em(rng, 3, 2, 2, 2)
+    assert carried(t) == [None, None, None]
+    back = em_inverse(em_inverse(t))
+    assert back == t and hash(back) == hash(t) and repr(back) == repr(t)
+    assert_carries_true_inverses(back)
+    # code that walks the fields (serializers, size probes) sees the
+    # certificate only, and a replaced transform carries nothing stale
+    blocks = ["T_x", "T_u", "T_v", "T_y", "F_u", "F_v", "R", "K"]
+    assert [f.name for f in dataclasses.fields(back)] == blocks
+    changed = dataclasses.replace(back, T_x=back.T_x.scale(2))
+    assert carried(changed) == [None, None, None]
+    assert_carries_true_inverses(em_inverse(em_inverse(changed)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_constructor_built_transform_inverts_once_on_first_use(seed):
+    rng = random.Random(400 + seed)
+    n, m, s, p = rng.randint(1, 4), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+    o = random_odecs(rng, n, m, s, p)
+    t = random_em(rng, n, m, s, p)
+    assert carried(t) == [None, None, None]
+    # the action written with freshly computed inverses
+    Txi, Tui, Tvi = inverse(t.T_x), inverse(t.T_u), inverse(t.T_v)
+    C_fb = o.C + o.D_u * t.F_u
+    A_fb = o.A + o.B_u * t.F_u + o.B_v * (t.F_v + t.R * t.F_u) + t.K * C_fb
+    want = Odecs2(
+        A=t.T_x * A_fb * Txi,
+        B_u=t.T_x * (o.B_u + o.B_v * t.R + t.K * o.D_u) * Tui,
+        B_v=t.T_x * o.B_v * Tvi,
+        C=t.T_y * C_fb * Txi,
+        D_u=t.T_y * o.D_u * Tui,
+    )
+    assert apply_em(o, t) == want
+    assert_carries_true_inverses(t)
+    first = list(carried(t))
+    assert apply_em(o, t) == want
+    assert all(a is b for a, b in zip(first, carried(t)))
+    assert em_inverse(em_inverse(t)) == t
 
 
 if __name__ == "__main__":
