@@ -24,12 +24,12 @@ from .ratmat import (
     InternalInvariantViolation,
     RatMatrix,
     Subspace,
+    _inverse_or_violation,
     block_diag,
     complement,
     hstack,
     image,
     inverse,
-    is_invertible,
     kernel_basis,
     place,
     qq,
@@ -238,19 +238,17 @@ def brunovsky_single(
     n, m = A.rows, B.cols
     chains = functional_chains(A, B)
     T_x = tower_matrix(chains, A)
-    if not is_invertible(T_x):
-        raise InternalInvariantViolation("chain tower is not a basis")
+    T_x_inv = _inverse_or_violation(T_x, "chain tower is not a basis")
     gamma_rows = [tau * _matrix_power(A, k - 1) * B for tau, k in chains]
     Gamma = vstack(gamma_rows) if gamma_rows else RatMatrix.zeros(0, m)
     extra = complement(image(Gamma.T), Subspace.full(m)).T
     T_u = vstack([Gamma, extra]) if m else RatMatrix.identity(0)
-    if not is_invertible(T_u):
-        raise InternalInvariantViolation("chain tails do not extend to an input basis")
+    T_u_inv = _inverse_or_violation(T_u, "chain tails do not extend to an input basis")
     tails = [tau * _matrix_power(A, k) for tau, k in chains]
     M = vstack(tails + [RatMatrix.zeros(m - len(chains), n)]) if m else RatMatrix.zeros(0, n)
-    F = -(inverse(T_u) * M) if m else RatMatrix.zeros(0, n)
+    F = -(T_u_inv * M) if m else RatMatrix.zeros(0, n)
     kappa = [k for _, k in chains]
-    _assert_chain_form(T_x * (A + B * F) * inverse(T_x), T_x * B * inverse(T_u), kappa)
+    _assert_chain_form(T_x * (A + B * F) * T_x_inv, T_x * B * T_u_inv, kappa)
     return T_x, T_u, F, kappa
 
 
@@ -394,9 +392,8 @@ def _frobenius_rec(A: RatMatrix) -> Tuple[RatMatrix, List[RatMatrix], List[List]
     Phi = vstack(tower)
     W = kernel_basis(Phi).basis
     P = hstack([V, W])
-    if not is_invertible(P):
-        raise InternalInvariantViolation("cyclic split is not a direct sum")
-    Ap = inverse(P) * A * P
+    P_inv = _inverse_or_violation(P, "cyclic split is not a direct sum")
+    Ap = P_inv * A * P
     sub = Ap.submatrix(range(d, n), range(d, n))
     if not (
         Ap.submatrix(range(d), range(d, n)).is_zero()
@@ -404,6 +401,6 @@ def _frobenius_rec(A: RatMatrix) -> Tuple[RatMatrix, List[RatMatrix], List[List]
     ):
         raise InternalInvariantViolation("cyclic complement is not invariant")
     T_sub, blocks_sub, factors_sub = _frobenius_rec(sub)
-    T = block_diag([RatMatrix.identity(d), T_sub]) * inverse(P)
+    T = block_diag([RatMatrix.identity(d), T_sub]) * P_inv
     return T, [companion(mp)] + blocks_sub, [mp] + factors_sub
 

@@ -56,6 +56,7 @@ from .ratmat import (
     InternalInvariantViolation,
     RatMatrix,
     Subspace,
+    _inverse_or_violation,
     block_diag,
     complement,
     hstack,
@@ -300,14 +301,12 @@ def _two_kind_chains(
         + [eye.take_rows([j]) for j in range(m, m + s) if j not in v_pivots]
     )
     T_w = vstack(w_rows) if w_rows else RatMatrix.identity(0)
-    if not is_invertible(T_w):
-        raise InternalInvariantViolation("chain tails do not extend to an input basis")
+    T_w_inv = _inverse_or_violation(T_w, "chain tails do not extend to an input basis")
 
     # tail-killing feedback: row r_j of M is tau_j A^{k_j}, zero elsewhere
     tail_rows = list(range(len(u_chains))) + list(range(m, m + len(v_chains)))
     tails = [tau * _matrix_power(A, k) for tau, k, _, _ in ordered]
     M = place(m + s, n, [([r], range(n), tail) for r, tail in zip(tail_rows, tails)])
-    T_w_inv = inverse(T_w)
     F_w = -(T_w_inv * M)
 
     u_list = [(tau, k) for tau, k, _, _ in u_chains]
@@ -560,13 +559,10 @@ def _prime_canonical(o: Odecs2) -> Tuple[EmTransform, List[int], int, List[int]]
     #   head coefficients into T_y, and K soaks up every correction the
     #   towers borrowed from the outputs.
     T_x = vstack([RatMatrix.zeros(0, n)] + [col.T for ch in ordered for col in ch.tower])
-    if not is_invertible(T_x):
-        raise InternalInvariantViolation("prime towers are not independent")
+    T_x_inv = _inverse_or_violation(T_x, "prime towers are not independent")
     T_w_core = vstack([RatMatrix.zeros(0, m3 + s)] + [ch.rho for ch in ordered])
-    if not is_invertible(T_w_core):
-        raise InternalInvariantViolation("prime drive rows are dependent")
+    T_w_core_inv = _inverse_or_violation(T_w_core, "prime drive rows are dependent")
     N = vstack([RatMatrix.zeros(0, n)] + [ch.tower[-1].T * o2.A for ch in ordered])
-    T_w_core_inv = inverse(T_w_core)
     F_w_core = -(T_w_core_inv * N)
 
     # widen by the static inputs, which sit in the last u slots untouched;
@@ -580,7 +576,6 @@ def _prime_canonical(o: Odecs2) -> Tuple[EmTransform, List[int], int, List[int]]
     T_y1 = place(p, p, [(live, range(p - delta), heads), (u_st, y_st, RatMatrix.identity(delta))])
 
     A_canon = _chain_diag(sigma + sigma_bar)
-    T_x_inv = inverse(T_x)
     M = T_x_inv * A_canon * T_x - o2.A - hstack([o2.B_u, o2.B_v]) * F_w
     K = solve_left(o2.C, M)
     if K is None:

@@ -1,16 +1,21 @@
 """Command-line interface: exact system files, pipeline commands, reports.
 
-Systems travel as JSON with every rational written as a string ("3/4",
-"-2"), so files round-trip bit-exactly through parse/serialize.  Two kinds
-exist:
+Systems and certificates travel as JSON with every rational written as a
+string ("3/4", "-2"), so files round-trip bit-exactly through
+parse/serialize.  An entry is an integer, or a string holding an integer,
+a fraction "p/q" or a decimal; strings with an exponent part ("1e5") are
+refused, since a long exponent expands to a huge integer.  ``_SCHEMA``
+lists every kind with its matrices; the two system kinds are
 
     {"kind": "dacs",   "dims": {"l","n","m"},         "E","H","L": [[...]]}
     {"kind": "odecs2", "dims": {"n","m","s","p"},     "A","Bu","Bv","C","Du"}
 
-The "dims" block is optional on parse (it disambiguates matrices with zero
-rows) and always written on serialize.  "name" and "description" are free
-metadata.  A report produced by any command is itself parseable as a system
-file: parse_system descends into its "result" entry.
+The "dims" block is always written on serialize.  On parse it is optional
+(it disambiguates matrices with zero rows): each entry it gives must fit
+every matrix that names it, and an entry it leaves out is read off the
+matrices.  "name" and "description" are free metadata.  A report produced
+by any command is itself parseable as a system file: parse_system descends
+into its "result" entry.
 
 Every transforming command writes a report carrying the produced system,
 the index lists, the full certificate chain (one entry per pipeline stage,
@@ -29,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from functools import partial
 from typing import List, Optional, Tuple, Union
 
@@ -91,6 +97,8 @@ def _rat_from_json(x, where: str):
         return qq(x)
     if not isinstance(x, str):
         raise ParseError("%s: entry %r is not a rational string" % (where, x))
+    if "e" in x or "E" in x:
+        raise ParseError("%s: entry %r has an exponent part" % (where, x))
     try:
         return qq(x.strip())
     except ZeroDivisionError:
@@ -122,8 +130,50 @@ def _mat_to_json(M: RatMatrix) -> List[List[str]]:
 
 
 # ---------------------------------------------------------------------------
-# system files
+# systems and certificates <-> JSON
 # ---------------------------------------------------------------------------
+
+
+# Each JSON kind: whether it is a system or a certificate, its type, and its
+# matrices as (JSON key, attribute, rows dims entry, columns dims entry).
+_SCHEMA = {
+    "dacs": ("system", Dacs, (
+        ("E", "E", "l", "n"), ("H", "H", "l", "n"), ("L", "L", "l", "m"),
+    )),
+    "odecs2": ("system", Odecs2, (
+        ("A", "A", "n", "n"), ("Bu", "B_u", "n", "m"), ("Bv", "B_v", "n", "s"),
+        ("C", "C", "p", "n"), ("Du", "D_u", "p", "m"),
+    )),
+    "exfb": ("certificate", ExFbTransform, (
+        ("Q", "Q", "l", "l"), ("P", "P", "n", "n"), ("F", "F", "m", "n"), ("G", "G", "m", "m"),
+    )),
+    "em": ("certificate", EmTransform, (
+        ("T_x", "T_x", "n", "n"), ("T_u", "T_u", "m", "m"), ("T_v", "T_v", "s", "s"),
+        ("T_y", "T_y", "p", "p"), ("F_u", "F_u", "m", "n"), ("F_v", "F_v", "s", "n"),
+        ("R", "R", "s", "m"), ("K", "K", "n", "p"),
+    )),
+}
+_KIND_OF = {cls: kind for kind, (_, cls, _) in _SCHEMA.items()}
+
+
+def _dims_of(obj) -> dict:
+    """The dims block of obj, in the order its matrices first name them."""
+    dims = {}
+    for _, attr, rows, cols in _SCHEMA[_KIND_OF[type(obj)]][2]:
+        M = getattr(obj, attr)
+        dims.setdefault(rows, M.rows)
+        dims.setdefault(cols, M.cols)
+    return dims
+
+
+def _to_json(obj, role: str) -> dict:
+    """obj's kind, dims and matrices, as the schema lists them."""
+    kind = _KIND_OF.get(type(obj))
+    if kind is None or _SCHEMA[kind][0] != role:
+        raise TypeError("not a %s: %r" % (role, obj))
+    out = {"kind": kind, "dims": _dims_of(obj)}
+    out.update((key, _mat_to_json(getattr(obj, attr))) for key, attr, _, _ in _SCHEMA[kind][2])
+    return out
 
 
 def serialize_system(
@@ -132,26 +182,7 @@ def serialize_system(
     description: Optional[str] = None,
 ) -> dict:
     """JSON-ready dict for a system; parse_system inverts it bit-exactly."""
-    if isinstance(system, Dacs):
-        out = {
-            "kind": "dacs",
-            "dims": {"l": system.l, "n": system.n, "m": system.m},
-            "E": _mat_to_json(system.E),
-            "H": _mat_to_json(system.H),
-            "L": _mat_to_json(system.L),
-        }
-    elif isinstance(system, Odecs2):
-        out = {
-            "kind": "odecs2",
-            "dims": {"n": system.n, "m": system.m, "s": system.s, "p": system.p},
-            "A": _mat_to_json(system.A),
-            "Bu": _mat_to_json(system.B_u),
-            "Bv": _mat_to_json(system.B_v),
-            "C": _mat_to_json(system.C),
-            "Du": _mat_to_json(system.D_u),
-        }
-    else:
-        raise TypeError("not a system: %r" % (system,))
+    out = _to_json(system, "system")
     if name is not None:
         out["name"] = name
     if description is not None:
@@ -159,14 +190,49 @@ def serialize_system(
     return out
 
 
-def _dims_entry(obj, key: str) -> Optional[int]:
-    dims = obj.get("dims")
-    if dims is None:
+def _serialize_cert(t: Union[ExFbTransform, EmTransform], stage: str) -> dict:
+    return {"stage": stage, **_to_json(t, "certificate")}
+
+
+def _dims_entry(dims, key: str) -> Optional[int]:
+    """dims[key], or None when the file does not give it."""
+    if dims is None or (isinstance(dims, dict) and key not in dims):
         return None
-    v = dims.get(key) if isinstance(dims, dict) else None
+    v = dims[key] if isinstance(dims, dict) else None
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
         raise ParseError("dims.%s must be a nonnegative integer" % key)
     return v
+
+
+def _from_json(obj: dict, role: str, noun: str):
+    """The system or certificate an object describes, checked against the
+    schema: every given dims entry must fit every matrix that names it, and
+    a width the dims leave out is taken from an earlier matrix sharing it."""
+    kind = obj.get("kind")
+    spec = _SCHEMA.get(kind) if isinstance(kind, str) else None
+    if spec is None or spec[0] != role:
+        raise ParseError("unknown %s kind %r" % (role, kind))
+    _, cls, mats = spec
+    for key, _, _, _ in mats:
+        if key not in obj:
+            raise ParseError("%s %s is missing %r" % (kind, noun, key))
+    dims = obj.get("dims")
+    widths, parsed = {}, {}
+    for key, attr, _, cols in mats:
+        width = _dims_entry(dims, cols)
+        M = _mat_from_json(obj[key], key, widths.get(cols) if width is None else width)
+        widths.setdefault(cols, M.cols)
+        parsed[attr] = M
+    for key, attr, rows, _ in mats:
+        want = _dims_entry(dims, rows)
+        if want is not None and parsed[attr].rows != want:
+            raise DimensionError(
+                "%s has %d rows, dims say %s=%d" % (key, parsed[attr].rows, rows, want)
+            )
+    try:
+        return cls(**parsed)
+    except ValueError as exc:
+        raise DimensionError(str(exc)) from None
 
 
 def parse_system_obj(obj) -> Union[Dacs, Odecs2]:
@@ -175,36 +241,18 @@ def parse_system_obj(obj) -> Union[Dacs, Odecs2]:
         obj = obj["result"]
     if not isinstance(obj, dict):
         raise ParseError("system file must be a JSON object")
-    kind = obj.get("kind")
-    if kind == "dacs":
-        for key in ("E", "H", "L"):
-            if key not in obj:
-                raise ParseError("dacs file is missing %r" % key)
-        E = _mat_from_json(obj["E"], "E", _dims_entry(obj, "n"))
-        H = _mat_from_json(obj["H"], "H", _dims_entry(obj, "n"))
-        L = _mat_from_json(obj["L"], "L", _dims_entry(obj, "m"))
-        l = _dims_entry(obj, "l")
-        if l is not None and E.rows != l:
-            raise DimensionError("E has %d rows, dims say l=%d" % (E.rows, l))
-        try:
-            return Dacs(E, H, L)
-        except ValueError as exc:
-            raise DimensionError(str(exc)) from None
-    if kind == "odecs2":
-        for key in ("A", "Bu", "Bv", "C", "Du"):
-            if key not in obj:
-                raise ParseError("odecs2 file is missing %r" % key)
-        n = _dims_entry(obj, "n")
-        A = _mat_from_json(obj["A"], "A", n)
-        Bu = _mat_from_json(obj["Bu"], "Bu", _dims_entry(obj, "m"))
-        Bv = _mat_from_json(obj["Bv"], "Bv", _dims_entry(obj, "s"))
-        C = _mat_from_json(obj["C"], "C", n if n is not None else A.cols)
-        Du = _mat_from_json(obj["Du"], "Du", _dims_entry(obj, "m"))
-        try:
-            return Odecs2(A, Bu, Bv, C, Du)
-        except ValueError as exc:
-            raise DimensionError(str(exc)) from None
-    raise ParseError("unknown system kind %r" % (kind,))
+    return _from_json(obj, "system", "file")
+
+
+def _parse_cert_obj(obj) -> Union[ExFbTransform, EmTransform]:
+    if not isinstance(obj, dict):
+        raise ParseError("certificate must be a JSON object")
+    return _from_json(obj, "certificate", "certificate")
+
+
+# ---------------------------------------------------------------------------
+# files
+# ---------------------------------------------------------------------------
 
 
 def _load_json(path: str):
@@ -222,68 +270,6 @@ def parse_system(path: str) -> Union[Dacs, Odecs2]:
     return parse_system_obj(_load_json(path))
 
 
-# ---------------------------------------------------------------------------
-# certificates <-> JSON
-# ---------------------------------------------------------------------------
-
-
-def _serialize_exfb(t: ExFbTransform, stage: str) -> dict:
-    return {
-        "stage": stage,
-        "kind": "exfb",
-        "dims": {"l": t.Q.rows, "n": t.P.rows, "m": t.G.rows},
-        "Q": _mat_to_json(t.Q),
-        "P": _mat_to_json(t.P),
-        "F": _mat_to_json(t.F),
-        "G": _mat_to_json(t.G),
-    }
-
-
-def _serialize_em(t: EmTransform, stage: str) -> dict:
-    return {
-        "stage": stage,
-        "kind": "em",
-        "dims": {
-            "n": t.T_x.rows,
-            "m": t.T_u.rows,
-            "s": t.T_v.rows,
-            "p": t.T_y.rows,
-        },
-        "T_x": _mat_to_json(t.T_x),
-        "T_u": _mat_to_json(t.T_u),
-        "T_v": _mat_to_json(t.T_v),
-        "T_y": _mat_to_json(t.T_y),
-        "F_u": _mat_to_json(t.F_u),
-        "F_v": _mat_to_json(t.F_v),
-        "R": _mat_to_json(t.R),
-        "K": _mat_to_json(t.K),
-    }
-
-
-# matrix keys of each certificate kind, with the dims entry giving the width
-_CERT_KEYS = {
-    "exfb": (("Q", "l"), ("P", "n"), ("F", "n"), ("G", "m")),
-    "em": (
-        ("T_x", "n"), ("T_u", "m"), ("T_v", "s"), ("T_y", "p"),
-        ("F_u", "n"), ("F_v", "n"), ("R", "m"), ("K", "p"),
-    ),
-}
-
-
-def _parse_cert_obj(obj) -> Union[ExFbTransform, EmTransform]:
-    if not isinstance(obj, dict):
-        raise ParseError("certificate must be a JSON object")
-    kind = obj.get("kind")
-    if kind not in ("exfb", "em"):
-        raise ParseError("unknown certificate kind %r" % (kind,))
-    keys = _CERT_KEYS[kind]
-    for key, _ in keys:
-        if key not in obj:
-            raise ParseError("%s certificate is missing %r" % (kind, key))
-    mats = {key: _mat_from_json(obj[key], key, _dims_entry(obj, dim)) for key, dim in keys}
-    return ExFbTransform(**mats) if kind == "exfb" else EmTransform(**mats)
-
-
 def _load_cert(path: str, wanted_kind: str) -> Union[ExFbTransform, EmTransform]:
     """Load a certificate file; inside a report, pick the last one of the
     wanted kind (the total transformation comes last in every chain)."""
@@ -299,7 +285,7 @@ def _load_cert(path: str, wanted_kind: str) -> Union[ExFbTransform, EmTransform]
             )
         obj = matching[-1]
     cert = _parse_cert_obj(obj)
-    have = "exfb" if isinstance(cert, ExFbTransform) else "em"
+    have = _KIND_OF[type(cert)]
     if have != wanted_kind:
         raise ParseError(
             "certificate kind %r does not fit the given systems (%r needed)"
@@ -314,29 +300,16 @@ def _load_cert(path: str, wanted_kind: str) -> Union[ExFbTransform, EmTransform]
 
 
 def _indices_json(idx: Union[EmcfIndices, FbcfIndices]) -> dict:
-    if isinstance(idx, EmcfIndices):
-        return {
-            "eps": list(idx.eps),
-            "eps_bar": list(idx.eps_bar),
-            "A_nn": _mat_to_json(idx.A_nn),
-            "sigma": list(idx.sigma),
-            "delta": idx.delta,
-            "sigma_bar": list(idx.sigma_bar),
-            "eta": list(idx.eta),
-            "dead_u": idx.dead_u,
-            "dead_v": idx.dead_v,
-            "dead_y": idx.dead_y,
-        }
-    return {
-        "eps_p": list(idx.eps_p),
-        "eps_bar_p": list(idx.eps_bar_p),
-        "sigma_p": list(idx.sigma_p),
-        "sigma_bar_p": list(idx.sigma_bar_p),
-        "eta_p": list(idx.eta_p),
-        "n_rho": idx.n_rho,
-        "A_rho": _mat_to_json(idx.A_rho),
-        "dead_u": idx.dead_u,
-    }
+    """One entry per field: index tuples as lists, matrices as JSON."""
+    out = {}
+    for f in fields(idx):
+        v = getattr(idx, f.name)
+        if isinstance(v, RatMatrix):
+            v = _mat_to_json(v)
+        elif isinstance(v, tuple):
+            v = list(v)
+        out[f.name] = v
+    return out
 
 
 def _subspace_json(name: str, S) -> dict:
@@ -360,10 +333,10 @@ def _serialize_record(rec: ExplicitationRecord) -> dict:
 
 def _emcf_certs(run: EmcfRun, total_stage: str) -> List[dict]:
     return [
-        _serialize_em(run.tri.transform, "triangular"),
-        _serialize_em(run.nf.transform, "normal_form"),
-        _serialize_em(run.t_can, "canonical"),
-        _serialize_em(run.total, total_stage),
+        _serialize_cert(run.tri.transform, "triangular"),
+        _serialize_cert(run.nf.transform, "normal_form"),
+        _serialize_cert(run.t_can, "canonical"),
+        _serialize_cert(run.total, total_stage),
     ]
 
 
@@ -409,37 +382,18 @@ def _cmd_explicitate(args) -> Tuple[dict, bool]:
 def _cmd_wong(args) -> Tuple[dict, bool]:
     system = parse_system(args.input)
     if isinstance(system, Dacs):
-        w = wong_sequences(system)
-        subspaces = [
-            _subspace_json("V_star", w.V_star),
-            _subspace_json("W_star", w.W_star),
-        ]
-        seqs = {
-            "V_seq_dims": [S.dim for S in w.V_seq],
-            "W_seq_dims": [S.dim for S in w.W_seq],
-            "What_seq_dims": [S.dim for S in w.What_seq],
-        }
+        r, names, blocks = wong_sequences(system), ("V_star", "W_star"), ()
     else:
         r = invariant_subspaces(system)
-        subspaces = [
-            _subspace_json("V_star", r.V_star),
-            _subspace_json("W_star", r.W_star),
-            _subspace_json("U_star", r.U_star),
-            _subspace_json("Y_star", r.Y_star),
-        ]
-        seqs = {
-            "V_seq_dims": [S.dim for S in r.V_seq],
-            "W_seq_dims": [S.dim for S in r.W_seq],
-            "What_seq_dims": [S.dim for S in r.What_seq],
-            "block_dims": {
-                "n1": r.n1, "n2": r.n2, "n3": r.n3, "n4": r.n4,
-                "m1": r.m1, "m3": r.m3, "p3": r.p3, "p4": r.p4,
-            },
-        }
+        names = ("V_star", "W_star", "U_star", "Y_star")
+        blocks = ("n1", "n2", "n3", "n4", "m1", "m3", "p3", "p4")
+    seqs = {k + "_dims": [S.dim for S in getattr(r, k)] for k in ("V_seq", "W_seq", "What_seq")}
+    if blocks:
+        seqs["block_dims"] = {k: getattr(r, k) for k in blocks}
     report = {
         "command": "wong",
         "input": serialize_system(system),
-        "subspaces": subspaces,
+        "subspaces": [_subspace_json(k, getattr(r, k)) for k in names],
         "sequences": seqs,
         "verified": True,
     }
@@ -455,7 +409,7 @@ def _cmd_triangular(tf, args) -> Tuple[dict, bool]:
         "input": serialize_system(o),
         "result": serialize_system(tri.system),
         "block_dims": dict(tri.dims._asdict()),
-        "certificates": [_serialize_em(tri.transform, "triangular")],
+        "certificates": [_serialize_cert(tri.transform, "triangular")],
         "verified": True,
     }
     return report, True
@@ -476,8 +430,8 @@ def _cmd_normal_form(nf_fn, args) -> Tuple[dict, bool]:
         "result": serialize_system(nf.system),
         "block_dims": dict(nf.dims._asdict()),
         "certificates": [
-            _serialize_em(tri.transform, "triangular"),
-            _serialize_em(nf.transform, "total"),
+            _serialize_cert(tri.transform, "triangular"),
+            _serialize_cert(nf.transform, "total"),
         ],
         "verified": True,
     }
@@ -513,7 +467,7 @@ def _cmd_invariants(args) -> Tuple[dict, bool]:
         report = {
             "command": "invariants",
             "input": serialize_system(system),
-            "dims": {"l": system.l, "n": system.n, "m": system.m},
+            "dims": _dims_of(system),
             "subspace_dims": {
                 "V_star": w.V_star.dim,
                 "W_star": w.W_star.dim,
@@ -529,7 +483,7 @@ def _cmd_invariants(args) -> Tuple[dict, bool]:
     report = {
         "command": "invariants",
         "input": serialize_system(system),
-        "dims": {"n": system.n, "m": system.m, "s": system.s, "p": system.p},
+        "dims": _dims_of(system),
         "subspace_dims": {
             "V_star": bd.n1 + bd.n2,
             "W_star": bd.n1 + bd.n3,
@@ -554,7 +508,7 @@ def _cmd_fbcf(args) -> Tuple[dict, bool]:
         "emcf_indices": _indices_json(ex.idx),
         "certificates": [_serialize_record(run.rec)]
         + _emcf_certs(ex, "total_explicit")
-        + [_serialize_exfb(run.cert, "total")],
+        + [_serialize_cert(run.cert, "total")],
         "verified": True,
     }
     if args.stage_dump:

@@ -63,8 +63,9 @@ class InvariantResult:
 
     Indexing matches WongResult.  The input and output companions of the
     limits are U* = {w : B_w w in V*, D_w w = 0} and
-    Y* = [C D_w] (W* x R^(m+s)).  The decomposition counts split the state,
-    input and output spaces:
+    Y* = [C D_w] (W* x R^(m+s)); V_cap_W and V_plus_W are V* ∩ W* and
+    V* + W*.  The decomposition counts split the state, input and output
+    spaces:
 
         n1 = dim(V* ∩ W*), n2 = dim V* - n1, n3 = dim W* - n1,
         n4 = n - dim(V* + W*), m1 = dim U*, m3 = (m+s) - m1,
@@ -78,6 +79,8 @@ class InvariantResult:
     W_star: Subspace
     U_star: Subspace
     Y_star: Subspace
+    V_cap_W: Subspace
+    V_plus_W: Subspace
     n1: int
     n2: int
     n3: int
@@ -168,10 +171,12 @@ def invariant_subspaces(o: Odecs2) -> InvariantResult:
     V_star, W_star = V_seq[-1], W_seq[-1]
     U_star = preimage(BD, _embed_top(V_star, p))
     Y_star = image(CD * _sum_with_full_inputs(W_star, mw))
-    n1 = subspace_intersect(V_star, W_star).dim
+    V_cap_W = subspace_intersect(V_star, W_star)
+    V_plus_W = subspace_sum(V_star, W_star)
+    n1 = V_cap_W.dim
     n2 = V_star.dim - n1
     n3 = W_star.dim - n1
-    n4 = n - subspace_sum(V_star, W_star).dim
+    n4 = n - V_plus_W.dim
     m1 = U_star.dim
     p3 = Y_star.dim
     return InvariantResult(
@@ -182,6 +187,8 @@ def invariant_subspaces(o: Odecs2) -> InvariantResult:
         W_star=W_star,
         U_star=U_star,
         Y_star=Y_star,
+        V_cap_W=V_cap_W,
+        V_plus_W=V_plus_W,
         n1=n1,
         n2=n2,
         n3=n3,

@@ -29,6 +29,7 @@ from .ratmat import (
     InternalInvariantViolation,
     RatMatrix,
     Subspace,
+    _inverse_or_violation,
     _kron,
     _unvec,
     _vec,
@@ -36,7 +37,6 @@ from .ratmat import (
     complement,
     hstack,
     inverse,
-    is_invertible,
     kernel_basis,
     place,
     qq,
@@ -307,12 +307,11 @@ def _static_normalizer(D: RatMatrix) -> Tuple[RatMatrix, RatMatrix, RatMatrix, i
     delta, R, Qy = rank_rref(D)
     Rd = R.take_rows(range(delta))
     Tu_inv = hstack([kernel_basis(Rd).basis, right_inverse(Rd)])
-    if not is_invertible(Tu_inv):
-        raise InternalInvariantViolation("static rank factorization failed")
+    T_u = _inverse_or_violation(Tu_inv, "static rank factorization failed")
     T_y = RatMatrix.identity(p).take_rows(list(range(delta, p)) + list(range(delta))) * Qy
     if T_y * D * Tu_inv != _static_pattern(p, D.cols, delta):
         raise InternalInvariantViolation("static block did not normalize")
-    return T_y, inverse(Tu_inv), Tu_inv, delta
+    return T_y, T_u, Tu_inv, delta
 
 
 def _input_groups(m: int, s: int, m1u: int, s1: int) -> Tuple[List[int], List[int]]:
@@ -327,18 +326,16 @@ def _stage0(o: Odecs2) -> Tuple[EmTransform, BlockDims, int, int]:
     d = BlockDims(inv.n1, inv.n2, inv.n3, inv.n4, inv.m1, inv.m3, inv.p3, inv.p4)
     n, m, s, p = o.n, o.m, o.s, o.p
 
-    vw = subspace_intersect(inv.V_star, inv.W_star)
+    vw = inv.V_cap_W
     basis_x = hstack(
         [
             vw.basis,
             complement(vw, inv.V_star),
             complement(vw, inv.W_star),
-            complement(subspace_sum(inv.V_star, inv.W_star), Subspace.full(n)),
+            complement(inv.V_plus_W, Subspace.full(n)),
         ]
     )
-    if basis_x.cols != n or not is_invertible(basis_x):
-        raise InternalInvariantViolation("state blocks do not assemble to a basis")
-    T_x = inverse(basis_x)
+    T_x = _inverse_or_violation(basis_x, "state blocks do not assemble to a basis")
 
     v_space = _v_space(m, s)
     u_v = subspace_intersect(inv.U_star, v_space)
@@ -348,16 +345,15 @@ def _stage0(o: Odecs2) -> Tuple[EmTransform, BlockDims, int, int]:
     t_v3 = complement(u_v, v_space)
     basis_w = hstack([t_u1, t_u3, t_v1, t_v3])
     m1u, s1 = t_u1.cols, t_v1.cols
-    if m1u + t_u3.cols != m or s1 + t_v3.cols != s or not is_invertible(basis_w):
-        raise InternalInvariantViolation("input groups do not assemble to a basis")
+    not_a_basis = "input groups do not assemble to a basis"
+    if m1u + t_u3.cols != m or s1 + t_v3.cols != s:
+        raise InternalInvariantViolation(not_a_basis)
+    T_w = _inverse_or_violation(basis_w, not_a_basis)
     if not basis_w.submatrix(range(m), range(m, m + s)).is_zero():
         raise InternalInvariantViolation("second-kind inputs leaked into the first kind")
-    T_w = inverse(basis_w)
 
     basis_y = hstack([inv.Y_star.basis, complement(inv.Y_star, Subspace.full(p))])
-    if not is_invertible(basis_y):
-        raise InternalInvariantViolation("output blocks do not assemble to a basis")
-    T_y = inverse(basis_y)
+    T_y = _inverse_or_violation(basis_y, "output blocks do not assemble to a basis")
 
     zero_F, zero_K = RatMatrix.zeros(m + s, n), RatMatrix.zeros(n, p)
     t0 = _em_from_merged(T_x, T_w, T_y, zero_F, zero_K, m, T_x_inv=basis_x, T_w_inv=basis_w)

@@ -487,6 +487,15 @@ def inverse(M: RatMatrix) -> RatMatrix:
     return T
 
 
+def _inverse_or_violation(M: RatMatrix, message: str) -> RatMatrix:
+    """inverse(M) where the algorithm has proven M invertible: a singular or
+    non-square M raises InternalInvariantViolation(message)."""
+    try:
+        return inverse(M)
+    except ValueError:
+        raise InternalInvariantViolation(message) from None
+
+
 # The fixed prime of the modular invertibility test.
 _PRIME = (1 << 61) - 1
 

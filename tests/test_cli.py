@@ -10,9 +10,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dacscanon
 from dacscanon import canonical, morse
@@ -20,15 +23,19 @@ from dacscanon.cli import (
     DimensionError,
     ParseError,
     ZeroDenominator,
-    _serialize_exfb,
+    _SCHEMA,
+    _parse_cert_obj,
+    _serialize_cert,
     main,
     parse_system,
+    parse_system_obj,
     serialize_system,
 )
 from dacscanon.geometry import invariant_subspaces
 from dacscanon.ratmat import RatMatrix, mat, qq
 from dacscanon.systems import (
     Dacs,
+    EmTransform,
     ExFbTransform,
     Odecs2,
     explicitate,
@@ -115,6 +122,115 @@ def test_unknown_kind_rejected(tmp_path):
     p = write(tmp_path, "k.json", {"kind": "weird", "E": [["1"]]})
     with pytest.raises(ParseError):
         parse_system(p)
+
+
+def test_dims_contradicting_a_matrix_exit_2(tmp_path, capsys):
+    # "p" names the rows of C and Du; this C has one row
+    obj = {"kind": "odecs2", "dims": {"n": 1, "m": 0, "s": 0, "p": 3},
+           "A": [["1"]], "Bu": [[]], "Bv": [[]], "C": [["1"]], "Du": [[]]}
+    assert main(["wong", write(tmp_path, "p3.json", obj)]) == 2
+    assert capsys.readouterr().err == "error: C has 1 rows, dims say p=3\n"
+
+
+def test_width_left_out_of_dims_comes_from_an_earlier_matrix(tmp_path):
+    # C and Du have no rows: C takes A's width n, Du takes Bu's width m
+    obj = {"kind": "odecs2", "dims": {"s": 0},
+           "A": [["1"]], "Bu": [["2", "3"]], "Bv": [[]], "C": [], "Du": []}
+    o = parse_system(write(tmp_path, "partial.json", obj))
+    assert (o.n, o.m, o.s, o.p) == (1, 2, 0, 0)
+
+
+def test_exponent_entry_exits_2_at_once(tmp_path, capsys):
+    # Fraction would expand "1e1000000000" into a billion-digit integer
+    obj = {"kind": "dacs", "E": [["1e1000000000"]], "H": [["0"]], "L": [[]]}
+    p = write(tmp_path, "exp.json", obj)
+    start = time.perf_counter()
+    assert main(["wong", p]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: E: entry '1e1000000000' has an exponent part\n"
+
+
+@pytest.mark.parametrize(
+    "t",
+    [ExFbTransform.identity(2, 3, 1), EmTransform.identity(2, 1, 1, 3), EmTransform.identity(0, 0, 0, 0)],
+)
+def test_certificates_roundtrip_through_json(t):
+    obj = json.loads(json.dumps(_serialize_cert(t, "total")))
+    assert obj["stage"] == "total"
+    assert _parse_cert_obj(obj) == t
+
+
+_GOOD_ENTRIES = st.one_of(st.integers(-3, 3), st.sampled_from(["1", "-2/3", " 4 ", "0.5"]))
+_ENTRIES = st.one_of(
+    _GOOD_ENTRIES,
+    st.sampled_from(["1/0", "1e1000000000", "2E-9", "x", ""]),
+    st.floats(),
+    st.none(),
+    st.booleans(),
+    st.just({}),
+)
+_MATRICES = st.one_of(st.lists(st.lists(_ENTRIES, max_size=3), max_size=3), _ENTRIES)
+_DIMS = st.one_of(
+    st.dictionaries(
+        st.sampled_from("lnmsp"),
+        st.one_of(st.integers(-1, 3), st.booleans(), st.text(max_size=2), st.none()),
+    ),
+    st.integers(-1, 3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.none(),
+)
+_KINDS = st.one_of(
+    st.sampled_from(sorted(_SCHEMA)), st.text(max_size=3), st.none(), st.lists(st.integers(), max_size=1)
+)
+_MATRIX_KEYS = sorted({key for _, _, mats in _SCHEMA.values() for key, _, _, _ in mats})
+
+
+@st.composite
+def _schema_documents(draw):
+    """A document of a known kind.  Its matrices either fit one size per
+    dims entry or have drawn shapes; its entries are either all rationals
+    or drawn from junk too; its dims block is right, partial, junk or absent;
+    a matrix key may be missing."""
+    kind = draw(st.sampled_from(sorted(_SCHEMA)))
+    size = {d: draw(st.integers(0, 2)) for d in "lnmsp"}
+    fits = draw(st.booleans())
+    entries = draw(st.sampled_from([_GOOD_ENTRIES, _ENTRIES]))
+    doc = {"kind": kind}
+    for key, _, rows, cols in _SCHEMA[kind][2]:
+        r, c = (size[x] if fits else draw(st.integers(0, 2)) for x in (rows, cols))
+        doc[key] = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    dims = draw(st.sampled_from(["full", "partial", "junk", "absent"]))
+    if dims == "full":
+        doc["dims"] = size
+    elif dims == "partial":
+        doc["dims"] = {d: v for d, v in size.items() if draw(st.booleans())}
+    elif dims == "junk":
+        doc["dims"] = draw(_DIMS)
+    if draw(st.integers(0, 9)) == 0:
+        del doc[draw(st.sampled_from(sorted(k for k in doc if k != "kind")))]
+    return doc
+
+
+_DOCUMENTS = st.one_of(
+    _schema_documents(),
+    st.fixed_dictionaries(
+        {"kind": _KINDS}, optional=dict({"dims": _DIMS}, **{k: _MATRICES for k in _MATRIX_KEYS})
+    ),
+    _MATRICES,
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_DOCUMENTS)
+def test_parsers_return_or_raise_an_input_error(doc):
+    # the one parse path either builds a value or names what is wrong with
+    # the document: never another exception, so the CLI exits 2, not with
+    # a traceback
+    for parse in (parse_system_obj, _parse_cert_obj):
+        try:
+            parse(doc)
+        except (ParseError, DimensionError, ZeroDenominator):
+            pass
 
 
 def test_parse_serialize_identity_dacs(tmp_path):
@@ -226,7 +342,7 @@ def test_stage_dump_includes_intermediate_systems(tmp_path):
 
 
 def test_verify_identity_certificate(tmp_path):
-    cert = write(tmp_path, "id.json", _serialize_exfb(ExFbTransform.identity(13, 14, 2), "total"))
+    cert = write(tmp_path, "id.json", _serialize_cert(ExFbTransform.identity(13, 14, 2), "total"))
     out = str(tmp_path / "v.json")
     rc = main(
         ["verify", "--left", str(FIXTURE), "--right", str(FIXTURE), "--cert", cert, "--out", out]
@@ -238,7 +354,7 @@ def test_verify_identity_certificate(tmp_path):
 def test_verify_rejects_wrong_certificate(tmp_path):
     rep = str(tmp_path / "fb.json")
     assert main(["fbcf", str(FIXTURE), "--out", rep]) == 0
-    cert = write(tmp_path, "id.json", _serialize_exfb(ExFbTransform.identity(13, 14, 2), "total"))
+    cert = write(tmp_path, "id.json", _serialize_cert(ExFbTransform.identity(13, 14, 2), "total"))
     out = str(tmp_path / "v.json")
     rc = main(["verify", "--left", str(FIXTURE), "--right", rep, "--cert", cert, "--out", out])
     assert rc == 1
@@ -253,7 +369,7 @@ def test_verify_misshaped_certificate_is_not_verified(tmp_path):
         F=RatMatrix.zeros(2, 14),
         G=RatMatrix.identity(2),
     )
-    cert = write(tmp_path, "bad.json", _serialize_exfb(t, "total"))
+    cert = write(tmp_path, "bad.json", _serialize_cert(t, "total"))
     out = str(tmp_path / "v.json")
     rc = main(
         ["verify", "--left", str(FIXTURE), "--right", str(FIXTURE), "--cert", cert, "--out", out]
@@ -327,7 +443,7 @@ def test_exit_codes_for_malformed_input(tmp_path, case, capsys):
                "A": [], "Bu": [], "Bv": [], "C": [], "Du": []}
         argv = ["emcf", write(tmp_path, "neg.json", obj)]
     else:
-        cert = _serialize_exfb(ExFbTransform.identity(13, 14, 2), "total")
+        cert = _serialize_cert(ExFbTransform.identity(13, 14, 2), "total")
         if case == "cert_missing_matrix":
             del cert["Q"]
             obj = cert

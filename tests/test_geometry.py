@@ -96,6 +96,10 @@ def test_state_decomposition_counts(seed):
     assert inv.n1 + inv.n2 + inv.n3 + inv.n4 == n
     assert inv.m1 + inv.m3 == m + s
     assert inv.p3 + inv.p4 == p
+    # n1 and n4 are read off the carried V* ∩ W* and V* + W*
+    assert inv.V_cap_W.dim == inv.n1 and inv.V_plus_W.dim == n - inv.n4
+    assert inv.V_cap_W.is_subspace_of(inv.V_star) and inv.V_cap_W.is_subspace_of(inv.W_star)
+    assert inv.V_plus_W == subspace_sum(inv.V_star, inv.W_star)
     # U*, Y* match their defining formulas
     A, B_w, C, D_w = o.merged()
     BD = vstack([B_w, D_w])

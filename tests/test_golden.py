@@ -18,7 +18,7 @@ from dacscanon.cli import (
     _emcf_certs,
     _emcf_stages,
     _indices_json,
-    _serialize_exfb,
+    _serialize_cert,
     _serialize_record,
     parse_system,
     serialize_system,
@@ -53,7 +53,7 @@ def fbcf_run_digest(d):
         "block_dims": [dict(ex.tri.dims._asdict()), list(ex.tri.groups)],
         "certificates": [_serialize_record(run.rec)]
         + _emcf_certs(ex, "total_explicit")
-        + [_serialize_exfb(run.cert, "total")],
+        + [_serialize_cert(run.cert, "total")],
         "indices": [_indices_json(ex.idx), _indices_json(run.fidx)],
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()

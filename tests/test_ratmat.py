@@ -7,11 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dacscanon.ratmat import (
+    InternalInvariantViolation,
     NotFullRowRank,
     NotNested,
     RatMatrix,
     _PRIME,
     _det_nonzero_mod_p,
+    _inverse_or_violation,
     _kron,
     _rref,
     _unvec,
@@ -223,6 +225,14 @@ def test_inverse_round_trip():
             continue
         assert M * inverse(M) == RatMatrix.identity(4)
         done += 1
+
+
+def test_inverse_or_violation_names_the_broken_obligation():
+    M = mat([[1, 2], [3, 4]])
+    assert _inverse_or_violation(M, "blocks are dependent") == inverse(M)
+    for bad in (mat([[1, 2], [2, 4]]), RatMatrix.zeros(2, 3)):
+        with pytest.raises(InternalInvariantViolation, match="^blocks are dependent$"):
+            _inverse_or_violation(bad, "blocks are dependent")
 
 
 def test_zero_dimension_matrices():
