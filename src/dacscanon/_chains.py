@@ -29,7 +29,6 @@ from .ratmat import (
     complement,
     hstack,
     image,
-    inverse,
     kernel_basis,
     place,
     qq,
@@ -227,9 +226,9 @@ def tower_matrix(chains: Sequence[Tuple[RatMatrix, int]], A: RatMatrix) -> RatMa
 
 def brunovsky_single(
     A: RatMatrix, B: RatMatrix
-) -> Tuple[RatMatrix, RatMatrix, RatMatrix, List[int]]:
-    """(T_x, T_u, F, kappa) with T_x (A + B F) T_x^{-1} in chain form and
-    T_x B T_u^{-1} the matching input selections.
+) -> Tuple[RatMatrix, RatMatrix, RatMatrix, RatMatrix, RatMatrix, List[int]]:
+    """(T_x, T_x^{-1}, T_u, T_u^{-1}, F, kappa) with T_x (A + B F) T_x^{-1}
+    in chain form and T_x B T_u^{-1} the matching input selections.
 
     Chain j occupies a state block of size kappa[j] (ones on the
     superdiagonal) and is driven by new input j at its last row; surplus
@@ -249,7 +248,7 @@ def brunovsky_single(
     F = -(T_u_inv * M) if m else RatMatrix.zeros(0, n)
     kappa = [k for _, k in chains]
     _assert_chain_form(T_x * (A + B * F) * T_x_inv, T_x * B * T_u_inv, kappa)
-    return T_x, T_u, F, kappa
+    return T_x, T_x_inv, T_u, T_u_inv, F, kappa
 
 
 def _chain_starts(lengths: Sequence[int]) -> List[int]:
@@ -299,7 +298,7 @@ def pole_place(A: RatMatrix, B: RatMatrix, targets: Sequence) -> RatMatrix:
         raise ValueError("need exactly n target poles")
     if n == 0:
         return RatMatrix.zeros(B.cols, 0)
-    T_x, T_u, F0, kappa = brunovsky_single(A, B)
+    T_x, _, _, T_u_inv, F0, kappa = brunovsky_single(A, B)
     G = RatMatrix.zeros(B.cols, n).to_lists()
     off = 0
     for j, k in enumerate(kappa):
@@ -307,7 +306,7 @@ def pole_place(A: RatMatrix, B: RatMatrix, targets: Sequence) -> RatMatrix:
         for l in range(k):
             G[j][off + l] = -coeffs[l]
         off += k
-    F = F0 + inverse(T_u) * RatMatrix(G, cols=n) * T_x
+    F = F0 + T_u_inv * RatMatrix(G, cols=n) * T_x
     if charpoly(A + B * F) != poly_from_roots(targets):
         raise InternalInvariantViolation("pole placement missed the target polynomial")
     return F

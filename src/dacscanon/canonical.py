@@ -608,15 +608,15 @@ def observable_dual_canonical(C4: RatMatrix, A4: RatMatrix) -> Tuple[EmTransform
     if C4.cols != n:
         raise ValueError("C4 must have as many columns as A4")
     try:
-        T_xd, T_ud, Fd, kappa = brunovsky_single(A4.T, C4.T)
+        T_xd, T_xd_inv, _, T_ud_inv, Fd, kappa = brunovsky_single(A4.T, C4.T)
     except NotControllable as exc:
         raise NotObservable("the pair (C4, A4) is not observable") from exc
     P_rev = RatMatrix.identity(n).take_rows(_reversed_chains(kappa))
     t = EmTransform(
-        T_x=P_rev * inverse(T_xd.T),
+        T_x=P_rev * T_xd_inv.T,
         T_u=RatMatrix.identity(0),
         T_v=RatMatrix.identity(0),
-        T_y=inverse(T_ud.T),
+        T_y=T_ud_inv.T,
         F_u=RatMatrix.zeros(0, n),
         F_v=RatMatrix.zeros(0, n),
         R=RatMatrix.identity(0),

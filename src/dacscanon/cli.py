@@ -107,7 +107,9 @@ def _rat_from_json(x, where: str):
         raise ParseError("%s: entry %r is not a rational" % (where, x)) from None
 
 
-def _mat_from_json(obj, where: str, cols: Optional[int] = None) -> RatMatrix:
+def _mat_from_json(obj, where: str, cols: Optional[int] = None, said_by: str = "") -> RatMatrix:
+    """The matrix of a JSON array of rows; a given ``cols`` must match its
+    rows, and ``said_by`` names where that width came from."""
     if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
         raise ParseError("%s: expected an array of arrays" % where)
     data = [[_rat_from_json(x, where) for x in row] for row in obj]
@@ -120,7 +122,7 @@ def _mat_from_json(obj, where: str, cols: Optional[int] = None) -> RatMatrix:
         raise DimensionError("%s: rows have differing lengths" % where)
     if cols is not None and data and widths != {cols}:
         raise DimensionError(
-            "%s: rows have %d entries, dims say %d" % (where, widths.pop(), cols)
+            "%s: rows have %d entries, %s" % (where, widths.pop(), said_by)
         )
     return RatMatrix(data, cols=cols if cols is not None else widths.pop())
 
@@ -220,8 +222,10 @@ def _from_json(obj: dict, role: str, noun: str):
     widths, parsed = {}, {}
     for key, attr, _, cols in mats:
         width = _dims_entry(dims, cols)
-        M = _mat_from_json(obj[key], key, widths.get(cols) if width is None else width)
-        widths.setdefault(cols, M.cols)
+        if width is not None:
+            widths[cols] = (width, "dims say %s=%d" % (cols, width))
+        M = _mat_from_json(obj[key], key, *widths.get(cols, (None,)))
+        widths.setdefault(cols, (M.cols, "%s's rows have %d" % (key, M.cols)))
         parsed[attr] = M
     for key, attr, rows, _ in mats:
         want = _dims_entry(dims, rows)

@@ -8,9 +8,11 @@ and the outputs into the reachable image and a completion.  In the adapted
 coordinates a feedback stage and an output-injection stage, each a single
 exact linear solve, zero out every block below the diagonal staircase.  The
 normal form then removes the remaining coupling blocks with a state-space
-similarity assembled from Sylvester solutions, after (if necessary) an exact
-pole placement has made the four diagonal blocks' characteristic polynomials
-pairwise coprime.
+similarity assembled from Sylvester solutions, each unique because the four
+diagonal blocks' characteristic polynomials are proven pairwise coprime once
+beforehand.  If need be, exact pole placement puts blocks 1, 3 and 4 on the
+first window of integers k n + 1, ..., k n + N (N = n1 + n3 + n4) free of
+roots of block 2's polynomial; it has at most n2 roots, so k <= n2.
 
 Both input kinds are handled in merged form; only the *second* kind may mix
 into the first through the input transform, never the reverse, so the
@@ -21,9 +23,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import combinations, count
 from typing import List, NamedTuple, Optional, Tuple
 
-from ._chains import NotControllable, charpoly, pole_place, poly_gcd
+from ._chains import NotControllable, charpoly, pole_place, poly_from_roots, poly_gcd
 from .geometry import invariant_subspaces
 from .ratmat import (
     InternalInvariantViolation,
@@ -128,21 +131,6 @@ def _matrix_poly_eval(p: List, A: RatMatrix) -> RatMatrix:
     return M
 
 
-def _adjugate_coeffs(B: RatMatrix) -> Tuple[List, List[RatMatrix]]:
-    """Characteristic polynomial q of B and the coefficient matrices N_k of
-    adj(s I - B) = sum_k N_k s^k, via the descending Horner recursion
-    N_{d-1} = I, N_{k-1} = B N_k + q_k I (the constant step is Cayley-
-    Hamilton and is left implicit)."""
-    d = B.rows
-    q = charpoly(B)
-    if d == 0:
-        return q, []
-    N = [RatMatrix.identity(d)] * d
-    for k in range(d - 1, 0, -1):
-        N[k - 1] = B * N[k] + RatMatrix.identity(d).scale(q[k])
-    return q, N
-
-
 def _pencil_poly_inverse(P0: RatMatrix, n_dyn: int) -> List[RatMatrix]:
     """Coefficients Q_k of the polynomial inverse of P(s) = P0 - s J, where
     J is the identity on the first ``n_dyn`` coordinates and zero after.
@@ -180,6 +168,25 @@ def _pencil_poly_inverse(P0: RatMatrix, n_dyn: int) -> List[RatMatrix]:
     return Q
 
 
+def _sylvester_closed_form(A: RatMatrix, B: RatMatrix, C: RatMatrix, q: List) -> RatMatrix:
+    """The unique X with A X - X B = C, given q = charpoly(B) coprime to the
+    characteristic polynomial of A.
+
+    Multiplying X (sI - B) = (sI - A) X + C by adj(sI - B) = sum_k N_k s^k
+    (N_{d-1} = I, N_{k-1} = B N_k + q_k I) and evaluating at s = A from the
+    left leaves q(A) X = sum_k A^k C N_k, summed here by Horner's rule.  A
+    singular q(A) or a failed check raises InternalInvariantViolation."""
+    d = B.rows
+    S, N = C, RatMatrix.identity(d)
+    for k in range(d - 1, 0, -1):
+        N = B * N + RatMatrix.identity(d).scale(q[k])
+        S = A * S + C * N
+    X = _inverse_or_violation(_matrix_poly_eval(q, A), "Sylvester spectra are not disjoint") * S
+    if A * X - X * B != C:
+        raise InternalInvariantViolation("closed-form Sylvester solution failed")
+    return X
+
+
 def solve_sylvester(A: RatMatrix, B: RatMatrix, C: RatMatrix) -> RatMatrix:
     """Exact X with A X - X B = C.
 
@@ -192,23 +199,9 @@ def solve_sylvester(A: RatMatrix, B: RatMatrix, C: RatMatrix) -> RatMatrix:
         raise ValueError("Sylvester coefficients must be square")
     if C.rows != A.rows or C.cols != B.rows:
         raise ValueError("right-hand side has shape %s, expected %dx%d" % (C.shape, A.rows, B.rows))
-    if poly_gcd(charpoly(A), charpoly(B)) == [qq(1)]:
-        # Coprime spectra: the operator is bijective and the unique solution
-        # has a closed form.  Multiplying X (sI - B) = (sI - A) X + C by
-        # adj(sI - B) and evaluating the polynomial identity at s = A (acting
-        # from the left) kills the unknown-bearing term and leaves
-        # q(A) X = sum_k A^k C N_k with q = charpoly(B), q(A) invertible.
-        q, N = _adjugate_coeffs(B)
-        S = RatMatrix.zeros(A.rows, B.rows)
-        powC = C
-        for k in range(B.rows):
-            S = S + powC * N[k]
-            if k + 1 < B.rows:
-                powC = A * powC
-        X = inverse(_matrix_poly_eval(q, A)) * S
-        if A * X - X * B != C:
-            raise InternalInvariantViolation("closed-form Sylvester solution failed")
-        return X
+    q = charpoly(B)
+    if poly_gcd(charpoly(A), q) == [qq(1)]:
+        return _sylvester_closed_form(A, B, C, q)
     M = _sylvester_operator(A, B)
     x = solve(M, _vec(C))
     if x is None:
@@ -484,49 +477,40 @@ def emtf(o: Odecs2) -> MtfSystem:
 
 def _disjoint_spectra_stage(
     o: Odecs2, d: BlockDims, g1: List[int], g3: List[int]
-) -> EmTransform:
+) -> Tuple[EmTransform, List[RatMatrix], List[List]]:
     """Feedback and output injection (preserving the triangular pattern) that
     make the four diagonal blocks' characteristic polynomials pairwise
-    coprime.  Identity when they already are."""
+    coprime; returns it with the diagonal blocks it leaves and their
+    polynomials.  Identity when they already are coprime; otherwise blocks
+    1, 3 and 4 get the poles of the first window k n + 1, ..., k n + N
+    (N = n1 + n3 + n4 <= n) holding no root of block 2's polynomial chi_2.
+    The windows are disjoint and chi_2 has at most n2 roots, so k <= n2."""
     A, B_w, C, _ = o.merged()
     b1, b2, b3, b4 = _state_blocks(d)
     y4 = list(range(d.p3, o.p))
     blocks = [A.submatrix(b, b) for b in (b1, b2, b3, b4)]
     polys = [charpoly(Ab) for Ab in blocks]
-    if _pairwise_coprime(polys):
-        return EmTransform.identity(o.n, o.m, o.s, o.p)
-    poly2 = polys[1]
-    n = o.n
-    for attempt in range(n + 1):
-        base = attempt * n
-        t1 = [base + i + 1 for i in range(d.n1)]
-        t3 = [base + d.n1 + i + 1 for i in range(d.n3)]
-        t4 = [base + d.n1 + d.n3 + i + 1 for i in range(d.n4)]
-        try:
-            F1 = pole_place(blocks[0], B_w.submatrix(b1, g1), t1)
-            F2 = pole_place(blocks[2], B_w.submatrix(b3, g3), t3)
-            K3 = pole_place(blocks[3].T, C.submatrix(y4, b4).T, t4).T
-        except NotControllable as exc:
-            raise InternalInvariantViolation(
-                "triangular form lost block controllability/observability"
-            ) from exc
-        new_polys = [
-            charpoly(blocks[0] + B_w.submatrix(b1, g1) * F1),
-            poly2,
-            charpoly(blocks[2] + B_w.submatrix(b3, g3) * F2),
-            charpoly(blocks[3] + K3 * C.submatrix(y4, b4)),
-        ]
-        if _pairwise_coprime(new_polys):
-            return _feedback_stage(o, [(g1, b1, F1), (g3, b3, F2)], [(b4, y4, K3)])
-    raise InternalInvariantViolation("no disjoint integer spectra found")
-
-
-def _pairwise_coprime(polys: List[List]) -> bool:
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if poly_gcd(polys[i], polys[j]) != [qq(1)]:
-                return False
-    return True
+    if all(poly_gcd(p, q) == [qq(1)] for p, q in combinations(polys, 2)):
+        return EmTransform.identity(o.n, o.m, o.s, o.p), blocks, polys
+    chi2, N = polys[1], d.n1 + d.n3 + d.n4
+    windows = ([k * o.n + i for i in range(1, N + 1)] for k in count())
+    # the first window where chi_2 (coefficients low degree first) has no root
+    window = next(
+        w for w in windows if all(sum(c * t**i for i, c in enumerate(chi2)) != 0 for t in w)
+    )
+    t1, t3, t4 = window[: d.n1], window[d.n1 : d.n1 + d.n3], window[d.n1 + d.n3 :]
+    B1, B3, C4 = B_w.submatrix(b1, g1), B_w.submatrix(b3, g3), C.submatrix(y4, b4)
+    try:
+        F1 = pole_place(blocks[0], B1, t1)
+        F2 = pole_place(blocks[2], B3, t3)
+        K3 = pole_place(blocks[3].T, C4.T, t4).T
+    except NotControllable as exc:
+        raise InternalInvariantViolation(
+            "triangular form lost block controllability/observability"
+        ) from exc
+    t = _feedback_stage(o, [(g1, b1, F1), (g3, b3, F2)], [(b4, y4, K3)])
+    blocks = [blocks[0] + B1 * F1, blocks[1], blocks[2] + B3 * F2, blocks[3] + K3 * C4]
+    return t, blocks, [poly_from_roots(t1), chi2, poly_from_roots(t3), poly_from_roots(t4)]
 
 
 def _coupling_corrections(
@@ -601,22 +585,18 @@ def _coupling_corrections(
 
 
 def _similarity_stage(
-    o: Odecs2, d: BlockDims, T2: RatMatrix, T5: RatMatrix
+    o: Odecs2, d: BlockDims, T2: RatMatrix, T5: RatMatrix, polys: List[List]
 ) -> EmTransform:
-    """Unipotent state similarity removing the remaining coupling blocks."""
+    """Unipotent state similarity removing the remaining coupling blocks; the
+    diagonal blocks' ``polys`` are proven pairwise coprime."""
     A = o.A
     b1, b2, b3, b4 = _state_blocks(d)
     A1, A2, A4 = (A.submatrix(b, b) for b in (b1, b2, b4))
-    try:
-        T1 = solve_sylvester(A1, A2, A.submatrix(b1, b2))
-        T4 = solve_sylvester(A2, A4, A.submatrix(b2, b4))
-        T3 = solve_sylvester(
-            A1,
-            A4,
-            A.submatrix(b1, b4) + T1 * A.submatrix(b2, b4) + T2 * A.submatrix(b3, b4),
-        )
-    except NoSolution as exc:
-        raise InternalInvariantViolation("decoupling equations are inconsistent") from exc
+    _, q2, _, q4 = polys
+    T1 = _sylvester_closed_form(A1, A2, A.submatrix(b1, b2), q2)
+    T4 = _sylvester_closed_form(A2, A4, A.submatrix(b2, b4), q4)
+    A14 = A.submatrix(b1, b4) + T1 * A.submatrix(b2, b4) + T2 * A.submatrix(b3, b4)
+    T3 = _sylvester_closed_form(A1, A4, A14, q4)
     S = place(
         o.n,
         o.n,
@@ -626,7 +606,7 @@ def _similarity_stage(
     return replace(EmTransform.identity(o.n, o.m, o.s, o.p), T_x=S)
 
 
-def _assert_diagonal(o: Odecs2, d: BlockDims, m1u: int, s1: int) -> None:
+def _assert_diagonal(o: Odecs2, d: BlockDims, m1u: int, s1: int, blocks: List[RatMatrix]) -> None:
     _assert_triangular(o, d, m1u, s1, normalized=False)
     A, B_w, C, _ = o.merged()
     b1, b2, b3, b4 = _state_blocks(d)
@@ -639,9 +619,8 @@ def _assert_diagonal(o: Odecs2, d: BlockDims, m1u: int, s1: int) -> None:
         raise InternalInvariantViolation("group-3 inputs still act on block 1")
     if not C.submatrix(y3, b4).is_zero():
         raise InternalInvariantViolation("reachable outputs still see block 4")
-    polys = [charpoly(A.submatrix(b, b)) for b in (b1, b2, b3, b4)]
-    if not _pairwise_coprime(polys):
-        raise InternalInvariantViolation("diagonal blocks share eigenvalues")
+    if [A.submatrix(b, b) for b in (b1, b2, b3, b4)] != blocks:
+        raise InternalInvariantViolation("diagonal blocks left the proven-coprime ones")
 
 
 def mnf(m: MtfSystem) -> MnfSystem:
@@ -663,13 +642,13 @@ def emnf(m: MtfSystem) -> MnfSystem:
     except InternalInvariantViolation as exc:
         raise ValueError("input system is not in triangular form") from exc
     g1, g3 = _input_groups(o.m, o.s, m1u, s1)
-    t_spec = _disjoint_spectra_stage(o, d, g1, g3)
+    t_spec, blocks, polys = _disjoint_spectra_stage(o, d, g1, g3)
     o_bar = apply_em(o, t_spec)
     t_corr, T2, T5 = _coupling_corrections(o_bar, d, g3)
     o_corr = apply_em(o_bar, t_corr)
-    t_sim = _similarity_stage(o_corr, d, T2, T5)
+    t_sim = _similarity_stage(o_corr, d, T2, T5, polys)
     o_mnf = apply_em(o_corr, t_sim)
-    _assert_diagonal(o_mnf, d, m1u, s1)
+    _assert_diagonal(o_mnf, d, m1u, s1, blocks)
     total = em_compose(m.transform, em_compose(em_compose(t_spec, t_corr), t_sim))
     if not verify_em(m.source, o_mnf, total):
         raise InternalInvariantViolation("normal-form certificate failed to verify")

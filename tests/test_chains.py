@@ -135,7 +135,7 @@ def test_brunovsky_single_recovers_indices():
     for kappa, m in [([2], 1), ([2, 1], 2), ([3, 2], 2), ([2, 2, 1], 3)]:
         for _ in range(3):
             A, B = scrambled_pair(rng, kappa, m)
-            T_x, T_u, F, got = brunovsky_single(A, B)
+            T_x, _, T_u, _, F, got = brunovsky_single(A, B)
             assert got == kappa
             # the canonical pattern itself is asserted inside brunovsky_single;
             # double-check one block boundary by hand
@@ -146,7 +146,7 @@ def test_brunovsky_single_recovers_indices():
 def test_brunovsky_single_with_surplus_inputs():
     rng = random.Random(43)
     A, B = scrambled_pair(rng, [2, 1], 3)
-    T_x, T_u, F, kappa = brunovsky_single(A, B)
+    T_x, _, T_u, _, F, kappa = brunovsky_single(A, B)
     assert kappa == [2, 1]
     Btil = T_x * B * inverse(T_u)
     assert Btil.col(2) == [qq(0), qq(0), qq(0)]

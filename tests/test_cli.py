@@ -132,6 +132,14 @@ def test_dims_contradicting_a_matrix_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: C has 1 rows, dims say p=3\n"
 
 
+def test_width_from_an_earlier_matrix_is_named_when_rows_contradict_it(tmp_path, capsys):
+    # no dims block: Du's width m comes from Bu, and Du's rows are wider
+    obj = {"kind": "odecs2", "A": [["1"]], "Bu": [["2"]], "Bv": [[]], "C": [["1"]],
+           "Du": [["0", "0"]]}
+    assert main(["wong", write(tmp_path, "du.json", obj)]) == 2
+    assert capsys.readouterr().err == "error: Du: rows have 2 entries, Bu's rows have 1\n"
+
+
 def test_width_left_out_of_dims_comes_from_an_earlier_matrix(tmp_path):
     # C and Du have no rows: C takes A's width n, Du takes Bu's width m
     obj = {"kind": "odecs2", "dims": {"s": 0},

@@ -27,7 +27,8 @@ from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "circuit.json"
 
-# sha256 per input: the circuit fixture and criterion 2's cases 0-9
+# sha256 per input: the circuit fixture, criterion 2's cases 0-9, and case
+# 182, the first whose normal form places poles past the first window (k = 1)
 GOLDEN = {
     "fixture": "2a8f3f97e0053223315ed9d3e38198ede63c9c5bbbe34edd8540b47fbcb75696",
     "case0": "132e154f471c06a74c01c47a16db7aec30d9755256db7c077caa526d557167f6",
@@ -40,6 +41,7 @@ GOLDEN = {
     "case7": "c73bb1de954d64fa9c48b7fe665aec92944b7fee1998b4a7e8389777a690e0ea",
     "case8": "6bec1d602adae1145ee69a3389acb76c78564e9e6e07d09f512dfa3f070bc275",
     "case9": "2d3c6f7aaba96f6168d8d33ee80b498780d11ebfcb757e8cc28e8e249d74968a",
+    "case182": "da445b17b34764c1c76715717b2a2336ed4a389bafab385656c73041356ffe80",
 }
 
 

@@ -27,7 +27,7 @@ from dacscanon.systems import (
     verify_em,
 )
 from dacscanon.geometry import invariant_subspaces
-from dacscanon._chains import charpoly, poly_gcd
+from dacscanon._chains import charpoly, poly_from_roots, poly_gcd
 from dacscanon.cli import parse_system
 from dacscanon.morse import (
     MtfSystem,
@@ -386,6 +386,56 @@ def test_mnf_rejects_non_triangular_input():
         )
 
 
+def _criterion_2_case(case):
+    base = 900001 + 2 * case
+    d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
+    return random_exfb_scramble(d, Seeded(base + 1, entry_bound=1))[0]
+
+
+def _counted(monkeypatch, name):
+    """Patch morse's binding of ``name`` to count its calls."""
+    calls, real = [], getattr(morse, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(morse, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["circuit", "case0"])
+def test_emnf_proves_disjoint_spectra_once(monkeypatch, which):
+    # one characteristic polynomial per diagonal block, reused by the
+    # Sylvester solves and the final check; at most one placement per block
+    d = parse_system(str(FIXTURE)) if which == "circuit" else _criterion_2_case(0)
+    tri = emtf(explicitate(d)[0])
+    charpolys = _counted(monkeypatch, "charpoly")
+    placements = _counted(monkeypatch, "pole_place")
+    emnf(tri)
+    assert len(charpolys) == 4
+    assert len(placements) <= 3
+
+
+def test_emnf_pole_window_skips_roots_of_block_2():
+    # n = 4 and N = n1 + n3 + n4 = 2, so the pole windows are {1, 2}, {5, 6},
+    # {9, 10}, ...; block 2 has the eigenvalues 1 and 5, one in each of the
+    # first two windows, and shares 1 with block 1, so placement is needed
+    A = mat([[1, 1, 2, 3], [0, 1, 0, 1], [0, 0, 5, 1], [0, 0, 0, 0]])
+    o = Odecs2(A, mat([[1], [0], [0], [0]]), RatMatrix.zeros(4, 0), mat([[0, 0, 0, 1]]), mat([[0]]))
+    dims = morse.BlockDims(n1=1, n2=2, n3=0, n4=1, m1=1, m3=0, p3=0, p4=1)
+    tri = MtfSystem(
+        system=o, dims=dims, transform=EmTransform.identity(4, 1, 0, 1), groups=(1, 0), source=o
+    )
+    r = emnf(tri)
+    assert verify_em(o, r.system, r.transform)
+    check_diagonal_pattern(r)
+    A_nf = r.system.A
+    assert charpoly(A_nf.submatrix([0], [0])) == poly_from_roots([9])
+    assert A_nf.submatrix([1, 2], [1, 2]) == A.submatrix([1, 2], [1, 2])
+    assert charpoly(A_nf.submatrix([3], [3])) == poly_from_roots([10])
+
+
 # -- prime pencil inverse -------------------------------------------------------
 
 
@@ -400,11 +450,7 @@ def _pencils_met(monkeypatch):
         return real(P0, n_dyn)
 
     monkeypatch.setattr(morse, "_pencil_poly_inverse", recording)
-    systems = [parse_system(str(FIXTURE))]
-    for case in range(10):
-        base = 900001 + 2 * case
-        d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
-        systems.append(random_exfb_scramble(d, Seeded(base + 1, entry_bound=1))[0])
+    systems = [parse_system(str(FIXTURE))] + [_criterion_2_case(case) for case in range(10)]
     for d in systems:
         emnf(emtf(explicitate(d)[0]))
     monkeypatch.undo()

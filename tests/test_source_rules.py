@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import dacscanon
@@ -97,6 +98,37 @@ def test_no_unread_loop_targets_in_library():
     # that another loop of the same function reads)
     offenders = [f for path in sorted(SRC.glob("*.py")) for f in _unread_loop_targets(path)]
     assert not offenders, "loop targets never read in their loop: %s" % offenders
+
+
+def _read_counts(tree):
+    """How often each name is read under tree, as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _dead_private_definitions(paths):
+    """Module-level `_`-prefixed functions and classes that no module reads;
+    a read inside the definition itself, as in recursion, does not count."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in paths}
+    reads = sum((_read_counts(tree) for tree in trees.values()), Counter())
+    return [
+        "%s:%d %s" % (name, node.lineno, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and reads[node.name] == _read_counts(node)[node.name]
+    ]
+
+
+def test_no_dead_private_helpers_in_library():
+    # a private helper is reachable only through the library itself, so one
+    # that no module reads is dead code a refactor left behind
+    offenders = _dead_private_definitions(sorted(SRC.glob("*.py")))
+    assert not offenders, "private definitions nothing reads: %s" % offenders
 
 
 def test_matrix_storage_is_private_to_ratmat():
