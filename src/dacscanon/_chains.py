@@ -354,7 +354,13 @@ def frobenius_form(A: RatMatrix) -> Tuple[RatMatrix, RatMatrix, List[List]]:
     factors is the invariant-factor list, degree nonincreasing, each
     dividing the previous; their product is the characteristic polynomial.
     """
-    T, blocks, factors = _frobenius_rec(A)
+    T, _, Fr, factors = _frobenius(A)
+    return T, Fr, factors
+
+
+def _frobenius(A: RatMatrix) -> Tuple[RatMatrix, RatMatrix, RatMatrix, List[List]]:
+    """:func:`frobenius_form` with T^{-1} as well: (T, T^{-1}, Fr, factors)."""
+    T, T_inv, blocks, factors = _frobenius_rec(A)
     Fr = block_diag(blocks)
     if T * A != Fr * T:
         raise InternalInvariantViolation("Frobenius transformation mismatch")
@@ -366,13 +372,18 @@ def frobenius_form(A: RatMatrix) -> Tuple[RatMatrix, RatMatrix, List[List]]:
     for f1, f2 in zip(factors, factors[1:]):
         if poly_divmod(f1, f2)[1]:
             raise InternalInvariantViolation("invariant factor divisibility chain broken")
-    return T, Fr, factors
+    return T, T_inv, Fr, factors
 
 
-def _frobenius_rec(A: RatMatrix) -> Tuple[RatMatrix, List[RatMatrix], List[List]]:
+def _frobenius_rec(
+    A: RatMatrix,
+) -> Tuple[RatMatrix, RatMatrix, List[RatMatrix], List[List]]:
+    """(T, T^{-1}, companion blocks, invariant factors), one cyclic
+    subspace per level: T = diag(I, T_sub) P^{-1}, so T^{-1} = P
+    diag(I, T_sub^{-1}) needs no elimination."""
     n = A.rows
     if n == 0:
-        return RatMatrix.identity(0), [], []
+        return RatMatrix.identity(0), RatMatrix.identity(0), [], []
     mp = minimal_polynomial(A)
     d = len(mp) - 1
     v = _cyclic_vector(A, d)
@@ -399,7 +410,8 @@ def _frobenius_rec(A: RatMatrix) -> Tuple[RatMatrix, List[RatMatrix], List[List]
         and Ap.submatrix(range(d, n), range(d)).is_zero()
     ):
         raise InternalInvariantViolation("cyclic complement is not invariant")
-    T_sub, blocks_sub, factors_sub = _frobenius_rec(sub)
+    T_sub, T_sub_inv, blocks_sub, factors_sub = _frobenius_rec(sub)
     T = block_diag([RatMatrix.identity(d), T_sub]) * P_inv
-    return T, [companion(mp)] + blocks_sub, [mp] + factors_sub
+    T_inv = P * block_diag([RatMatrix.identity(d), T_sub_inv])
+    return T, T_inv, [companion(mp)] + blocks_sub, [mp] + factors_sub
 

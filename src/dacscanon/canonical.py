@@ -32,13 +32,12 @@ from ._chains import (
     NotControllable,
     NotObservable,
     _chain_diag,
-    _chain_starts,
+    _frobenius,
     _head_selectors,
     _matrix_power,
     _reversed_chains,
     _tail_selectors,
     brunovsky_single,
-    frobenius_form,
     functional_chains,
     tower_matrix,
 )
@@ -61,7 +60,6 @@ from .ratmat import (
     complement,
     hstack,
     image,
-    inverse,
     is_invertible,
     kernel_basis,
     place,
@@ -337,9 +335,10 @@ def brunovsky_two_inputs(
     eps_bar = [k for _, k in v_chains]
 
     got = apply_em(Odecs2(A, B_u, B_v, RatMatrix.zeros(0, n), RatMatrix.zeros(0, m)), t)
-    want_A = _chain_diag(eps + eps_bar)
-    want_Bv = vstack([RatMatrix.zeros(sum(eps), s), _tail_selectors(eps_bar, n - sum(eps), s)])
-    if got.A != want_A or got.B_u != _tail_selectors(eps, n, m) or got.B_v != want_Bv:
+    want = EmcfIndices(
+        eps, eps_bar, RatMatrix.zeros(0, 0), (), 0, (), (), m - len(eps), s - len(eps_bar)
+    )
+    if got != emcf_system(want):
         raise InternalInvariantViolation("two-kind chain normalization has a wrong pattern")
     return t, eps, eps_bar
 
@@ -626,8 +625,8 @@ def observable_dual_canonical(C4: RatMatrix, A4: RatMatrix) -> Tuple[EmTransform
     got = apply_em(
         Odecs2(A4, RatMatrix.zeros(n, 0), RatMatrix.zeros(n, 0), C4, RatMatrix.zeros(p, 0)), t
     )
-    want_C = vstack([_head_selectors(kappa), RatMatrix.zeros(p - len(kappa), n)])
-    if got.A != _chain_diag(kappa) or got.C != want_C:
+    want = EmcfIndices((), (), RatMatrix.zeros(0, 0), (), 0, (), kappa, dead_y=p - len(kappa))
+    if got != emcf_system(want):
         raise InternalInvariantViolation("dual chain normalization has a wrong pattern")
     return t, list(kappa)
 
@@ -687,7 +686,7 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     t1, eps, eps_bar = brunovsky_two_inputs(
         o.A.submatrix(b1, b1), o.B_u.submatrix(b1, u1), o.B_v.submatrix(b1, v1)
     )
-    T2f, A_nn, _ = frobenius_form(o.A.submatrix(b2, b2))
+    T2f, T2f_inv, A_nn, _ = _frobenius(o.A.submatrix(b2, b2))
     t3, sigma, delta, sigma_bar = _prime_canonical(
         Odecs2(
             o.A.submatrix(b3, b3),
@@ -710,7 +709,7 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
         R=block_diag([t1.R, t3.R]),
         K=place(n, p, [(b3, y3, t3.K), (b4, y4, t4.K)]),
     )
-    x_inv = block_diag([x1, inverse(T2f), x3, t4.inverses()[0]])
+    x_inv = block_diag([x1, T2f_inv, x3, t4.inverses()[0]])
     t_blk = _carrying(t_blk, x_inv, block_diag([u1i, u3i]), block_diag([v1i, v3i]))
 
     a, b, e = len(eps), len(eps_bar), len(eta)
@@ -776,6 +775,46 @@ def translate_indices(e: EmcfIndices) -> FbcfIndices:
     )
 
 
+def _implicit_order(idx: EmcfIndices) -> Tuple[List[int], List[int], List[int]]:
+    """Where the explicit canonical form's equations go in the implicit one.
+
+    Walks the elementary blocks once, in state order: eps, eps_bar, A_nn,
+    sigma, statics, sigma_bar, eta, dead outputs.  ``kept``: the states
+    that keep an equation (all but the tails of second-kind chains, which
+    are freed); ``rows``: the equation order, as indices into [kept state
+    equations; outputs], a prime block's output first and an observable
+    block's output last, under its reversed equations; ``rev``: the state
+    order that reverses each observable chain.
+    """
+    # (states, tail freed, output: 0 none, 1 first, -1 last and chain reversed)
+    blocks = (
+        [(k, False, 0) for k in idx.eps]
+        + [(k, True, 0) for k in idx.eps_bar]
+        + [(idx.A_nn.rows, False, 0)]
+        + [(k, False, 1) for k in idx.sigma]
+        + [(0, False, 1)] * idx.delta
+        + [(k, True, 1) for k in idx.sigma_bar]
+        + [(k, False, -1) for k in idx.eta]
+        + [(0, False, -1)] * idx.dead_y
+    )
+    q = idx.n - len(idx.eps_bar) - len(idx.sigma_bar)
+    kept: List[int] = []
+    rows: List[int] = []
+    rev: List[int] = []
+    x = y = 0
+    for k, freed, out in blocks:
+        eqs = list(range(len(kept), len(kept) + k - freed))
+        states = list(range(x, x + k))
+        kept.extend(states[: k - freed])
+        if out < 0:
+            eqs, states = eqs[::-1], states[::-1]
+        rev.extend(states)
+        head = [q + y] if out else []
+        rows.extend(head + eqs if out > 0 else eqs + head)
+        x, y = x + k, y + len(head)
+    return kept, rows, rev
+
+
 def build_fbcf(f: FbcfIndices) -> Dacs:
     """Assemble the implicit-side canonical system from its block data.
 
@@ -788,47 +827,30 @@ def build_fbcf(f: FbcfIndices) -> Dacs:
     constrained chain; for each ``eta_p`` entry an undriven chain with one
     equation more than states (entry 1: the zero row).  ``dead_u`` zero
     input columns close the input count.
-    """
-    e_blocks: List[RatMatrix] = []
-    h_blocks: List[RatMatrix] = []
-    for k in f.eps_p:
-        e_blocks.append(RatMatrix.identity(k))
-        h_blocks.append(_chain_diag([k]))
-    for k in f.eps_bar_p:
-        eye = RatMatrix.identity(k)
-        e_blocks.append(eye.take_rows(range(k - 1)))
-        h_blocks.append(eye.take_rows(range(1, k)))
-    e_blocks.append(RatMatrix.identity(f.n_rho))
-    h_blocks.append(f.A_rho)
-    for k in f.sigma_p:
-        eye = RatMatrix.identity(k - 1)
-        e_blocks.append(vstack([RatMatrix.zeros(1, k - 1), eye]))
-        h_blocks.append(vstack([eye, RatMatrix.zeros(1, k - 1)]))
-    for k in f.sigma_bar_p:
-        eye = RatMatrix.identity(k)
-        E = vstack([RatMatrix.zeros(1, k), eye.take_rows(range(k - 1))])
-        e_blocks.append(E)
-        h_blocks.append(eye)
-    for k in f.eta_p:
-        eye = RatMatrix.identity(k - 1)
-        e_blocks.append(vstack([eye, RatMatrix.zeros(1, k - 1)]))
-        h_blocks.append(vstack([RatMatrix.zeros(1, k - 1), eye]))
-    E = block_diag(e_blocks)
-    H = block_diag(h_blocks)
 
-    a, c = len(f.eps_p), len(f.sigma_p)
-    m = a + c + f.dead_u
-    n_e, n_s = sum(f.eps_p), sum(f.sigma_p)
-    r0 = n_e + sum(k - 1 for k in f.eps_bar_p) + f.n_rho
-    L = place(
-        E.rows,
-        m,
-        [
-            (range(n_e), range(a), _tail_selectors(f.eps_p, n_e, a)),
-            (range(r0, r0 + n_s), range(a, a + c), _tail_selectors(f.sigma_p, n_s, c)),
-        ],
+    It is the implicitation of :func:`emcf_system` (``sigma_p``/``eta_p``
+    entries of 1 are statics and dead outputs): E = [I; 0], H = [A; C] and
+    L = [B_u; D_u] without the freed equations, in :func:`_implicit_order`.
+    """
+    idx = EmcfIndices(
+        eps=f.eps_p,
+        eps_bar=f.eps_bar_p,
+        A_nn=f.A_rho,
+        sigma=[k - 1 for k in f.sigma_p if k > 1],
+        delta=f.sigma_p.count(1),
+        sigma_bar=f.sigma_bar_p,
+        eta=[k - 1 for k in f.eta_p if k > 1],
+        dead_u=f.dead_u,
+        dead_y=f.eta_p.count(1),
     )
-    d = Dacs(E=E, H=H, L=L)
+    o = emcf_system(idx)
+    kept, rows, rev = _implicit_order(idx)
+
+    def implicit(state_rows: RatMatrix, output_rows: RatMatrix) -> RatMatrix:
+        return vstack([state_rows.take_rows(kept), output_rows]).take_rows(rows)
+
+    E = implicit(RatMatrix.identity(o.n), RatMatrix.zeros(o.p, o.n)).take_cols(rev)
+    d = Dacs(E=E, H=implicit(o.A, o.C).take_cols(rev), L=implicit(o.B_u, o.D_u))
     if (d.l, d.n, d.m) != (f.l, f.n, f.m):
         raise InternalInvariantViolation("block bookkeeping mismatch")
     return d
@@ -849,32 +871,15 @@ def _exfb_from_em(
     (T_x, ..., K) the explicit certificate, the rows of the target system
     are a permutation of [E1~ T_x E1^+ | E1~ T_x K; 0 | T_y] Q0 applied to
     (E, H + L F_u, L T_u^{-1}), where E1~ keeps exactly the states that are
-    not freed (not chain tails of the second kind).  The identity
+    not freed (not chain tails of the second kind); :func:`_implicit_order`
+    gives both, as it does for :func:`build_fbcf`.  The identity
     E1~ T_x B_v = E1~ B_v~ T_v = 0 makes every appearance of the unknown
     second-kind feedback drop out.
     """
     n, q, p = d.n, rec.q, d.l - rec.q
-    eps, eps_bar = idx.eps, idx.eps_bar
-    sigma, delta, sigma_bar, eta = idx.sigma, idx.delta, idx.sigma_bar, idx.eta
-    c, dd, e = len(sigma), len(sigma_bar), len(eta)
-    n2 = idx.A_nn.rows
-
-    # state layout of the canonical explicit system
-    spans = (
-        [("cu", k) for k in eps]
-        + [("cv", k) for k in eps_bar]
-        + [("nn", n2)]
-        + [("pu", k) for k in sigma]
-        + [("pv", k) for k in sigma_bar]
-        + [("o", k) for k in eta]
-    )
-    starts = _chain_starts([k for _, k in spans])
-    freed = {o + k - 1 for o, (kind, k) in zip(starts, spans) if kind in ("cv", "pv")}
-    kept = [i for i in range(n) if i not in freed]
+    kept, rows, rev = _implicit_order(idx)
     if len(kept) != q:
         raise InternalInvariantViolation("freed state count does not match rank E")
-    kept_pos = {state: i for i, state in enumerate(kept)}
-
     E1t = RatMatrix.identity(n).take_rows(kept)
     M = vstack(
         [
@@ -882,43 +887,8 @@ def _exfb_from_em(
             hstack([RatMatrix.zeros(p, q), t.T_y]),
         ]
     )
-    Q_pre = M * rec.Q
-
-    # interleave dynamics and output rows into the canonical block order
-    rows: List[int] = []
-    bi = 0
-    for k in eps:
-        rows.extend(kept_pos[starts[bi] + i] for i in range(k))
-        bi += 1
-    for k in eps_bar:
-        rows.extend(kept_pos[starts[bi] + i] for i in range(k - 1))
-        bi += 1
-    rows.extend(kept_pos[starts[bi] + i] for i in range(n2))
-    bi += 1
-    for t_i, k in enumerate(sigma):
-        rows.append(q + t_i)
-        rows.extend(kept_pos[starts[bi] + i] for i in range(k))
-        bi += 1
-    for j in range(delta):
-        rows.append(q + c + j)
-    for t_i, k in enumerate(sigma_bar):
-        rows.append(q + c + delta + t_i)
-        rows.extend(kept_pos[starts[bi] + i] for i in range(k - 1))
-        bi += 1
-    for t_i, k in enumerate(eta):
-        rows.extend(kept_pos[starts[bi] + k - 1 - i] for i in range(k))
-        rows.append(q + c + delta + dd + t_i)
-        bi += 1
-    for j in range(idx.dead_y):
-        rows.append(q + c + delta + dd + e + j)
-    if sorted(rows) != list(range(d.l)):
-        raise InternalInvariantViolation("row interleaving is not a permutation")
-
-    # reverse each observable chain so its constraint sits at the bottom
-    # (the states before them count as chains of length 1, which stay put)
-    rev = _reversed_chains([1] * (n - sum(eta)) + list(eta))
     P = RatMatrix.identity(n).take_rows(rev) * t.T_x
-    return ExFbTransform(Q=Q_pre.take_rows(rows), P=P, F=t.F_u, G=t.inverses()[1])
+    return ExFbTransform(Q=(M * rec.Q).take_rows(rows), P=P, F=t.F_u, G=t.inverses()[1])
 
 
 @dataclass(frozen=True)

@@ -495,13 +495,7 @@ def expl_membership(
 
     which is a finite exact linear-solvability problem in the unknowns.
     """
-    return _expl_membership(o, explicitate(d)[0])
-
-
-def _expl_membership(
-    o: Odecs2, o0: Odecs2
-) -> Optional[Tuple[RatMatrix, RatMatrix, RatMatrix, RatMatrix, RatMatrix]]:
-    """:func:`expl_membership` against the canonical explicitation o0."""
+    o0 = explicitate(d)[0]
     if (o.n, o.m, o.s, o.p) != (o0.n, o0.m, o0.s, o0.p):
         return None
     n, m, s, p = o0.n, o0.m, o0.s, o0.p

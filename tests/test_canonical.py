@@ -370,6 +370,37 @@ def test_build_fbcf_block_shapes():
     assert all(d.L[i, 2] == 0 for i in range(d.l))
 
 
+def test_build_fbcf_every_block_kind():
+    # one block of each kind with k >= 2, the size-1 eps_bar, sigma and eta
+    # blocks, and a dead input, written out from the block definitions
+    f = FbcfIndices(eps_p=(2,), eps_bar_p=(2, 1), sigma_p=(3, 1), sigma_bar_p=(2,),
+                    eta_p=(2, 1), n_rho=2, A_rho=mat([[1, 2], [3, 4]]), dead_u=1)
+    E = RatMatrix.zeros(14, 12).to_lists()
+    H = RatMatrix.zeros(14, 12).to_lists()
+    L = RatMatrix.zeros(14, 4).to_lists()
+    for i, j in [
+        (0, 0), (1, 1),  # eps_p 2: rows 0-1, states 0-1
+        (2, 2),  # eps_bar_p 2: row 2, states 2-3; eps_bar_p 1: state 4
+        (3, 5), (4, 6),  # regular block: rows 3-4, states 5-6
+        (6, 7), (7, 8),  # sigma_p 3: rows 5-7, states 7-8; sigma_p 1: row 8
+        (10, 9),  # sigma_bar_p 2: rows 9-10, states 9-10
+        (11, 11),  # eta_p 2: rows 11-12, state 11; eta_p 1: row 13
+    ]:
+        E[i][j] = qq(1)
+    for i, j, v in [
+        (0, 1, 1), (2, 3, 1),
+        (3, 5, 1), (3, 6, 2), (4, 5, 3), (4, 6, 4),
+        (5, 7, 1), (6, 8, 1),
+        (9, 9, 1), (10, 10, 1),
+        (12, 11, 1),
+    ]:
+        H[i][j] = qq(v)
+    for i, j in [(1, 0), (7, 1), (8, 2)]:  # input 3 is dead
+        L[i][j] = qq(1)
+    want = Dacs(E=RatMatrix(E, cols=12), H=RatMatrix(H, cols=12), L=RatMatrix(L, cols=4))
+    assert build_fbcf(f) == want
+
+
 def test_build_fbcf_circuit_matrix():
     f = FbcfIndices(eps_p=(), eps_bar_p=(2, 2, 1), sigma_p=(1, 1),
                     sigma_bar_p=(1,) * 9, eta_p=(), n_rho=0,

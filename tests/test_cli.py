@@ -148,6 +148,28 @@ def test_width_left_out_of_dims_comes_from_an_earlier_matrix(tmp_path):
     assert (o.n, o.m, o.s, o.p) == (1, 2, 0, 0)
 
 
+def test_dims_larger_than_their_object_exit_2(tmp_path, capsys):
+    # zero-row matrices take their width from dims alone, and the wong
+    # report of this 65-byte file would grow as n^2
+    text = '{"kind":"dacs","dims":{"l":0,"n":150,"m":0},"E":[],"H":[],"L":[]}'
+    assert len(text) == 65
+    assert main(["wong", write(tmp_path, "big.json", text)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: dims.n = 150 exceeds the 65 characters of its object\n"
+
+
+def test_zero_row_systems_with_dims_still_parse(tmp_path):
+    obj = {"kind": "dacs", "dims": {"l": 0, "n": 3, "m": 1}, "E": [], "H": [], "L": []}
+    d = parse_system(write(tmp_path, "zero.json", obj))
+    assert (d.l, d.n, d.m) == (0, 3, 1)
+    z = RatMatrix.zeros
+    for i, system in enumerate([
+        Dacs(E=z(0, 4), H=z(0, 4), L=z(0, 2)),
+        Odecs2(A=z(4, 4), B_u=z(4, 0), B_v=z(4, 1), C=z(0, 4), D_u=z(0, 0)),
+    ]):
+        assert parse_system(write(tmp_path, "z%d.json" % i, serialize_system(system))) == system
+
+
 def test_exponent_entry_exits_2_at_once(tmp_path, capsys):
     # Fraction would expand "1e1000000000" into a billion-digit integer
     obj = {"kind": "dacs", "E": [["1e1000000000"]], "H": [["0"]], "L": [[]]}

@@ -131,6 +131,26 @@ def test_no_dead_private_helpers_in_library():
     assert not offenders, "private definitions nothing reads: %s" % offenders
 
 
+def test_chain_selectors_read_only_where_the_layout_is_written():
+    # the canonical block layout is written once, in canonical.emcf_system;
+    # every other pattern is derived from it, so outside _chains the chain
+    # selectors are read nowhere else
+    selectors = ("_tail_selectors", "_head_selectors")
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_chains.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        allowed = Counter()
+        if path.name == "canonical.py":
+            layout = [n for n in tree.body if getattr(n, "name", None) == "emcf_system"]
+            assert layout, "canonical.emcf_system is gone"
+            allowed = _read_counts(layout[0])
+        reads = _read_counts(tree)
+        offenders += ["%s %s" % (path.name, f) for f in selectors if reads[f] > allowed[f]]
+    assert not offenders, "chain selectors read outside emcf_system: %s" % offenders
+
+
 def test_matrix_storage_is_private_to_ratmat():
     # only ratmat reads RatMatrix's private storage, so the representation
     # can change without touching any other module
