@@ -354,12 +354,13 @@ def frobenius_form(A: RatMatrix) -> Tuple[RatMatrix, RatMatrix, List[List]]:
     factors is the invariant-factor list, degree nonincreasing, each
     dividing the previous; their product is the characteristic polynomial.
     """
-    T, _, Fr, factors = _frobenius(A)
+    T, _, Fr, factors = _frobenius(A, charpoly(A))
     return T, Fr, factors
 
 
-def _frobenius(A: RatMatrix) -> Tuple[RatMatrix, RatMatrix, RatMatrix, List[List]]:
-    """:func:`frobenius_form` with T^{-1} as well: (T, T^{-1}, Fr, factors)."""
+def _frobenius(A: RatMatrix, chi: List) -> Tuple[RatMatrix, RatMatrix, RatMatrix, List[List]]:
+    """:func:`frobenius_form` with T^{-1} as well: (T, T^{-1}, Fr, factors),
+    given chi = charpoly(A), which the invariant factors must multiply to."""
     T, T_inv, blocks, factors = _frobenius_rec(A)
     Fr = block_diag(blocks)
     if T * A != Fr * T:
@@ -367,7 +368,7 @@ def _frobenius(A: RatMatrix) -> Tuple[RatMatrix, RatMatrix, RatMatrix, List[List
     prod = [qq(1)]
     for f in factors:
         prod = poly_mul(prod, f)
-    if prod != charpoly(A):
+    if prod != chi:
         raise InternalInvariantViolation("invariant factors do not multiply to the charpoly")
     for f1, f2 in zip(factors, factors[1:]):
         if poly_divmod(f1, f2)[1]:

@@ -686,7 +686,7 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     t1, eps, eps_bar = brunovsky_two_inputs(
         o.A.submatrix(b1, b1), o.B_u.submatrix(b1, u1), o.B_v.submatrix(b1, v1)
     )
-    T2f, T2f_inv, A_nn, _ = _frobenius(o.A.submatrix(b2, b2))
+    T2f, T2f_inv, A_nn, _ = _frobenius(o.A.submatrix(b2, b2), m.polys[1])
     t3, sigma, delta, sigma_bar = _prime_canonical(
         Odecs2(
             o.A.submatrix(b3, b3),

@@ -10,9 +10,10 @@ exact linear solve, zero out every block below the diagonal staircase.  The
 normal form then removes the remaining coupling blocks with a state-space
 similarity assembled from Sylvester solutions, each unique because the four
 diagonal blocks' characteristic polynomials are proven pairwise coprime once
-beforehand.  If need be, exact pole placement puts blocks 1, 3 and 4 on the
-first window of integers k n + 1, ..., k n + N (N = n1 + n3 + n4) free of
-roots of block 2's polynomial; it has at most n2 roots, so k <= n2.
+beforehand.  Only block 2's spectrum is an invariant, so exact pole placement
+first puts block 1 and block 4 each at a single small integer eigenvalue
+(block 3 too when it shares a root with block 2); the Sylvester solutions'
+denominators divide resultants of the block polynomials, which stay small.
 
 Both input kinds are handled in merged form; only the *second* kind may mix
 into the first through the input transform, never the reverse, so the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import combinations, count
+from itertools import islice
 from typing import List, NamedTuple, Optional, Tuple
 
 from ._chains import NotControllable, charpoly, pole_place, poly_from_roots, poly_gcd
@@ -104,13 +105,16 @@ class MtfSystem:
 class MnfSystem:
     """A system in block-diagonal normal form together with its certificate.
 
-    ``groups`` is as in MtfSystem.
+    ``groups`` is as in MtfSystem.  ``polys`` holds the characteristic
+    polynomials of the four diagonal blocks, proven pairwise coprime; the
+    canonical stage reads block 2's.  Neither takes part in ``==``.
     """
 
     system: Odecs2
     dims: BlockDims
     transform: EmTransform
     groups: Tuple[int, int] = field(compare=False)
+    polys: Tuple[List, List, List, List] = field(compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -475,42 +479,74 @@ def emtf(o: Odecs2) -> MtfSystem:
 # ---------------------------------------------------------------------------
 
 
+def _integer_candidate(k: int) -> int:
+    """The k-th integer of the order 0, 1, -1, 2, -2, ..."""
+    return (k + 1) // 2 if k % 2 else -(k // 2)
+
+
+def _poly_at(p: List, t: int):
+    """p(t) by Horner's rule, coefficients low degree first."""
+    v = qq(0)
+    for c in reversed(p):
+        v = v * t + c
+    return v
+
+
 def _disjoint_spectra_stage(
     o: Odecs2, d: BlockDims, g1: List[int], g3: List[int]
 ) -> Tuple[EmTransform, List[RatMatrix], List[List]]:
     """Feedback and output injection (preserving the triangular pattern) that
     make the four diagonal blocks' characteristic polynomials pairwise
     coprime; returns it with the diagonal blocks it leaves and their
-    polynomials.  Identity when they already are coprime; otherwise blocks
-    1, 3 and 4 get the poles of the first window k n + 1, ..., k n + N
-    (N = n1 + n3 + n4 <= n) holding no root of block 2's polynomial chi_2.
-    The windows are disjoint and chi_2 has at most n2 roots, so k <= n2."""
+    polynomials.
+
+    Only block 2's spectrum is an invariant.  Feedback puts block 1 at the
+    single eigenvalue t1 and output injection puts block 4 at t4, the first
+    two integers of 0, 1, -1, 2, -2, ... that are roots of neither chi_2 nor
+    chi_3.  Block 3 keeps its spectrum unless gcd(chi_2, chi_3) != 1; then
+    chi_3 does not constrain t1 and t4, and feedback puts block 3 at t3, the
+    next integer that is no root of chi_2.  Pairwise coprimality follows from
+    those evaluations, t1 != t4 (!= t3) and the one gcd.  A block already at
+    its target is left alone, so the stage is the identity on its own output.
+    chi_2 and chi_3 have at most n2 + n3 roots, so n2 + n3 + 3 candidates
+    always suffice."""
     A, B_w, C, _ = o.merged()
     b1, b2, b3, b4 = _state_blocks(d)
     y4 = list(range(d.p3, o.p))
     blocks = [A.submatrix(b, b) for b in (b1, b2, b3, b4)]
     polys = [charpoly(Ab) for Ab in blocks]
-    if all(poly_gcd(p, q) == [qq(1)] for p, q in combinations(polys, 2)):
-        return EmTransform.identity(o.n, o.m, o.s, o.p), blocks, polys
-    chi2, N = polys[1], d.n1 + d.n3 + d.n4
-    windows = ([k * o.n + i for i in range(1, N + 1)] for k in count())
-    # the first window where chi_2 (coefficients low degree first) has no root
-    window = next(
-        w for w in windows if all(sum(c * t**i for i, c in enumerate(chi2)) != 0 for t in w)
-    )
-    t1, t3, t4 = window[: d.n1], window[d.n1 : d.n1 + d.n3], window[d.n1 + d.n3 :]
+    chi2, chi3 = polys[1], polys[2]
+    place3 = poly_gcd(chi2, chi3) != [qq(1)]
+    avoid, need = ([chi2], 3) if place3 else ([chi2, chi3], 2)
+    candidates = map(_integer_candidate, range(d.n2 + d.n3 + 3))
+    admissible = (t for t in candidates if all(_poly_at(p, t) != 0 for p in avoid))
+    targets = list(islice(admissible, need))
+    if len(targets) < need:
+        raise InternalInvariantViolation("no admissible integer poles for the normal form")
+    t1, t4 = targets[:2]
     B1, B3, C4 = B_w.submatrix(b1, g1), B_w.submatrix(b3, g3), C.submatrix(y4, b4)
+    F_blocks, K_blocks = [], []
     try:
-        F1 = pole_place(blocks[0], B1, t1)
-        F2 = pole_place(blocks[2], B3, t3)
-        K3 = pole_place(blocks[3].T, C4.T, t4).T
+        chi1 = poly_from_roots([t1] * d.n1)
+        if polys[0] != chi1:
+            F1 = pole_place(blocks[0], B1, [t1] * d.n1)
+            F_blocks.append((g1, b1, F1))
+            blocks[0], polys[0] = blocks[0] + B1 * F1, chi1
+        if place3:
+            t3 = targets[2]
+            F3 = pole_place(blocks[2], B3, [t3] * d.n3)
+            F_blocks.append((g3, b3, F3))
+            blocks[2], polys[2] = blocks[2] + B3 * F3, poly_from_roots([t3] * d.n3)
+        chi4 = poly_from_roots([t4] * d.n4)
+        if polys[3] != chi4:
+            K4 = pole_place(blocks[3].T, C4.T, [t4] * d.n4).T
+            K_blocks.append((b4, y4, K4))
+            blocks[3], polys[3] = blocks[3] + K4 * C4, chi4
     except NotControllable as exc:
         raise InternalInvariantViolation(
             "triangular form lost block controllability/observability"
         ) from exc
-    t = _feedback_stage(o, [(g1, b1, F1), (g3, b3, F2)], [(b4, y4, K3)])
-    blocks = [blocks[0] + B1 * F1, blocks[1], blocks[2] + B3 * F2, blocks[3] + K3 * C4]
-    return t, blocks, [poly_from_roots(t1), chi2, poly_from_roots(t3), poly_from_roots(t4)]
+    return _feedback_stage(o, F_blocks, K_blocks), blocks, polys
 
 
 def _coupling_corrections(
@@ -588,7 +624,9 @@ def _similarity_stage(
     o: Odecs2, d: BlockDims, T2: RatMatrix, T5: RatMatrix, polys: List[List]
 ) -> EmTransform:
     """Unipotent state similarity removing the remaining coupling blocks; the
-    diagonal blocks' ``polys`` are proven pairwise coprime."""
+    diagonal blocks' ``polys`` are proven pairwise coprime, and blocks 1 and
+    4 sit at single integer eigenvalues, so the Sylvester solutions'
+    denominators divide small resultants."""
     A = o.A
     b1, b2, b3, b4 = _state_blocks(d)
     A1, A2, A4 = (A.submatrix(b, b) for b in (b1, b2, b4))
@@ -652,4 +690,6 @@ def emnf(m: MtfSystem) -> MnfSystem:
     total = em_compose(m.transform, em_compose(em_compose(t_spec, t_corr), t_sim))
     if not verify_em(m.source, o_mnf, total):
         raise InternalInvariantViolation("normal-form certificate failed to verify")
-    return MnfSystem(system=o_mnf, dims=d, transform=total, groups=m.groups)
+    return MnfSystem(
+        system=o_mnf, dims=d, transform=total, groups=m.groups, polys=tuple(polys)
+    )

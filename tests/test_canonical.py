@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from dacscanon.systems import (
     verify_em,
     verify_exfb,
 )
+from dacscanon import _chains
 from dacscanon._chains import controllability_indices, frobenius_form
 from dacscanon.geometry import invariant_subspaces
 from dacscanon.morse import emnf, emtf
@@ -34,6 +36,7 @@ from dacscanon.canonical import (
     prime_canonical,
     translate_indices,
 )
+from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 from test_systems import random_dacs, random_em, random_exfb, random_matrix
 
 
@@ -484,7 +487,23 @@ def test_fbcf_from_known_indices(seed):
     assert d_can3 == d
 
 
-if __name__ == "__main__":
-    import sys
+def test_fbcf_reuses_the_proven_block_2_polynomial(monkeypatch):
+    # emnf proves block 2's characteristic polynomial and emcf hands it to
+    # the Frobenius form, which computes none of its own
+    callers, real = [], _chains.charpoly
 
+    def counting(A):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(A)
+
+    monkeypatch.setattr(_chains, "charpoly", counting)
+    for case in range(10):
+        base = 900001 + 2 * case
+        d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
+        fbcf(random_exfb_scramble(d, Seeded(base + 1, entry_bound=1))[0])
+    assert "pole_place" in callers
+    assert "_frobenius" not in callers
+
+
+if __name__ == "__main__":
     sys.exit(pytest.main([__file__, "-q"]))

@@ -1,14 +1,22 @@
 """Bit-identity gate for the whole pipeline.
 
-Each digest is the sha256 of the CLI's JSON serialization of everything
-``fbcf_run`` returns: the stage systems, every certificate and both index
-records.  A change that alters any entry of any of them, by value or by
-spelling, changes the digest.  A speed-up must keep them all; a change
-that means to alter an output must say why and record the new digests.
+Each full digest is the sha256 of the CLI's JSON serialization of
+everything ``fbcf_run`` returns: the stage systems, every certificate and
+both index records.  A change that alters any entry of any of them, by
+value or by spelling, changes the digest.  A speed-up must keep them all;
+a change that means to alter an output must say why and record the new
+digests.
+
+Each ends digest covers only what the normal form's free choices cannot
+reach: the input, the explicitation record, the triangular stage and its
+certificate, the block dimensions, both index records and the two
+canonical systems.  A change to the normal form or to the certificates
+composed after it keeps these digests and re-records only the full ones.
 """
 
 import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -20,6 +28,7 @@ from dacscanon.cli import (
     _indices_json,
     _serialize_cert,
     _serialize_record,
+    _stage_entry,
     parse_system,
     serialize_system,
 )
@@ -28,25 +37,46 @@ from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "circuit.json"
 
 # sha256 per input: the circuit fixture, criterion 2's cases 0-9, and case
-# 182, the first whose normal form places poles past the first window (k = 1)
+# 182, whose block 3 has the eigenvalue 0 and block 2 the eigenvalue 1, so
+# the normal form's pole targets skip both first candidates (t1 = -1, t4 = 2)
 GOLDEN = {
-    "fixture": "2a8f3f97e0053223315ed9d3e38198ede63c9c5bbbe34edd8540b47fbcb75696",
-    "case0": "132e154f471c06a74c01c47a16db7aec30d9755256db7c077caa526d557167f6",
-    "case1": "cf6887f3443fa1a2bdc84ca275ebd187b0b3013e14176d5868c8550fd46ab994",
-    "case2": "1a9abe5d2b6bc2c19f1e8632aab2238008ca8772a8b56a0c607046b92def6e18",
-    "case3": "dfe4a88708190d983fb9b89348eb49b20a7bdb9be7c09f97a389601100e81308",
-    "case4": "4fd4c8418dcd9ed71b79e86a4d51aea76d63c7314c5cd70074ac51180ac64620",
-    "case5": "9fba1deccf39ccb03d3fe93d9b96933805d3876b497a15e62a385649d797cb7d",
-    "case6": "5bf52ce921c81ad3e667680de28eace21f8911e56c21af204e2ea2feec3cabb1",
-    "case7": "c73bb1de954d64fa9c48b7fe665aec92944b7fee1998b4a7e8389777a690e0ea",
-    "case8": "6bec1d602adae1145ee69a3389acb76c78564e9e6e07d09f512dfa3f070bc275",
+    "fixture": "b5a1261c7f42bfc734d386916e7a8f65096564377d036e195353d3ef130d5c93",
+    "case0": "910927efd90870f081b5cd52843dcd3f2f815a07016f08017220c2d46abff016",
+    "case1": "b3af4b7975af2de54f3b2baf74e3dfb9a8682353e291fffb26006c6402a9ca50",
+    "case2": "a7094aa9aecee8803f68f64cc96b1e84a715830bb5e53ee7b4cb0db8037e8d05",
+    "case3": "b79fda416a6bc04201352c5899e7d2c646846e281c20f9ee3133391d223c2ca5",
+    "case4": "cf8a1f9f3fb6f96956466c8a1244017851b93d65ca832e65817244bad5cba24c",
+    "case5": "2444baf572b244cee718689e38a8104c33c5a735f85262c55c752846e87e858e",
+    "case6": "60689c5456e64dbc118c29cd32881fe8480cb0380d7fe3a00b9239fcd2115174",
+    "case7": "ae906f86ca416db9e9478158bbda042b98fc27f837e204b9d5d721c1daca6e50",
+    "case8": "fd12c443788a38c2d760f6b151f3dfab09ed31746a9451d49f4e6b204ac81c95",
     "case9": "2d3c6f7aaba96f6168d8d33ee80b498780d11ebfcb757e8cc28e8e249d74968a",
-    "case182": "da445b17b34764c1c76715717b2a2336ed4a389bafab385656c73041356ffe80",
+    "case182": "f7fa95a4e96d72a80066c81cad8eb56d06b88783359fac7a390350019d4d66db",
+}
+
+# the same inputs' ends digests: outputs that no choice of the normal form's
+# free spectra may move
+GOLDEN_ENDS = {
+    "fixture": "e373a83b7b4ba6f1522f2d77790104ca2fd52947c85553dec640b5e54c5e1c7c",
+    "case0": "bdeb99be204be983e757399f1cd0c4a2db85877f281b48c2a009b2652d9b7771",
+    "case1": "c6eb160aacc796980b78aef0e442b6cecaca81a19a7c511a351f9cd4416aafab",
+    "case2": "e9771117b1a4366ef431896d966d52da3b67e7568ae13e798190b0bab07140cf",
+    "case3": "1403a9417b991f23a73d0a75cac392a634309e40a39b23e2f4356c14c8476fcb",
+    "case4": "a474811ad8ab5b5a629137ab1f4d0eadff44eaf9339d894c71efbd782b97274e",
+    "case5": "0877d808a80665120b4336875e5d0dab2aef6716aa5361fffefd149332f84f87",
+    "case6": "a696f34ae1b2f7462eeae50efab6f17920752789750d36899263c6e83b8a29ff",
+    "case7": "c1781f06a27cdef48089aef11d55da1e2fcb3becf392a45fa56203b93b82ffdf",
+    "case8": "e1e38eb8653a63a530c3e4fde0c2c59fed8f7c405fc87b6920c5e111c220dd9e",
+    "case9": "2cc4c295b350a022c5255875e6a1459b770d94639d38974b85fe3d0dcbc1d806",
+    "case182": "84cdf9aa4b41500300516018811143bc19430ce9f39cdde0a5e3cafc328a36b6",
 }
 
 
-def fbcf_run_digest(d):
-    run = fbcf_run(d)
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def fbcf_run_digest(run):
     ex = run.explicit
     doc = {
         "stages": [serialize_system(ex.source)]
@@ -58,18 +88,68 @@ def fbcf_run_digest(d):
         + [_serialize_cert(run.cert, "total")],
         "indices": [_indices_json(ex.idx), _indices_json(run.fidx)],
     }
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return _digest(doc)
 
 
-def golden_input(name):
+def ends_digest(run):
+    """The digest of the outputs the normal form's free choices cannot reach."""
+    ex = run.explicit
+    doc = {
+        "stages": [
+            serialize_system(ex.source),
+            _stage_entry("triangular", ex.tri.system),
+            _stage_entry("canonical", ex.o_can),
+            serialize_system(run.d_can),
+        ],
+        "block_dims": [dict(ex.tri.dims._asdict()), list(ex.tri.groups)],
+        "certificates": [
+            _serialize_record(run.rec),
+            _serialize_cert(ex.tri.transform, "triangular"),
+        ],
+        "indices": [_indices_json(ex.idx), _indices_json(run.fidx)],
+    }
+    return _digest(doc)
+
+
+def golden_input(name, entry_bound=1):
     """The fixture, or criterion 2's scrambled round-trip case."""
     if name == "fixture":
         return parse_system(str(FIXTURE))
     base = 900001 + 2 * int(name[len("case"):])
     d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
-    return random_exfb_scramble(d, Seeded(base + 1, entry_bound=1))[0]
+    return random_exfb_scramble(d, Seeded(base + 1, entry_bound=entry_bound))[0]
+
+
+@lru_cache(maxsize=None)
+def golden_run(name, entry_bound):
+    """One ``fbcf_run`` per input, shared by the tests below."""
+    return fbcf_run(golden_input(name, entry_bound))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fbcf_run_outputs_are_bit_identical(name):
-    assert fbcf_run_digest(golden_input(name)) == GOLDEN[name]
+    assert fbcf_run_digest(golden_run(name, 1)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENDS))
+def test_fbcf_run_ends_are_bit_identical(name):
+    assert ends_digest(golden_run(name, 1)) == GOLDEN_ENDS[name]
+
+
+def _largest_entry_bits(cert):
+    return max(
+        max(x.numerator.bit_length(), x.denominator.bit_length())
+        for M in (cert.Q, cert.P, cert.F, cert.G)
+        for row in M.to_lists()
+        for x in row
+    )
+
+
+# Largest implicit-certificate entry over criterion 2's cases 0-9: 498 bits
+# at entry bound 1 and 1933 at entry bound 3 while the normal form decoupled
+# against the spectra the triangular form left; 268 and 999 once blocks 1
+# and 4 sit at single small integer eigenvalues.
+@pytest.mark.parametrize("entry_bound, limit", [(1, 300), (3, 1200)])
+def test_implicit_certificate_entries_stay_small(entry_bound, limit):
+    bits = [_largest_entry_bits(golden_run("case%d" % k, entry_bound).cert) for k in range(10)]
+    assert max(bits) <= limit

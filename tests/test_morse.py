@@ -417,23 +417,69 @@ def test_emnf_proves_disjoint_spectra_once(monkeypatch, which):
     assert len(placements) <= 3
 
 
-def test_emnf_pole_window_skips_roots_of_block_2():
-    # n = 4 and N = n1 + n3 + n4 = 2, so the pole windows are {1, 2}, {5, 6},
-    # {9, 10}, ...; block 2 has the eigenvalues 1 and 5, one in each of the
-    # first two windows, and shares 1 with block 1, so placement is needed
-    A = mat([[1, 1, 2, 3], [0, 1, 0, 1], [0, 0, 5, 1], [0, 0, 0, 0]])
-    o = Odecs2(A, mat([[1], [0], [0], [0]]), RatMatrix.zeros(4, 0), mat([[0, 0, 0, 1]]), mat([[0]]))
-    dims = morse.BlockDims(n1=1, n2=2, n3=0, n4=1, m1=1, m3=0, p3=0, p4=1)
+def _hand_built_emnf(A, B_u, C, D, dims, groups):
+    """emnf of a hand-built triangular form; checks the result and returns
+    the characteristic polynomials of its four diagonal blocks."""
+    o = Odecs2(mat(A), mat(B_u), RatMatrix.zeros(len(A), 0), mat(C), mat(D))
     tri = MtfSystem(
-        system=o, dims=dims, transform=EmTransform.identity(4, 1, 0, 1), groups=(1, 0), source=o
+        system=o,
+        dims=dims,
+        transform=EmTransform.identity(o.n, o.m, 0, o.p),
+        groups=groups,
+        source=o,
     )
     r = emnf(tri)
     assert verify_em(o, r.system, r.transform)
     check_diagonal_pattern(r)
-    A_nf = r.system.A
-    assert charpoly(A_nf.submatrix([0], [0])) == poly_from_roots([9])
-    assert A_nf.submatrix([1, 2], [1, 2]) == A.submatrix([1, 2], [1, 2])
-    assert charpoly(A_nf.submatrix([3], [3])) == poly_from_roots([10])
+    polys = [charpoly(r.system.A.submatrix(b, b)) for b in morse._state_blocks(dims)]
+    assert list(r.polys) == polys
+    return polys
+
+
+def test_emnf_targets_skip_the_roots_of_block_2():
+    # block 2 has the eigenvalues 0 and 1, the first two candidates of
+    # 0, 1, -1, 2, ..., so block 1 goes to t1 = -1 and block 4 to t4 = 2
+    A = [[5, 1, 2, 3], [0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 0, 3]]
+    dims = morse.BlockDims(n1=1, n2=2, n3=0, n4=1, m1=1, m3=0, p3=0, p4=1)
+    polys = _hand_built_emnf(A, [[1], [0], [0], [0]], [[0, 0, 0, 1]], [[0]], dims, (1, 0))
+    assert polys == [
+        poly_from_roots([-1]), poly_from_roots([0, 1]), [qq(1)], poly_from_roots([2])
+    ]
+
+
+# one state per block; group-1 input 0 drives block 1, group-3 input 1 drives
+# the prime block 3 (pencil [[-s, 1], [1, 0]] when A3 = 0), output 0 sees
+# block 3 and output 1 sees block 4
+_ONE_STATE_DIMS = morse.BlockDims(n1=1, n2=1, n3=1, n4=1, m1=1, m3=1, p3=1, p4=1)
+
+
+def _one_state_blocks(a2, a3):
+    A = [[5, 1, 1, 1], [0, a2, 0, 1], [0, 0, a3, 1], [0, 0, 0, 7]]
+    B_u = [[1, 1], [0, 0], [0, 1], [0, 0]]
+    C = [[0, 0, 1, 1], [0, 0, 0, 1]]
+    return _hand_built_emnf(A, B_u, C, [[0, 0], [0, 0]], _ONE_STATE_DIMS, (1, 0))
+
+
+def test_emnf_targets_skip_the_roots_of_block_3():
+    # chi_3 = s rules out 0 and is coprime to chi_2 = s - 3, so block 3
+    # keeps its spectrum and blocks 1 and 4 go to 1 and -1
+    polys = _one_state_blocks(3, 0)
+    assert polys == [poly_from_roots(r) for r in ([1], [3], [0], [-1])]
+
+
+def test_emnf_places_block_3_when_it_shares_a_root_with_block_2():
+    # chi_2 = chi_3 = s: block 3 moves to the third integer that is no root
+    # of chi_2, after t1 = 1 and t4 = -1
+    polys = _one_state_blocks(0, 0)
+    assert polys == [poly_from_roots(r) for r in ([1], [0], [2], [-1])]
+
+
+def test_emnf_without_admissible_targets_raises(monkeypatch):
+    # n2 + n3 + 3 candidates always hold the targets; running out is a
+    # broken proof, not a user error
+    monkeypatch.setattr(morse, "_poly_at", lambda p, t: qq(0))
+    with pytest.raises(InternalInvariantViolation):
+        _one_state_blocks(3, 0)
 
 
 # -- prime pencil inverse -------------------------------------------------------
