@@ -18,6 +18,16 @@ factor.  Entries become scalars (rationals of the scalar type below) only
 at the boundary: the constructor's coercion, indexing, ``row``, ``col``,
 ``to_lists`` and ``repr``.
 
+Trivial operands cost nothing.  A product with an identity factor returns
+the other factor, and one with a zero factor returns ``zeros``; a zero row
+of the left factor gives a zero row, and a left row +-e_j gives +-(row j
+of the right factor) as stored.  A sum or difference with a zero operand
+returns the other operand (negated when it is subtracted), and the
+inverse of the identity is the identity, found with no elimination.  Such
+results may share an operand's rows (matrices are immutable), and since
+the primitive form is unique their values and stored form are those the
+general path computes.
+
 Determinism rules (fixed so that certificates and canonical forms are
 reproducible):
   * pivoting: leftmost column, first nonzero row;
@@ -211,11 +221,21 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return not any(any(n) for n, _ in self._r)
 
+    def is_identity(self) -> bool:
+        return self.rows == self.cols and all(
+            d == 1 and n[i] == 1 and n.count(0) == self.cols - 1
+            for i, (n, d) in enumerate(self._r)
+        )
+
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch %s + %s" % (self.shape, other.shape))
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         out = []
         for (a, da), (b, db) in zip(self._r, other._r):
             if da != db:
@@ -243,19 +263,40 @@ class RatMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dims %s * %s" % (self.shape, other.shape))
-        # Scale the right factor's rows to one denominator L; then row i of
-        # the product is an integer combination of them over d_i * L.
-        L = _int_lcm(1, *[d for _, d in other._r])
-        brows = [n if d == L else [x * (L // d) for x in n] for n, d in other._r]
-        bcols = list(zip(*brows)) or [()] * other.cols
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
+        if self.is_zero() or other.is_zero():
+            return RatMatrix.zeros(self.rows, other.cols)
+        zero = ([0] * other.cols, 1)
+        brows = bcols = None
         out = []
         for a, d in self._r:
-            picked = [(x, b) for x, b in zip(a, brows) if x]
-            if 3 * len(picked) <= len(a):  # sparse row: add up the rows it picks
+            nnz = len(a) - a.count(0)
+            if not nnz:
+                out.append(zero)
+                continue
+            if nnz == 1:
+                j, x = next((j, x) for j, x in enumerate(a) if x)
+                if abs(x) == d:  # the row is primitive, so it is +-e_j
+                    b, db = other._r[j]
+                    out.append((b, db) if x > 0 else ([-y for y in b], db))
+                    continue
+            if brows is None:
+                # Scale the right factor's rows to one denominator L; then
+                # row i of the product is an integer combination of them
+                # over d_i * L.
+                L = _int_lcm(1, *[db for _, db in other._r])
+                brows = [b if db == L else [y * (L // db) for y in b] for b, db in other._r]
+            if 3 * nnz <= len(a):  # sparse row: add up the rows it picks
                 acc = [0] * other.cols
-                for x, b in picked:
-                    acc = [s + x * y for s, y in zip(acc, b)]
+                for x, b in zip(a, brows):
+                    if x:
+                        acc = [s + x * y for s, y in zip(acc, b)]
             else:
+                if bcols is None:
+                    bcols = list(zip(*brows))
                 acc = [sum(map(mul, a, c)) for c in bcols]
             out.append(_prim(acc, d * L))
         return RatMatrix._wrap(out, other.cols)
@@ -481,6 +522,8 @@ def inverse(M: RatMatrix) -> RatMatrix:
     """Exact inverse of a square invertible matrix (the RREF certificate)."""
     if M.rows != M.cols:
         raise ValueError("inverse of non-square %s" % (M.shape,))
+    if M.is_identity():
+        return M
     rk, _, T = rank_rref(M)
     if rk != M.rows:
         raise ValueError("matrix is singular")
@@ -538,7 +581,7 @@ def is_invertible(M: RatMatrix) -> bool:
     """
     if M.rows != M.cols:
         return False
-    return _det_nonzero_mod_p(M) or rank(M) == M.rows
+    return M.is_identity() or _det_nonzero_mod_p(M) or rank(M) == M.rows
 
 
 def solve(M: RatMatrix, B: RatMatrix) -> Optional[RatMatrix]:

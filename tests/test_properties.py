@@ -3,6 +3,8 @@
 The feedback canonical form is a fixed point of the pipeline: decoding the
 system built from any index datum returns that datum and that system.
 Index translation keeps the system dimensions that explicitation relates.
+Drawn scrambles of generated systems leave the indices and the canonical
+system unchanged.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -10,9 +12,9 @@ from hypothesis import strategies as st
 
 from dacscanon._chains import frobenius_form
 from dacscanon.canonical import EmcfIndices, FbcfIndices, build_fbcf, fbcf, translate_indices
-from dacscanon.harness import Seeded, random_exfb_scramble
+from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 from dacscanon.ratmat import RatMatrix
-from dacscanon.systems import explicitate
+from dacscanon.systems import explicitate, verify_exfb
 
 MAX_STATES = 12
 SETTINGS = settings(
@@ -91,3 +93,19 @@ def test_translate_indices_keeps_dimensions(e):
     assert (f.l, f.n, f.m) == (e.n - e.s + e.p, e.n, e.m)
     o, _ = explicitate(build_fbcf(f))
     assert (o.n, o.m, o.s, o.p) == (e.n, e.m, e.s, e.p)
+
+
+@settings(SETTINGS, max_examples=20)
+@given(
+    system=st.integers(0, 10**6),
+    scramble=st.integers(0, 2**32 - 1),
+    entry_bound=st.sampled_from([1, 3]),
+)
+def test_indices_are_invariant_under_drawn_scrambles(system, scramble, entry_bound):
+    d, built = random_fbcf(Seeded(system), bounds=(3, 4))
+    scrambled, t_scr = random_exfb_scramble(d, Seeded(scramble, entry_bound=entry_bound))
+    assert verify_exfb(d, scrambled, t_scr)
+    t, got, d_can = fbcf(scrambled)
+    assert got == built
+    assert d_can == d
+    assert verify_exfb(scrambled, d_can, t)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dacscanon import ratmat
 from dacscanon.ratmat import (
     InternalInvariantViolation,
     NotFullRowRank,
@@ -590,6 +591,95 @@ def test_complement_matches_greedy_fraction_reference(data, n, k, j):
         if ref_rank(span + [v]) > ref_rank(span):
             chosen.append(v)
     same(complement(inner, outer), ref_T(chosen, len(chosen), n), len(chosen))
+
+
+@st.composite
+def structured_square(draw, n):
+    """n x n Fraction lists: identity, zero, a signed permutation, or
+    block_diag([I, M]) with M drawn."""
+    kind = draw(st.sampled_from(["identity", "zero", "permutation", "block"]))
+    eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    if kind == "identity":
+        return eye
+    if kind == "zero":
+        return [[F(0)] * n for _ in range(n)]
+    if kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        return [[F(sg * int(j == p)) for j in range(n)] for p, sg in zip(perm, signs)]
+    k = draw(st.integers(0, n))
+    m = draw(fraction_rows(n - k, n - k))
+    return [r[:k] + [F(0)] * (n - k) for r in eye[:k]] + [[F(0)] * k + r for r in m]
+
+
+@st.composite
+def unit_rows(draw, rows, cols):
+    """rows x cols Fraction lists whose rows are e_j, -e_j, 2 e_j, e_j / 2,
+    zero or drawn; only the first two are unit rows."""
+    out = []
+    for _ in range(rows):
+        c = draw(st.sampled_from([1, -1, 2, F(1, 2), 0, None])) if cols else 0
+        if c is None:
+            out.append(draw(st.lists(ENTRIES, min_size=cols, max_size=cols)))
+        else:
+            j = draw(st.integers(0, cols - 1)) if cols else 0
+            out.append([F(c) if i == j else F(0) for i in range(cols)])
+    return out
+
+
+@SETTINGS
+@given(st.data(), DIMS, DIMS)
+def test_structured_operands_match_fraction_reference(data, r, n):
+    s, s2 = data.draw(structured_square(n)), data.draw(structured_square(n))
+    u, g = data.draw(unit_rows(r, n)), data.draw(fraction_rows(r, n))
+    h = data.draw(fraction_rows(n, r))
+    S, S2 = RatMatrix(s, cols=n), RatMatrix(s2, cols=n)
+    U, G, H = RatMatrix(u, cols=n), RatMatrix(g, cols=n), RatMatrix(h, cols=r)
+    for X, x in ((S, s), (S2, s2)):
+        same(X * S, ref_mul(x, s, n, n), n)
+        same(X * H, ref_mul(x, h, n, r), r)
+        same(G * X, ref_mul(g, x, n, n), n)
+        same(U * X, ref_mul(u, x, n, n), n)
+    same(U * H, ref_mul(u, h, n, r), r)
+    same(H * U, ref_mul(h, u, r, n), n)
+    same(S + S2, [[x + y for x, y in zip(p, q)] for p, q in zip(s, s2)], n)
+    same(S - S2, [[x - y for x, y in zip(p, q)] for p, q in zip(s, s2)], n)
+    zero = [[F(0)] * n for _ in range(r)]
+    for X, x in ((U, u), (G, g), (RatMatrix.zeros(r, n), zero)):
+        same(X + U, [[a + b for a, b in zip(p, q)] for p, q in zip(x, u)], n)
+        same(X - G, [[a - b for a, b in zip(p, q)] for p, q in zip(x, g)], n)
+        same(G - X, [[a - b for a, b in zip(p, q)] for p, q in zip(g, x)], n)
+    det = ref_det(s, n)
+    assert is_invertible(S) == (det != 0)
+    if det != 0:
+        same(inverse(S), ref_rref(s, n, n)[2], n)
+    else:
+        with pytest.raises(ValueError):
+            inverse(S)
+
+
+def test_trivial_operands_do_no_arithmetic(monkeypatch):
+    # products with an identity or zero factor or unit rows, sums with a
+    # zero, and the identity's inverse and invertibility take no gcd sweep,
+    # no elimination and no modular determinant
+    calls = []
+    for name in ("_prim", "_eliminate", "_det_nonzero_mod_p"):
+        real = getattr(ratmat, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(ratmat, name, counting)
+    M = mat([[1, "1/2", 0], ["-3/7", 4, "2/3"], [0, 5, 7]])
+    I, Z = RatMatrix.identity(3), RatMatrix.zeros(3, 3)
+    P = mat([[0, -1, 0], [0, 0, 0], [1, 0, 0]])
+    Z32, Z23 = RatMatrix.zeros(3, 2), RatMatrix.zeros(2, 3)
+    got = [I * M, M * I, Z * M, M * Z, M * Z32, Z23 * M, M + Z, Z + M, M - Z, P * M]
+    got += [inverse(I), is_invertible(I)]
+    assert not calls
+    PM = mat([[F(3, 7), -4, F(-2, 3)], [0, 0, 0], [1, F(1, 2), 0]])
+    assert got == [M, M, Z, Z, Z32, Z23, M, M, M, PM, I, True]
 
 
 def test_equal_values_spelled_differently_are_equal_and_hash_equal():
