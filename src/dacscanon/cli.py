@@ -287,10 +287,10 @@ def parse_system(path: str) -> Union[Dacs, Odecs2]:
     return parse_system_obj(_load_json(path))
 
 
-def _load_cert(path: str, wanted_kind: str) -> Union[ExFbTransform, EmTransform]:
-    """Load a certificate file; inside a report, pick the last one of the
-    wanted kind (the total transformation comes last in every chain)."""
-    obj = _load_json(path)
+def _cert_from_file(obj, path: str, wanted_kind: str) -> Union[ExFbTransform, EmTransform]:
+    """The certificate in the loaded file ``path``; inside a report, the last
+    one of the wanted kind (the total transformation comes last in every
+    chain)."""
     if isinstance(obj, dict) and "certificates" in obj and "kind" not in obj:
         certs = obj["certificates"]
         if not isinstance(certs, list) or not all(isinstance(c, dict) for c in certs):
@@ -519,12 +519,19 @@ def _cmd_fbcf(args) -> Tuple[dict, bool]:
 
 
 def _cmd_verify(args) -> Tuple[dict, bool]:
-    left = parse_system(args.left)
-    right = parse_system(args.right)
+    loaded = {}  # path -> JSON: a report given as --right and --cert is read once
+
+    def load(path):
+        if path not in loaded:
+            loaded[path] = _load_json(path)
+        return loaded[path]
+
+    left = parse_system_obj(load(args.left))
+    right = parse_system_obj(load(args.right))
     if isinstance(left, Dacs) != isinstance(right, Dacs):
         raise ParseError("left and right systems have different kinds")
     wanted = "exfb" if isinstance(left, Dacs) else "em"
-    cert = _load_cert(args.cert, wanted)
+    cert = _cert_from_file(load(args.cert), args.cert, wanted)
     if wanted == "exfb":
         ok = verify_exfb(left, right, cert)
     else:

@@ -42,10 +42,14 @@ reproducible):
     columns in index order;
   * right inverse: inverse of the pivot-column submatrix placed in the
     pivot rows, zeros elsewhere;
-  * invertibility: elimination modulo the fixed prime 2^61 - 1 first; a
-    nonzero determinant mod p proves invertibility, and otherwise (a zero
-    determinant mod p, or a denominator divisible by p) the exact rank
-    decides.  The answer is exact and never depends on chance.
+  * invertibility: elimination modulo the fixed prime p = 2^30 - 35 (the
+    largest below 2^30, so residues are single CPython digits) first, on
+    rows packed into one integer each with one slot of 2 bits(p) + bits(n)
+    + 1 bits per column, so a row update is one big-integer multiply-add
+    and no slot ever carries into the next; a nonzero determinant mod p
+    proves invertibility, and otherwise (a zero determinant mod p, or a
+    denominator divisible by p) the exact rank decides.  The answer is
+    exact and never depends on chance.
 
 Matrices made of blocks are assembled by ``place``: each block is a (row
 indices, column indices, matrix) triple scattered into a zero (or a
@@ -539,8 +543,9 @@ def _inverse_or_violation(M: RatMatrix, message: str) -> RatMatrix:
         raise InternalInvariantViolation(message) from None
 
 
-# The fixed prime of the modular invertibility test.
-_PRIME = (1 << 61) - 1
+# The fixed prime of the modular invertibility test, the largest below
+# 2^30: its residues are single CPython digits.
+_PRIME = (1 << 30) - 35
 
 
 def _det_nonzero_mod_p(M: RatMatrix) -> bool:
@@ -549,27 +554,44 @@ def _det_nonzero_mod_p(M: RatMatrix) -> bool:
     False means "undecided": det M may vanish mod p only, or a row's
     denominator (and so an entry's) is divisible by p, so the row has no
     image mod p.  Each row's denominator is inverted once.
+
+    Each row's residues are packed into one integer, one ``slot``-bit slot
+    per column with column 0 in the lowest slot, so eliminating a row's
+    leading column is one big-integer multiply-add: the row becomes
+    ``(r >> slot) + (p - f) * tail``, where f is its leading residue and
+    tail holds the pivot row's residues after its lead, scaled so that the
+    lead is 1.  Only the pivot row is unpacked and reduced mod p.  Every
+    term is nonnegative, a row starts below p in each slot and gets at most
+    n - 1 updates, each adding less than p^2 to a slot; so a slot stays
+    below n * p^2 < 2^(2 bits(p) + bits(n)) and never carries into the
+    next one.  The elimination order does not matter for whether the
+    determinant vanishes.
     """
     p = _PRIME
+    n = M.rows
+    slot = 2 * p.bit_length() + n.bit_length() + 1
+    mask = (1 << slot) - 1
     rows = []
-    for n, d in M._r:
+    for nums, d in M._r:
         d %= p
         if not d:
             return False
-        inv = pow(d, -1, p)
-        rows.append([x * inv % p for x in n])
-    # Eliminate the leading column, then drop it; the pivot order does not
-    # matter for whether the determinant vanishes.
-    while rows:
-        pr = next((i for i, r in enumerate(rows) if r[0]), None)
+        inv = pow(int(d), -1, p)
+        r = 0
+        for x in reversed(nums):
+            r = (r << slot) | (int(x % p) * inv % p)
+        rows.append(r)
+    for k in range(n - 1, -1, -1):  # k: the columns after the leading one
+        leads = [(r & mask) % p for r in rows]
+        pr = next((i for i, f in enumerate(leads) if f), None)
         if pr is None:
             return False
         prow = rows.pop(pr)
-        inv = pow(prow[0], -1, p)
-        tail = prow[1:]
-        for i, r in enumerate(rows):
-            f = r[0] * inv % p
-            rows[i] = [(a - f * b) % p for a, b in zip(r[1:], tail)] if f else r[1:]
+        inv = pow(leads.pop(pr), -1, p)
+        tail = 0
+        for j in range(k, 0, -1):
+            tail = (tail << slot) | (((prow >> (slot * j)) & mask) * inv % p)
+        rows = [(r >> slot) + (p - f) * tail if f else r >> slot for r, f in zip(rows, leads)]
     return True
 
 

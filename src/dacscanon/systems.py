@@ -369,7 +369,8 @@ def verify_exfb(d1: Dacs, d2: Dacs, t: ExFbTransform) -> bool:
 
         E2 P = Q E1,   H2 P = Q (H1 + L1 F),   L2 = Q L1 G,
 
-    which are checked as written, so no inverse is computed.
+    which are checked with the product Q L1 formed once, so no inverse is
+    computed.
     """
     l, n, m = d1.l, d1.n, d1.m
     if (d2.l, d2.n, d2.m) != (l, n, m):
@@ -378,11 +379,10 @@ def verify_exfb(d1: Dacs, d2: Dacs, t: ExFbTransform) -> bool:
         return False
     if not (is_invertible(t.Q) and is_invertible(t.P) and is_invertible(t.G)):
         return False
-    return (
-        d2.E * t.P == t.Q * d1.E
-        and d2.H * t.P == t.Q * (d1.H + d1.L * t.F)
-        and d2.L == t.Q * d1.L * t.G
-    )
+    if d2.E * t.P != t.Q * d1.E:
+        return False
+    QL = t.Q * d1.L
+    return d2.H * t.P == t.Q * d1.H + QL * t.F and d2.L == QL * t.G
 
 
 def verify_em(o1: Odecs2, o2: Odecs2, t: EmTransform) -> bool:

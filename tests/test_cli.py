@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dacscanon
-from dacscanon import canonical, morse
+from dacscanon import canonical, cli, morse
 from dacscanon.cli import (
     DimensionError,
     ParseError,
@@ -507,6 +507,42 @@ def test_fbcf_report_same_under_python_O(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == json.loads(Path(out).read_text())
+
+
+def test_verify_under_python_O_rejects_a_changed_feedback_entry(tmp_path):
+    rep = tmp_path / "fb.json"
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "dacscanon.cli", *argv],
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+        )
+
+    assert run("fbcf", str(FIXTURE), "--out", str(rep)).returncode == 0
+    verify = ("verify", "--left", str(FIXTURE), "--right", str(rep), "--cert", str(rep))
+    proc = run(*verify)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verified"] is True
+    report = json.loads(rep.read_text())
+    F = [c for c in report["certificates"] if c["kind"] == "exfb"][-1]["F"]
+    F[0][0] = str(qq(F[0][0]) + 1)
+    rep.write_text(json.dumps(report))
+    proc = run(*verify)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["verified"] is False
+
+
+def test_verify_reads_a_report_given_twice_once(tmp_path, monkeypatch):
+    rep = str(tmp_path / "fb.json")
+    assert main(["fbcf", str(FIXTURE), "--out", rep]) == 0
+    loads = []
+    real = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: loads.append(path) or real(path))
+    out = str(tmp_path / "v.json")
+    assert main(["verify", "--left", str(FIXTURE), "--right", rep, "--cert", rep, "--out", out]) == 0
+    assert loads == [str(FIXTURE), rep]
 
 
 def _count_calls(monkeypatch, func):

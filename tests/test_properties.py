@@ -3,10 +3,11 @@
 The feedback canonical form is a fixed point of the pipeline: decoding the
 system built from any index datum returns that datum and that system.
 Index translation keeps the system dimensions that explicitation relates.
-Drawn scrambles of generated systems leave the indices and the canonical
-system unchanged.
+Drawn scrambles of generated systems, and scrambles with large entries,
+leave the indices and the canonical system unchanged.
 """
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +105,19 @@ def test_translate_indices_keeps_dimensions(e):
 def test_indices_are_invariant_under_drawn_scrambles(system, scramble, entry_bound):
     d, built = random_fbcf(Seeded(system), bounds=(3, 4))
     scrambled, t_scr = random_exfb_scramble(d, Seeded(scramble, entry_bound=entry_bound))
+    assert verify_exfb(d, scrambled, t_scr)
+    t, got, d_can = fbcf(scrambled)
+    assert got == built
+    assert d_can == d
+    assert verify_exfb(scrambled, d_can, t)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_large_entry_scrambles_round_trip(case):
+    # criterion-2 systems hidden behind scrambles with entries up to 9
+    base = 900001 + 2 * case
+    d, built = random_fbcf(Seeded(base), bounds=(3, 4))
+    scrambled, t_scr = random_exfb_scramble(d, Seeded(base + 1, entry_bound=9))
     assert verify_exfb(d, scrambled, t_scr)
     t, got, d_can = fbcf(scrambled)
     assert got == built

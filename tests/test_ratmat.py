@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -380,7 +381,7 @@ SETTINGS = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# 2^61 - 1 (the modular test's prime) and products of large primes
+# the modular test's prime, multiples of it, and a product of two large primes
 BIG_DENOMINATORS = [
     _PRIME,
     _PRIME * (2**31 - 1),
@@ -791,3 +792,86 @@ def test_subspace_operations_match_elimination_formulas(data, r, n):
                 complement(inner, S1)
         else:
             assert complement(inner, S1) == want
+
+
+# ---------------------------------------------------------------------------
+# the packed modular determinant test against the list-based elimination
+# ---------------------------------------------------------------------------
+
+
+def ref_det_nonzero_mod_p(a, p=_PRIME):
+    """The list-based mod-p elimination the packed kernel replaces, on
+    Fraction rows: undecided (False) when an entry's denominator is
+    divisible by p."""
+    if any(x.denominator % p == 0 for row in a for x in row):
+        return False
+    rows = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in a]
+    while rows:
+        pr = next((i for i, r in enumerate(rows) if r[0]), None)
+        if pr is None:
+            return False
+        prow = rows.pop(pr)
+        inv = pow(prow[0], -1, p)
+        tail = prow[1:]
+        for i, r in enumerate(rows):
+            f = r[0] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(r[1:], tail)] if f else r[1:]
+    return True
+
+
+def test_modular_prime_is_a_single_digit_prime():
+    p = _PRIME
+    assert p < 2**30 and p % 2
+    assert all(p % q for q in range(3, isqrt(p) + 1, 2))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.data(), st.integers(0, 12))
+def test_packed_modular_test_matches_list_elimination(data, n):
+    # entries with a denominator p divides make the test undecided at once,
+    # so half the draws have none and run the whole elimination
+    entries = ENTRIES.filter(lambda x: x.denominator % _PRIME) if data.draw(st.booleans()) else ENTRIES
+    a = [data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    assert _det_nonzero_mod_p(RatMatrix(a, cols=n)) == ref_det_nonzero_mod_p(a)
+
+
+def test_packed_modular_test_on_edge_cases(monkeypatch):
+    p = _PRIME
+    rng = random.Random(30)
+    # residues drawn across [0, p), so each row update adds up to p^2 to a
+    # slot and a slot narrower than 2 bits(p) + bits(n) would carry into the
+    # next one; a carry spoils the elimination, which then misses the
+    # singular matrix (its last row is a combination of the three before,
+    # so it is reduced to zero only at the end, after 78 updates)
+    a = [[F(rng.randrange(p)) for _ in range(80)] for _ in range(80)]
+    singular = a[:79] + [[x + y - z for x, y, z in zip(*a[76:79])]]
+    assert ref_det_nonzero_mod_p(a) and not ref_det_nonzero_mod_p(singular)
+    assert _det_nonzero_mod_p(RatMatrix(a, cols=80))
+    assert not _det_nonzero_mod_p(RatMatrix(singular, cols=80))
+    undecided = []
+    # det = +-p k: invertible over Q, singular mod p
+    for sign in (1, -1):
+        a = [[F(0)] * 5 for _ in range(5)]
+        for i, x in enumerate((sign * p, 7, 1, 3, 1)):
+            a[i][i] = F(x)
+        for _ in range(30):  # unimodular row and column operations
+            i, j = rng.sample(range(5), 2)
+            f = rng.randint(-3, 3)
+            a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+            for r in a:
+                r[i] += f * r[j]
+        assert ref_det(a, 5) == sign * 21 * p
+        undecided.append(a)
+    # a row whose denominator p divides
+    undecided.append([[F(1, 2), F(3, 2 * p), F(1)], [F(0), F(1), F(2)], [F(5), F(0), F(1)]])
+    for a in undecided:
+        M = RatMatrix(a, cols=len(a))
+        assert not ref_det_nonzero_mod_p(a) and not _det_nonzero_mod_p(M)
+        ranks = []
+        monkeypatch.setattr(ratmat, "rank", lambda M: ranks.append(1) or rank(M))
+        assert is_invertible(M) and ranks == [1]
+    # a zero leading column: singular, found without a pivot in column 0
+    a = [[F(0), F(1), F(2)], [F(0), F(3, 4), F(-1)], [F(0), F(5), F(1, 7)]]
+    assert not ref_det_nonzero_mod_p(a)
+    assert not _det_nonzero_mod_p(RatMatrix(a, cols=3))
+    assert not is_invertible(RatMatrix(a, cols=3))

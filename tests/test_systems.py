@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from dacscanon.canonical import emcf_run, fbcf_run
+from dacscanon import ratmat
+from dacscanon.canonical import emcf_run, fbcf, fbcf_run
 from dacscanon.cli import parse_system
 from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 from dacscanon.ratmat import (
@@ -407,6 +408,39 @@ def test_inverse_free_verification_matches_definitions(name):
             assert verify_exfb(d1, d2, tv) == want
             rejected += not want
     assert rejected >= 10
+
+
+@pytest.mark.parametrize("name", ["fixture", "case0", "case1", "case2"])
+def test_tampered_certificates_are_rejected(name):
+    rng = random.Random(name)
+    d, _ = _verification_input(name)
+    t, _, d_can = fbcf(d)
+    assert verify_exfb(d, d_can, t)
+    tampered = []
+    for field in ("Q", "P", "F", "G"):
+        M = getattr(t, field)
+        tampered += [{field: _changed_entry(M, rng)} for _ in range(3)]
+        tampered.append({field: vstack([M, RatMatrix.zeros(1, M.cols)])})
+    tampered += [{field: _singular(getattr(t, field))} for field in ("Q", "P")]
+    for change in tampered:
+        assert not verify_exfb(d, d_can, dataclasses.replace(t, **change)), change
+    assert not verify_exfb(d, d, t)
+
+
+@pytest.mark.parametrize("name", ["fixture"] + ["case%d" % k for k in range(5)])
+def test_invertibility_is_decided_modulo_p(name, monkeypatch):
+    # the modular test settles every invertibility question of fbcf and of
+    # the re-check, and the re-check eliminates nothing
+    d, _ = _verification_input(name)
+    ranks, eliminations = [], []
+    monkeypatch.setattr(ratmat, "rank", lambda M: ranks.append(M) or rank(M))
+    t, _, d_can = fbcf(d)
+    real = ratmat._eliminate
+    monkeypatch.setattr(
+        ratmat, "_eliminate", lambda *args, **kw: eliminations.append(1) or real(*args, **kw)
+    )
+    assert verify_exfb(d, d_can, t)
+    assert not ranks and not eliminations
 
 
 def test_misshaped_certificates_are_rejected():
