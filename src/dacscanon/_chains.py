@@ -16,7 +16,6 @@ coordinates — no cleanup pass needed afterwards.
 
 from __future__ import annotations
 
-import random
 from itertools import accumulate
 from typing import List, Sequence, Tuple
 
@@ -326,25 +325,28 @@ def companion(p: List) -> RatMatrix:
 
 
 def _cyclic_vector(A: RatMatrix, degree: int) -> RatMatrix:
-    """A column whose Krylov space has dimension = deg(minimal polynomial)."""
+    """A column whose Krylov space has dimension d = deg(minimal polynomial).
+
+    The unit vectors are tried first, then the moment-curve points
+    (1, t, ..., t^(n-1)) for t = 1, ..., d(n-1) + 1, one of which is sure
+    to work.  Write the minimal polynomial as a product of powers of
+    distinct irreducibles, p_1^{e_1} ... p_r^{e_r} with r <= d.  A vector v
+    is cyclic exactly when, for every i, (mp / p_i)(A) v != 0, so the
+    non-cyclic vectors are the union of the r kernels of (mp / p_i)(A),
+    each a proper subspace (it misses some vector, else mp / p_i would
+    annihilate A).  A proper subspace lies in a hyperplane c x = 0, and a
+    nonzero c vanishes at (1, t, ..., t^(n-1)) only where the polynomial
+    sum c_k t^k does, at most n - 1 values of t.  So at most d(n-1) of the
+    d(n-1) + 1 points are non-cyclic."""
     n = A.rows
-    candidates = [RatMatrix.from_column([qq(1) if i == j else qq(0) for i in range(n)]) for j in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = [qq(0)] * n
-            e[i], e[j] = qq(1), qq(1)
-            candidates.append(RatMatrix.from_column(e))
-    rng = random.Random(987654321)
-    for _ in range(200):
-        candidates.append(RatMatrix.from_column([qq(rng.randint(-3, 3)) for _ in range(n)]))
-    for v in candidates:
-        if v.is_zero():
-            continue
-        cols = [v]
+    candidates = [[qq(1) if i == j else qq(0) for i in range(n)] for j in range(n)]
+    candidates += [[qq(t) ** i for i in range(n)] for t in range(1, degree * (n - 1) + 2)]
+    for entries in candidates:
+        cols = [RatMatrix.from_column(entries)]
         for _ in range(degree - 1):
             cols.append(A * cols[-1])
         if rank(hstack(cols)) == degree:
-            return v
+            return cols[0]
     raise InternalInvariantViolation("no cyclic vector found for the minimal polynomial")
 
 
@@ -354,14 +356,13 @@ def frobenius_form(A: RatMatrix) -> Tuple[RatMatrix, RatMatrix, List[List]]:
     factors is the invariant-factor list, degree nonincreasing, each
     dividing the previous; their product is the characteristic polynomial.
     """
-    T, _, Fr, factors = _frobenius(A, charpoly(A))
-    return T, Fr, factors
+    return _frobenius(A, charpoly(A))
 
 
-def _frobenius(A: RatMatrix, chi: List) -> Tuple[RatMatrix, RatMatrix, RatMatrix, List[List]]:
-    """:func:`frobenius_form` with T^{-1} as well: (T, T^{-1}, Fr, factors),
-    given chi = charpoly(A), which the invariant factors must multiply to."""
-    T, T_inv, blocks, factors = _frobenius_rec(A)
+def _frobenius(A: RatMatrix, chi: List) -> Tuple[RatMatrix, RatMatrix, List[List]]:
+    """:func:`frobenius_form` given chi = charpoly(A), which the invariant
+    factors must multiply to."""
+    T, blocks, factors = _frobenius_rec(A)
     Fr = block_diag(blocks)
     if T * A != Fr * T:
         raise InternalInvariantViolation("Frobenius transformation mismatch")
@@ -373,18 +374,15 @@ def _frobenius(A: RatMatrix, chi: List) -> Tuple[RatMatrix, RatMatrix, RatMatrix
     for f1, f2 in zip(factors, factors[1:]):
         if poly_divmod(f1, f2)[1]:
             raise InternalInvariantViolation("invariant factor divisibility chain broken")
-    return T, T_inv, Fr, factors
+    return T, Fr, factors
 
 
-def _frobenius_rec(
-    A: RatMatrix,
-) -> Tuple[RatMatrix, RatMatrix, List[RatMatrix], List[List]]:
-    """(T, T^{-1}, companion blocks, invariant factors), one cyclic
-    subspace per level: T = diag(I, T_sub) P^{-1}, so T^{-1} = P
-    diag(I, T_sub^{-1}) needs no elimination."""
+def _frobenius_rec(A: RatMatrix) -> Tuple[RatMatrix, List[RatMatrix], List[List]]:
+    """(T, companion blocks, invariant factors), one cyclic subspace per
+    level: T = diag(I, T_sub) P^{-1}."""
     n = A.rows
     if n == 0:
-        return RatMatrix.identity(0), RatMatrix.identity(0), [], []
+        return RatMatrix.identity(0), [], []
     mp = minimal_polynomial(A)
     d = len(mp) - 1
     v = _cyclic_vector(A, d)
@@ -411,8 +409,7 @@ def _frobenius_rec(
         and Ap.submatrix(range(d, n), range(d)).is_zero()
     ):
         raise InternalInvariantViolation("cyclic complement is not invariant")
-    T_sub, T_sub_inv, blocks_sub, factors_sub = _frobenius_rec(sub)
+    T_sub, blocks_sub, factors_sub = _frobenius_rec(sub)
     T = block_diag([RatMatrix.identity(d), T_sub]) * P_inv
-    T_inv = P * block_diag([RatMatrix.identity(d), T_sub_inv])
-    return T, T_inv, [companion(mp)] + blocks_sub, [mp] + factors_sub
+    return T, [companion(mp)] + blocks_sub, [mp] + factors_sub
 

@@ -55,11 +55,11 @@ from .ratmat import (
     InternalInvariantViolation,
     RatMatrix,
     Subspace,
-    _inverse_or_violation,
     block_diag,
     complement,
     hstack,
     image,
+    inverse,
     is_invertible,
     kernel_basis,
     place,
@@ -76,10 +76,9 @@ from .systems import (
     ExFbTransform,
     ExplicitationRecord,
     Odecs2,
-    _carrying,
-    _em_from_merged,
     apply_em,
     em_compose,
+    em_from_merged,
     explicitate,
     verify_em,
     verify_exfb,
@@ -236,7 +235,7 @@ class FbcfIndices:
 def _two_kind_chains(
     A: RatMatrix, B_u: RatMatrix, B_v: RatMatrix
 ) -> Tuple[
-    List[Tuple[RatMatrix, int]], List[Tuple[RatMatrix, int]], RatMatrix, RatMatrix, RatMatrix, RatMatrix
+    List[Tuple[RatMatrix, int]], List[Tuple[RatMatrix, int]], RatMatrix, RatMatrix, RatMatrix
 ]:
     """Chain decomposition of (A, [B_u B_v]) with second-kind priority.
 
@@ -249,13 +248,13 @@ def _two_kind_chains(
     entry makes the chain second-kind, with the smallest such column as
     pivot.
 
-    Returns (u_chains, v_chains, T_x, T_w, T_w^{-1}, F_w): chains as (tau, length)
+    Returns (u_chains, v_chains, T_x, T_w, TF_w): chains as (tau, length)
     with pivots consumed, T_x the stacked functional towers (first-kind
     chains first, lengths nonincreasing within each kind), T_w the merged
     input transform whose rows are [u-chain tails, u-completions, v-chain
-    tails, v-completions], and F_w the merged feedback killing the tails.
-    T_w is block lower triangular: first-kind rows never involve
-    second-kind columns.
+    tails, v-completions], and TF_w = T_w F_w the merged feedback killing
+    the tails, in the new input coordinates.  T_w is block lower
+    triangular: first-kind rows never involve second-kind columns.
     """
     n, m, s = A.rows, B_u.cols, B_v.cols
     B_w = hstack([B_u, B_v])
@@ -299,17 +298,17 @@ def _two_kind_chains(
         + [eye.take_rows([j]) for j in range(m, m + s) if j not in v_pivots]
     )
     T_w = vstack(w_rows) if w_rows else RatMatrix.identity(0)
-    T_w_inv = _inverse_or_violation(T_w, "chain tails do not extend to an input basis")
+    if not is_invertible(T_w):
+        raise InternalInvariantViolation("chain tails do not extend to an input basis")
 
     # tail-killing feedback: row r_j of M is tau_j A^{k_j}, zero elsewhere
     tail_rows = list(range(len(u_chains))) + list(range(m, m + len(v_chains)))
     tails = [tau * _matrix_power(A, k) for tau, k, _, _ in ordered]
     M = place(m + s, n, [([r], range(n), tail) for r, tail in zip(tail_rows, tails)])
-    F_w = -(T_w_inv * M)
 
     u_list = [(tau, k) for tau, k, _, _ in u_chains]
     v_list = [(tau, k) for tau, k, _, _ in v_chains]
-    return u_list, v_list, T_x, T_w, T_w_inv, F_w
+    return u_list, v_list, T_x, T_w, -M
 
 
 def brunovsky_two_inputs(
@@ -327,18 +326,16 @@ def brunovsky_two_inputs(
     n, m, s = A.rows, B_u.cols, B_v.cols
     if B_u.rows != n or B_v.rows != n:
         raise ValueError("input matrices must have n rows")
-    u_chains, v_chains, T_x, T_w, T_w_inv, F_w = _two_kind_chains(A, B_u, B_v)
-    t = _em_from_merged(
-        T_x, T_w, RatMatrix.identity(0), F_w, RatMatrix.zeros(n, 0), m, T_w_inv=T_w_inv
-    )
+    u_chains, v_chains, T_x, T_w, TF_w = _two_kind_chains(A, B_u, B_v)
+    t = em_from_merged(T_x, T_w, RatMatrix.identity(0), TF_w, RatMatrix.zeros(n, 0), m)
     eps = [k for _, k in u_chains]
     eps_bar = [k for _, k in v_chains]
 
-    got = apply_em(Odecs2(A, B_u, B_v, RatMatrix.zeros(0, n), RatMatrix.zeros(0, m)), t)
+    src = Odecs2(A, B_u, B_v, RatMatrix.zeros(0, n), RatMatrix.zeros(0, m))
     want = EmcfIndices(
         eps, eps_bar, RatMatrix.zeros(0, 0), (), 0, (), (), m - len(eps), s - len(eps_bar)
     )
-    if got != emcf_system(want):
+    if not verify_em(src, emcf_system(want), t):
         raise InternalInvariantViolation("two-kind chain normalization has a wrong pattern")
     return t, eps, eps_bar
 
@@ -523,9 +520,8 @@ def _prime_canonical(o: Odecs2) -> Tuple[EmTransform, List[int], int, List[int]]
         raise InternalInvariantViolation("prime system with m + s != p")
 
     # 1) rotate the static part of D into the last inputs and outputs
-    T_y0, T_u0, T_u0_inv, delta = _static_normalizer(o.D_u)
+    T_y0, T_u0, delta = _static_normalizer(o.D_u)
     t_d = replace(EmTransform.identity(n, m, s, p), T_u=T_u0, T_y=T_y0)
-    t_d = _carrying(t_d, t_d.T_x, T_u0_inv, t_d.T_v)
     o1 = apply_em(o, t_d)
 
     # 2) absorb the static columns of B and rows of C
@@ -555,38 +551,35 @@ def _prime_canonical(o: Odecs2) -> Tuple[EmTransform, List[int], int, List[int]]
     ordered = u_chains + v_chains
 
     # 4) assemble the certificate: towers stack into T_x, drives into T_w,
-    #   head coefficients into T_y, and K soaks up every correction the
+    #   head coefficients into T_y, the tails' derivatives (in the new
+    #   input coordinates) into TF_w, and TK soaks up every correction the
     #   towers borrowed from the outputs.
     T_x = vstack([RatMatrix.zeros(0, n)] + [col.T for ch in ordered for col in ch.tower])
-    T_x_inv = _inverse_or_violation(T_x, "prime towers are not independent")
     T_w_core = vstack([RatMatrix.zeros(0, m3 + s)] + [ch.rho for ch in ordered])
-    T_w_core_inv = _inverse_or_violation(T_w_core, "prime drive rows are dependent")
+    if not is_invertible(T_w_core):
+        raise InternalInvariantViolation("prime drive rows are dependent")
     N = vstack([RatMatrix.zeros(0, n)] + [ch.tower[-1].T * o2.A for ch in ordered])
-    F_w_core = -(T_w_core_inv * N)
 
     # widen by the static inputs, which sit in the last u slots untouched;
     # the outputs follow the same order [sigma heads, statics, sigma_bar heads]
     live = list(range(m3)) + list(range(m, m + s))
-    statics = (u_st, u_st, RatMatrix.identity(delta))
-    T_w = place(m + s, m + s, [(live, live, T_w_core), statics])
-    T_w_inv = place(m + s, m + s, [(live, live, T_w_core_inv), statics])
-    F_w = place(m + s, n, [(live, range(n), F_w_core)])
+    T_w = place(m + s, m + s, [(live, live, T_w_core), (u_st, u_st, RatMatrix.identity(delta))])
+    TF_w = place(m + s, n, [(live, range(n), -N)])
     heads = vstack([RatMatrix.zeros(0, p - delta)] + [ch.t for ch in ordered])
     T_y1 = place(p, p, [(live, range(p - delta), heads), (u_st, y_st, RatMatrix.identity(delta))])
 
-    A_canon = _chain_diag(sigma + sigma_bar)
-    M = T_x_inv * A_canon * T_x - o2.A - hstack([o2.B_u, o2.B_v]) * F_w
-    K = solve_left(o2.C, M)
-    if K is None:
-        raise InternalInvariantViolation("prime corrections are not output injections")
-    t_chain = _em_from_merged(T_x, T_w, T_y1, F_w, K, m, T_x_inv=T_x_inv, T_w_inv=T_w_inv)
-    o3 = apply_em(o2, t_chain)
-
-    total = em_compose(em_compose(t_d, t_kill), t_chain)
+    # TK C = A_can T_x - T_x A - B_w,can TF_w: the first identity of
+    # verify_em with the canonical system on the left
     want = EmcfIndices((), (), RatMatrix.zeros(0, 0), sigma, delta, sigma_bar, ())
-    if o3 != emcf_system(want):
+    o_can = emcf_system(want)
+    M = o_can.A * T_x - T_x * o2.A - hstack([o_can.B_u, o_can.B_v]) * TF_w
+    TK = solve_left(o2.C, M)
+    if TK is None:
+        raise InternalInvariantViolation("prime corrections are not output injections")
+    t_chain = em_from_merged(T_x, T_w, T_y1, TF_w, TK, m)
+    if not verify_em(o2, o_can, t_chain):
         raise InternalInvariantViolation("prime normalization has a wrong pattern")
-    return total, sigma, delta, sigma_bar
+    return em_compose(em_compose(t_d, t_kill), t_chain), sigma, delta, sigma_bar
 
 
 # ---------------------------------------------------------------------------
@@ -607,26 +600,23 @@ def observable_dual_canonical(C4: RatMatrix, A4: RatMatrix) -> Tuple[EmTransform
     if C4.cols != n:
         raise ValueError("C4 must have as many columns as A4")
     try:
-        T_xd, T_xd_inv, _, T_ud_inv, Fd, kappa = brunovsky_single(A4.T, C4.T)
+        _, T_xd_inv, _, T_ud_inv, Fd, kappa = brunovsky_single(A4.T, C4.T)
     except NotControllable as exc:
         raise NotObservable("the pair (C4, A4) is not observable") from exc
-    P_rev = RatMatrix.identity(n).take_rows(_reversed_chains(kappa))
+    T_x = RatMatrix.identity(n).take_rows(_reversed_chains(kappa)) * T_xd_inv.T
     t = EmTransform(
-        T_x=P_rev * T_xd_inv.T,
+        T_x=T_x,
         T_u=RatMatrix.identity(0),
         T_v=RatMatrix.identity(0),
         T_y=T_ud_inv.T,
-        F_u=RatMatrix.zeros(0, n),
-        F_v=RatMatrix.zeros(0, n),
-        R=RatMatrix.identity(0),
-        K=Fd.T,
+        TF_u=RatMatrix.zeros(0, n),
+        TF_v=RatMatrix.zeros(0, n),
+        TR=RatMatrix.identity(0),
+        TK=T_x * Fd.T,
     )
-    t = _carrying(t, T_xd.T * P_rev.T, t.T_u, t.T_v)  # P_rev^{-1} = P_rev^T
-    got = apply_em(
-        Odecs2(A4, RatMatrix.zeros(n, 0), RatMatrix.zeros(n, 0), C4, RatMatrix.zeros(p, 0)), t
-    )
+    src = Odecs2(A4, RatMatrix.zeros(n, 0), RatMatrix.zeros(n, 0), C4, RatMatrix.zeros(p, 0))
     want = EmcfIndices((), (), RatMatrix.zeros(0, 0), (), 0, (), kappa, dead_y=p - len(kappa))
-    if got != emcf_system(want):
+    if not verify_em(src, emcf_system(want), t):
         raise InternalInvariantViolation("dual chain normalization has a wrong pattern")
     return t, list(kappa)
 
@@ -686,7 +676,7 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     t1, eps, eps_bar = brunovsky_two_inputs(
         o.A.submatrix(b1, b1), o.B_u.submatrix(b1, u1), o.B_v.submatrix(b1, v1)
     )
-    T2f, T2f_inv, A_nn, _ = _frobenius(o.A.submatrix(b2, b2), m.polys[1])
+    T2f, A_nn, _ = _frobenius(o.A.submatrix(b2, b2), m.polys[1])
     t3, sigma, delta, sigma_bar = _prime_canonical(
         Odecs2(
             o.A.submatrix(b3, b3),
@@ -698,19 +688,16 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     )
     t4, eta = observable_dual_canonical(o.C.submatrix(y4, b4), o.A.submatrix(b4, b4))
 
-    (x1, u1i, v1i), (x3, u3i, v3i) = t1.inverses(), t3.inverses()
     t_blk = EmTransform(
         T_x=block_diag([t1.T_x, T2f, t3.T_x, t4.T_x]),
         T_u=block_diag([t1.T_u, t3.T_u]),
         T_v=block_diag([t1.T_v, t3.T_v]),
         T_y=block_diag([t3.T_y, t4.T_y]),
-        F_u=place(mu, n, [(u1, b1, t1.F_u), (u3, b3, t3.F_u)]),
-        F_v=place(s, n, [(v1, b1, t1.F_v), (v3, b3, t3.F_v)]),
-        R=block_diag([t1.R, t3.R]),
-        K=place(n, p, [(b3, y3, t3.K), (b4, y4, t4.K)]),
+        TF_u=place(mu, n, [(u1, b1, t1.TF_u), (u3, b3, t3.TF_u)]),
+        TF_v=place(s, n, [(v1, b1, t1.TF_v), (v3, b3, t3.TF_v)]),
+        TR=block_diag([t1.TR, t3.TR]),
+        TK=place(n, p, [(b3, y3, t3.TK), (b4, y4, t4.TK)]),
     )
-    x_inv = block_diag([x1, T2f_inv, x3, t4.inverses()[0]])
-    t_blk = _carrying(t_blk, x_inv, block_diag([u1i, u3i]), block_diag([v1i, v3i]))
 
     a, b, e = len(eps), len(eps_bar), len(eta)
     dead_u, dead_v, dead_y = m1u - a, s1 - b, dims.p4 - e
@@ -721,7 +708,6 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
         T_u=RatMatrix.identity(mu).take_rows(uperm),
         T_v=RatMatrix.identity(s).take_rows(vperm),
     )
-    t_perm = _carrying(t_perm, t_perm.T_x, t_perm.T_u.T, t_perm.T_v.T)  # permutations
 
     total = em_compose(t_blk, t_perm)
     idx = EmcfIndices(
@@ -738,8 +724,8 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     )
     if (idx.n, idx.m, idx.s, idx.p) != (n, mu, s, p):
         raise InternalInvariantViolation("index bookkeeping does not match the system size")
-    result = apply_em(o, total)
-    if result != emcf_system(idx):
+    result = emcf_system(idx)
+    if not verify_em(o, result, total):
         raise InternalInvariantViolation("assembled canonical form has a wrong pattern")
     return total, idx, result
 
@@ -868,11 +854,12 @@ def _exfb_from_em(
     implicit certificate d -> build_fbcf(translate_indices(idx)).
 
     With Q0 E = [E1; 0] the explicitation's row normalization and
-    (T_x, ..., K) the explicit certificate, the rows of the target system
-    are a permutation of [E1~ T_x E1^+ | E1~ T_x K; 0 | T_y] Q0 applied to
-    (E, H + L F_u, L T_u^{-1}), where E1~ keeps exactly the states that are
-    not freed (not chain tails of the second kind); :func:`_implicit_order`
-    gives both, as it does for :func:`build_fbcf`.  The identity
+    (T_x, ..., TK) the explicit certificate, the rows of the target system
+    are a permutation of [E1~ T_x E1^+ | E1~ TK; 0 | T_y] Q0 applied to
+    (E, H + L F_u, L T_u^{-1}), with F_u = T_u^{-1} TF_u, where E1~ keeps
+    exactly the states that are not freed (not chain tails of the second
+    kind); :func:`_implicit_order` gives both, as it does for
+    :func:`build_fbcf`.  The identity
     E1~ T_x B_v = E1~ B_v~ T_v = 0 makes every appearance of the unknown
     second-kind feedback drop out.
     """
@@ -883,12 +870,13 @@ def _exfb_from_em(
     E1t = RatMatrix.identity(n).take_rows(kept)
     M = vstack(
         [
-            hstack([E1t * t.T_x * rec.E1_dagger, E1t * t.T_x * t.K]),
+            hstack([E1t * t.T_x * rec.E1_dagger, E1t * t.TK]),
             hstack([RatMatrix.zeros(p, q), t.T_y]),
         ]
     )
     P = RatMatrix.identity(n).take_rows(rev) * t.T_x
-    return ExFbTransform(Q=(M * rec.Q).take_rows(rows), P=P, F=t.F_u, G=t.inverses()[1])
+    G = inverse(t.T_u)
+    return ExFbTransform(Q=(M * rec.Q).take_rows(rows), P=P, F=G * t.TF_u, G=G)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,16 @@ lists every kind with its matrices; the two system kinds are
     {"kind": "dacs",   "dims": {"l","n","m"},         "E","H","L": [[...]]}
     {"kind": "odecs2", "dims": {"n","m","s","p"},     "A","Bu","Bv","C","Du"}
 
+and the two certificate kinds are
+
+    {"kind": "exfb",   "dims": {"l","n","m"},         "Q","P","F","G"}
+    {"kind": "em",     "dims": {"n","m","s","p"},
+                       "T_x","T_u","T_v","T_y","TF_u","TF_v","TR","TK"}
+
+where an em certificate carries the paper's feedback, input mixing and
+output injection in the new coordinates (TF_u = T_u F_u, TF_v = T_v F_v,
+TR = T_v R, TK = T_x K), so ``verify`` checks it with products only.
+
 The "dims" block is always written on serialize.  On parse it is optional
 (it disambiguates matrices with zero rows): each entry it gives must fit
 every matrix that names it and be no larger than the length of the
@@ -151,8 +161,8 @@ _SCHEMA = {
     )),
     "em": ("certificate", EmTransform, (
         ("T_x", "T_x", "n", "n"), ("T_u", "T_u", "m", "m"), ("T_v", "T_v", "s", "s"),
-        ("T_y", "T_y", "p", "p"), ("F_u", "F_u", "m", "n"), ("F_v", "F_v", "s", "n"),
-        ("R", "R", "s", "m"), ("K", "K", "n", "p"),
+        ("T_y", "T_y", "p", "p"), ("TF_u", "TF_u", "m", "n"), ("TF_v", "TF_v", "s", "n"),
+        ("TR", "TR", "s", "m"), ("TK", "TK", "n", "p"),
     )),
 }
 _KIND_OF = {cls: kind for kind, (_, cls, _) in _SCHEMA.items()}

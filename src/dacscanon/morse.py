@@ -56,10 +56,9 @@ from .ratmat import (
 from .systems import (
     EmTransform,
     Odecs2,
-    _carrying,
-    _em_from_merged,
     apply_em,
     em_compose,
+    em_from_merged,
     verify_em,
 )
 
@@ -281,15 +280,15 @@ def _v_space(m: int, s: int) -> Subspace:
 
 def _feedback_stage(o: Odecs2, F_blocks=(), K_blocks=()) -> EmTransform:
     """Identity certificate for o with the merged feedback F_w (rows w = (u,
-    v)) and the output injection K placed from blocks."""
+    v)) and the output injection K placed from blocks; with every
+    coordinate change the identity, TF_w = F_w and TK = K."""
     F_w = place(o.m + o.s, o.n, F_blocks)
-    t = replace(
+    return replace(
         EmTransform.identity(o.n, o.m, o.s, o.p),
-        F_u=F_w.take_rows(range(o.m)),
-        F_v=F_w.take_rows(range(o.m, o.m + o.s)),
-        K=place(o.n, o.p, K_blocks),
+        TF_u=F_w.take_rows(range(o.m)),
+        TF_v=F_w.take_rows(range(o.m, o.m + o.s)),
+        TK=place(o.n, o.p, K_blocks),
     )
-    return _carrying(t, t.T_x, t.T_u, t.T_v)
 
 
 def _static_pattern(rows: int, cols: int, delta: int) -> RatMatrix:
@@ -298,8 +297,8 @@ def _static_pattern(rows: int, cols: int, delta: int) -> RatMatrix:
     return place(rows, cols, [(r, c, RatMatrix.identity(delta))])
 
 
-def _static_normalizer(D: RatMatrix) -> Tuple[RatMatrix, RatMatrix, RatMatrix, int]:
-    """(T_y, T_u, T_u^{-1}, delta) with T_y D T_u^{-1} = [[0, 0], [0, I_delta]]."""
+def _static_normalizer(D: RatMatrix) -> Tuple[RatMatrix, RatMatrix, int]:
+    """(T_y, T_u, delta) with T_y D T_u^{-1} = [[0, 0], [0, I_delta]]."""
     p = D.rows
     delta, R, Qy = rank_rref(D)
     Rd = R.take_rows(range(delta))
@@ -308,7 +307,7 @@ def _static_normalizer(D: RatMatrix) -> Tuple[RatMatrix, RatMatrix, RatMatrix, i
     T_y = RatMatrix.identity(p).take_rows(list(range(delta, p)) + list(range(delta))) * Qy
     if T_y * D * Tu_inv != _static_pattern(p, D.cols, delta):
         raise InternalInvariantViolation("static block did not normalize")
-    return T_y, T_u, Tu_inv, delta
+    return T_y, T_u, delta
 
 
 def _input_groups(m: int, s: int, m1u: int, s1: int) -> Tuple[List[int], List[int]]:
@@ -353,7 +352,7 @@ def _stage0(o: Odecs2) -> Tuple[EmTransform, BlockDims, int, int]:
     T_y = _inverse_or_violation(basis_y, "output blocks do not assemble to a basis")
 
     zero_F, zero_K = RatMatrix.zeros(m + s, n), RatMatrix.zeros(n, p)
-    t0 = _em_from_merged(T_x, T_w, T_y, zero_F, zero_K, m, T_x_inv=basis_x, T_w_inv=basis_w)
+    t0 = em_from_merged(T_x, T_w, T_y, zero_F, zero_K, m)
     return t0, d, m1u, s1
 
 
@@ -403,13 +402,12 @@ def _d_normalize(
 ) -> Tuple[Odecs2, EmTransform]:
     """Input/output changes on group 3 bringing the feedthrough block to
     [[0, 0], [0, I]]."""
-    T_y3, T_u3, T_u3_inv, _ = _static_normalizer(o.D_u.submatrix(range(d.p3), range(m1u, o.m)))
+    T_y3, T_u3, _ = _static_normalizer(o.D_u.submatrix(range(d.p3), range(m1u, o.m)))
     t = replace(
         EmTransform.identity(o.n, o.m, o.s, o.p),
         T_u=block_diag([RatMatrix.identity(m1u), T_u3]),
         T_y=block_diag([T_y3, RatMatrix.identity(o.p - d.p3)]),
     )
-    t = _carrying(t, t.T_x, block_diag([RatMatrix.identity(m1u), T_u3_inv]), t.T_v)
     return apply_em(o, t), t
 
 

@@ -13,10 +13,14 @@ here (deterministic Q from the echelon certificate, pivot-column right
 inverse, echelon kernel basis) and is recorded so that it can be undone
 or compared.  Two certificate types realize the two equivalences:
 ``ExFbTransform`` (Q, P, F, G) acts on implicit systems, ``EmTransform``
-(T_x, T_u, T_v, T_y, F_u, F_v, R, K) acts on explicit ones with the
+(T_x, T_u, T_v, T_y, TF_u, TF_v, TR, TK) acts on explicit ones with the
 triangular input structure (v may be fed back with x and u, u only with
-x).  verify_* re-check the defining matrix identities exactly, so any
-pipeline output can be audited independently of how it was produced.
+x).  An EmTransform writes its feedback, input mixing and output injection
+in the new coordinates (TF_u = T_u F_u, ..., TK = T_x K), so composing two
+of them and checking one are plain matrix products; only applying or
+inverting one computes inverses, on the spot.  verify_* re-check the
+defining matrix identities exactly, so any pipeline output can be audited
+independently of how it was produced.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .ratmat import (
     inverse,
     is_invertible,
     kernel_basis,
-    place,
     qq,
     rank_rref,
     right_inverse,
@@ -161,22 +164,24 @@ class ExFbTransform:
 class EmTransform:
     """Certificate for explicit-side equivalence (the 8-tuple action).
 
-    The inverses of T_x, T_u and T_v ride along in a plain attribute, not
-    a field, so ``==``, ``hash``, ``repr``, ``replace`` and ``fields`` see
-    only the eight blocks.  The stage that builds a transform attaches the
-    inverses it already holds; :meth:`inverses` computes any missing one
-    once, on first use, so a transform built through the constructor
-    carries none until then.
+    The coordinate changes T_x, T_u, T_v, T_y act on states, first-kind
+    inputs, second-kind inputs and outputs.  The feedback F_u, F_v, the
+    input mixing R and the output injection K of the paper are carried in
+    the new coordinates, TF_u = T_u F_u, TF_v = T_v F_v, TR = T_v R and
+    TK = T_x K, so that checking and composing certificates takes products
+    only (see :func:`verify_em` and :func:`em_compose`).  The paper's blocks
+    come back as F_u = T_u^{-1} TF_u, F_v = T_v^{-1} TF_v, R = T_v^{-1} TR
+    and K = T_x^{-1} TK.
     """
 
     T_x: RatMatrix
     T_u: RatMatrix
     T_v: RatMatrix
     T_y: RatMatrix
-    F_u: RatMatrix
-    F_v: RatMatrix
-    R: RatMatrix
-    K: RatMatrix
+    TF_u: RatMatrix
+    TF_v: RatMatrix
+    TR: RatMatrix
+    TK: RatMatrix
 
     @staticmethod
     def identity(n: int, m: int, s: int, p: int) -> "EmTransform":
@@ -191,94 +196,46 @@ class EmTransform:
             RatMatrix.zeros(n, p),
         )
 
-    def inverses(self) -> Tuple[RatMatrix, RatMatrix, RatMatrix]:
-        """(T_x^{-1}, T_u^{-1}, T_v^{-1}).  Raises SingularTransform naming
-        the first singular block."""
-        carried = self.__dict__.setdefault("_inverses", [None, None, None])
-        for k, name in enumerate(("T_x", "T_u", "T_v")):
-            if carried[k] is None:
-                carried[k] = _inverse_of(getattr(self, name), name)
-        return tuple(carried)
-
     def merged_input(self) -> Tuple[RatMatrix, RatMatrix]:
-        """(T_w, F_w) of the merged single-input-kind view.
-
-        T_w^{-1} = [[T_u^{-1}, 0], [R T_u^{-1}, T_v^{-1}]] is block lower
-        triangular; its inverse T_w = [[T_u, 0], [-T_v R, T_v]].
-        """
+        """(T_w, TF_w) of the merged single-input-kind view w = (u, v):
+        T_w = [[T_u, 0], [-TR, T_v]] is block lower triangular and
+        TF_w = [TF_u; TF_v] = T_w F_w."""
         m, s = self.T_u.rows, self.T_v.rows
         T_w = vstack(
             [
                 hstack([self.T_u, RatMatrix.zeros(m, s)]),
-                hstack([-(self.T_v * self.R), self.T_v]),
+                hstack([-self.TR, self.T_v]),
             ]
         )
-        F_w = vstack([self.F_u, self.F_v + self.R * self.F_u])
-        return T_w, F_w
-
-    def merged_input_inverse(self) -> RatMatrix:
-        """T_w^{-1} = [[T_u^{-1}, 0], [R T_u^{-1}, T_v^{-1}]], from the
-        carried inverses."""
-        _, Tui, Tvi = self.inverses()
-        m, s = self.T_u.rows, self.T_v.rows
-        u, v = range(m), range(m, m + s)
-        return place(m + s, m + s, [(u, u, Tui), (v, u, self.R * Tui), (v, v, Tvi)])
-
-
-def _carrying(
-    t: EmTransform,
-    T_x_inv: Optional[RatMatrix],
-    T_u_inv: Optional[RatMatrix],
-    T_v_inv: Optional[RatMatrix],
-) -> EmTransform:
-    """t with the given inverses of its T_x, T_u and T_v attached (None
-    leaves one to be computed on first use).  Only for inverses the caller
-    holds exactly: a wrong one would make :func:`apply_em` wrong, though
-    never a certificate check, which reads no inverse."""
-    t.__dict__["_inverses"] = [T_x_inv, T_u_inv, T_v_inv]
-    return t
+        return T_w, vstack([self.TF_u, self.TF_v])
 
 
 def em_from_merged(
-    T_x: RatMatrix, T_w: RatMatrix, T_y: RatMatrix, F_w: RatMatrix, K: RatMatrix, m: int
+    T_x: RatMatrix, T_w: RatMatrix, T_y: RatMatrix, TF_w: RatMatrix, TK: RatMatrix, m: int
 ) -> EmTransform:
     """Split a merged-input Morse transformation into the 8-tuple.
 
-    Requires the triangular structure T_w = [[T_u, 0], [-T_v R, T_v]]: the
+    Requires the triangular structure T_w = [[T_u, 0], [-TR, T_v]]: the
     upper-right m x s block must vanish (u-coordinates may not involve v).
-    For an invertible T_w this is the same as the vanishing of that block
-    of T_w^{-1}.  Raises ValueError when T_w is singular.
+    TF_w = T_w F_w and TK = T_x K are the feedback and output injection in
+    the new coordinates.  Raises ValueError when T_w is singular.
     """
-    return _em_from_merged(T_x, T_w, T_y, F_w, K, m)
-
-
-def _em_from_merged(
-    T_x: RatMatrix,
-    T_w: RatMatrix,
-    T_y: RatMatrix,
-    F_w: RatMatrix,
-    K: RatMatrix,
-    m: int,
-    T_x_inv: Optional[RatMatrix] = None,
-    T_w_inv: Optional[RatMatrix] = None,
-) -> EmTransform:
-    """:func:`em_from_merged` for a caller that holds T_x^{-1} or T_w^{-1};
-    the result carries them (T_w^{-1}'s diagonal blocks are T_u^{-1} and
-    T_v^{-1})."""
     s = T_w.rows - m
     if not is_invertible(T_w):
         raise ValueError("merged input transform is singular")
     u, v = range(m), range(m, m + s)
     if not T_w.submatrix(u, v).is_zero():
         raise InternalInvariantViolation("merged input transform is not triangular")
-    T_u = T_w.submatrix(u, u)
-    T_v = T_w.submatrix(v, v)
-    T_u_inv = None if T_w_inv is None else T_w_inv.submatrix(u, u)
-    T_v_inv = inverse(T_v) if T_w_inv is None else T_w_inv.submatrix(v, v)
-    R = -(T_v_inv * T_w.submatrix(v, u))
-    F_u = F_w.take_rows(u)
-    F_v = F_w.take_rows(v) - R * F_u
-    return _carrying(EmTransform(T_x, T_u, T_v, T_y, F_u, F_v, R, K), T_x_inv, T_u_inv, T_v_inv)
+    return EmTransform(
+        T_x,
+        T_w.submatrix(u, u),
+        T_w.submatrix(v, v),
+        T_y,
+        TF_w.take_rows(u),
+        TF_w.take_rows(v),
+        -T_w.submatrix(v, u),
+        TK,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,28 +294,22 @@ def apply_exfb(d: Dacs, t: ExFbTransform) -> Dacs:
     )
 
 
-def _feedback_terms(o: Odecs2, t: EmTransform) -> Tuple[RatMatrix, RatMatrix, RatMatrix]:
-    """The blocks of o under t's feedback and output injection, before its
-    coordinate changes:
-
-        A + B_u F_u + B_v (F_v + R F_u) + K (C + D_u F_u),
-        B_u + B_v R + K D_u,   C + D_u F_u.
-    """
-    C_fb = o.C + o.D_u * t.F_u
-    A_fb = o.A + o.B_u * t.F_u + o.B_v * (t.F_v + t.R * t.F_u) + t.K * C_fb
-    return A_fb, o.B_u + o.B_v * t.R + t.K * o.D_u, C_fb
-
-
 def apply_em(o: Odecs2, t: EmTransform) -> Odecs2:
-    Txi, Tui, Tvi = t.inverses()
+    """The image of o under t; the inverses of T_x, T_u and T_v are
+    computed here.  Raises SingularTransform naming a singular block."""
+    Txi = _inverse_of(t.T_x, "T_x")
+    Tui = _inverse_of(t.T_u, "T_u")
+    Tvi = _inverse_of(t.T_v, "T_v")
     _require_invertible(t.T_y, "T_y")
-    A_fb, B_fb, C_fb = _feedback_terms(o, t)
+    B_v = t.T_x * o.B_v * Tvi
+    D_u = t.T_y * o.D_u * Tui
+    B_u = (t.T_x * o.B_u + t.TK * o.D_u + B_v * t.TR) * Tui
     return Odecs2(
-        A=t.T_x * A_fb * Txi,
-        B_u=t.T_x * B_fb * Tui,
-        B_v=t.T_x * o.B_v * Tvi,
-        C=t.T_y * C_fb * Txi,
-        D_u=t.T_y * o.D_u * Tui,
+        A=(t.T_x * o.A + t.TK * o.C + B_u * t.TF_u + B_v * t.TF_v) * Txi,
+        B_u=B_u,
+        B_v=B_v,
+        C=(t.T_y * o.C + D_u * t.TF_u) * Txi,
+        D_u=D_u,
     )
 
 
@@ -391,10 +342,10 @@ def verify_em(o1: Odecs2, o2: Odecs2, t: EmTransform) -> bool:
     With T_x, T_u, T_v and T_y invertible, o2 == apply_em(o1, t) holds
     exactly when
 
-        A2 T_x   = T_x (A + B_u F_u + B_v (F_v + R F_u) + K (C + D_u F_u))
-        B_u2 T_u = T_x (B_u + B_v R + K D_u)
+        A2 T_x   = T_x A + TK C + B_u2 TF_u + B_v2 TF_v
+        B_u2 T_u = T_x B_u + TK D_u + B_v2 TR
         B_v2 T_v = T_x B_v
-        C2 T_x   = T_y (C + D_u F_u)
+        C2 T_x   = T_y C + D_u2 TF_u
         D_u2 T_u = T_y D_u
 
     which are checked as written, so no inverse is computed.
@@ -403,18 +354,17 @@ def verify_em(o1: Odecs2, o2: Odecs2, t: EmTransform) -> bool:
     if (o2.n, o2.m, o2.s, o2.p) != (n, m, s, p):
         return False
     shapes = [(n, n), (m, m), (s, s), (p, p), (m, n), (s, n), (s, m), (n, p)]
-    if [M.shape for M in (t.T_x, t.T_u, t.T_v, t.T_y, t.F_u, t.F_v, t.R, t.K)] != shapes:
+    if [M.shape for M in (t.T_x, t.T_u, t.T_v, t.T_y, t.TF_u, t.TF_v, t.TR, t.TK)] != shapes:
         return False
     for M in (t.T_x, t.T_u, t.T_v, t.T_y):
         if not is_invertible(M):
             return False
-    A_fb, B_fb, C_fb = _feedback_terms(o1, t)
     return (
-        o2.A * t.T_x == t.T_x * A_fb
-        and o2.B_u * t.T_u == t.T_x * B_fb
-        and o2.B_v * t.T_v == t.T_x * o1.B_v
-        and o2.C * t.T_x == t.T_y * C_fb
+        o2.B_v * t.T_v == t.T_x * o1.B_v
         and o2.D_u * t.T_u == t.T_y * o1.D_u
+        and o2.B_u * t.T_u == t.T_x * o1.B_u + t.TK * o1.D_u + o2.B_v * t.TR
+        and o2.C * t.T_x == t.T_y * o1.C + o2.D_u * t.TF_u
+        and o2.A * t.T_x == t.T_x * o1.A + t.TK * o1.C + o2.B_u * t.TF_u + o2.B_v * t.TF_v
     )
 
 
@@ -434,42 +384,36 @@ def exfb_inverse(t: ExFbTransform) -> ExFbTransform:
 
 
 def em_compose(t1: EmTransform, t2: EmTransform) -> EmTransform:
-    """Certificate for applying t1 first, then t2 (merged-form algebra).
-    It carries the inverses T1^{-1} T2^{-1}."""
-    Tw1, Fw1 = t1.merged_input()
-    Tw2, Fw2 = t2.merged_input()
-    Tx1i, Tw1i = t1.inverses()[0], t1.merged_input_inverse()
-    T_x = t2.T_x * t1.T_x
-    T_y = t2.T_y * t1.T_y
-    T_w = Tw2 * Tw1
-    F_w = Fw1 + Tw1i * Fw2 * t1.T_x
-    K = t1.K + Tx1i * t2.K * t1.T_y
-    return _em_from_merged(
-        T_x,
-        T_w,
-        T_y,
-        F_w,
-        K,
-        t1.T_u.rows,
-        T_x_inv=Tx1i * t2.inverses()[0],
-        T_w_inv=Tw1i * t2.merged_input_inverse(),
+    """Certificate for applying t1 first, then t2: products only."""
+    return EmTransform(
+        T_x=t2.T_x * t1.T_x,
+        T_u=t2.T_u * t1.T_u,
+        T_v=t2.T_v * t1.T_v,
+        T_y=t2.T_y * t1.T_y,
+        TF_u=t2.T_u * t1.TF_u + t2.TF_u * t1.T_x,
+        TF_v=t2.T_v * t1.TF_v - t2.TR * t1.TF_u + t2.TF_v * t1.T_x,
+        TR=t2.TR * t1.T_u + t2.T_v * t1.TR,
+        TK=t2.T_x * t1.TK + t2.TK * t1.T_y,
     )
 
 
 def em_inverse(t: EmTransform) -> EmTransform:
-    """The certificate undoing t; it carries t's blocks as its inverses."""
-    Tw, Fw = t.merged_input()
-    Txi = t.inverses()[0]
-    Tyi = inverse(t.T_y)
-    return _em_from_merged(
-        Txi,
-        t.merged_input_inverse(),
-        Tyi,
-        -(Tw * Fw * Txi),
-        -(t.T_x * t.K * Tyi),
-        t.T_u.rows,
-        T_x_inv=t.T_x,
-        T_w_inv=Tw,
+    """The certificate undoing t; the inverses of its four coordinate
+    changes are computed here."""
+    Txi = _inverse_of(t.T_x, "T_x")
+    Tui = _inverse_of(t.T_u, "T_u")
+    Tvi = _inverse_of(t.T_v, "T_v")
+    Tyi = _inverse_of(t.T_y, "T_y")
+    TF_u = -(Tui * t.TF_u * Txi)
+    return EmTransform(
+        T_x=Txi,
+        T_u=Tui,
+        T_v=Tvi,
+        T_y=Tyi,
+        TF_u=TF_u,
+        TF_v=Tvi * (t.TR * TF_u - t.TF_v * Txi),
+        TR=-(Tvi * t.TR * Tui),
+        TK=-(Txi * t.TK * Tyi),
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 from dacscanon.ratmat import RatMatrix, inverse, qq, rank, hstack
 from dacscanon._chains import (
     NotControllable,
+    _cyclic_vector,
     brunovsky_single,
     charpoly,
     companion,
@@ -196,6 +197,17 @@ def test_frobenius_mixed_blocks():
     T, Fr, factors = frobenius_form(A)
     assert [len(f) - 1 for f in factors] == [2, 1]
     assert factors[0] == [qq(0), qq(0), qq(1)]
+
+
+def test_cyclic_vector_of_a_diagonal_with_distinct_entries():
+    # diag(1, ..., 40) is cyclic, but no unit vector is: a cyclic vector
+    # needs all 40 entries nonzero, which the moment-curve points have
+    n = 40
+    A = RatMatrix([[qq(i + 1) if i == j else qq(0) for j in range(n)] for i in range(n)], cols=n)
+    cols = [_cyclic_vector(A, n)]
+    for _ in range(n - 1):
+        cols.append(A * cols[-1])
+    assert rank(hstack(cols)) == n
 
 
 def test_frobenius_random_similarity_invariance():

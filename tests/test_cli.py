@@ -190,6 +190,24 @@ def test_certificates_roundtrip_through_json(t):
     assert _parse_cert_obj(obj) == t
 
 
+def test_em_certificate_with_the_paper_keys_exits_2(tmp_path, capsys):
+    # an em certificate stores TF_u, TF_v, TR and TK; a file written with
+    # the paper's F_u, F_v, R and K is refused, naming the first missing key
+    expl = str(tmp_path / "expl.json")
+    assert main(["explicitate", str(FIXTURE), "--out", expl]) == 0
+    o = parse_system(expl)
+    obj = _serialize_cert(EmTransform.identity(o.n, o.m, o.s, o.p), "total")
+    for new, old in (("TF_u", "F_u"), ("TF_v", "F_v"), ("TR", "R"), ("TK", "K")):
+        obj[old] = obj.pop(new)
+    cert = write(tmp_path, "old.json", obj)
+    capsys.readouterr()
+    assert main(["verify", "--left", expl, "--right", expl, "--cert", cert]) == 2
+    assert capsys.readouterr().err == "error: em certificate is missing 'TF_u'\n"
+    obj["TF_u"], obj["TF_v"], obj["TR"], obj["TK"] = obj["F_u"], obj["F_v"], obj["R"], obj["K"]
+    cert = write(tmp_path, "new.json", obj)
+    assert main(["verify", "--left", expl, "--right", expl, "--cert", cert]) == 0
+
+
 _GOOD_ENTRIES = st.one_of(st.integers(-3, 3), st.sampled_from(["1", "-2/3", " 4 ", "0.5"]))
 _ENTRIES = st.one_of(
     _GOOD_ENTRIES,
@@ -546,11 +564,12 @@ def test_verify_reads_a_report_given_twice_once(tmp_path, monkeypatch):
 
 
 def _count_calls(monkeypatch, func):
-    """Count calls to ``func`` through every binding in the package."""
+    """Record the caller of each call to ``func`` through every binding in
+    the package."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(sys._getframe(1).f_code.co_name)
         return func(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -570,14 +589,18 @@ def test_one_pipeline_run_per_command(tmp_path, monkeypatch, command):
     emcf_calls = _count_calls(monkeypatch, canonical.emcf)
     emtf_calls = _count_calls(monkeypatch, morse.emtf)
     # each certificate is checked once, by the stage that emits it: emtf,
-    # emnf and the composed explicit one, plus the implicit one for fbcf
+    # emnf and the composed explicit one, each block construction of emcf
+    # and the assembled canonical one, plus the implicit one for fbcf
     em_checks = _count_calls(monkeypatch, verify_em)
     exfb_checks = _count_calls(monkeypatch, verify_exfb)
     # primeness is proven once, by the triangular stage's subspaces
     subspace_calls = _count_calls(monkeypatch, invariant_subspaces)
     assert main([command, inp, "--out", str(tmp_path / "rep.json")]) == 0
     assert (len(emcf_calls), len(emtf_calls)) == (1, 1)
-    assert (len(em_checks), len(exfb_checks)) == ((3, 1) if command == "fbcf" else (3, 0))
+    stages = ["emtf", "emnf", "brunovsky_two_inputs", "_prime_canonical"]
+    stages += ["observable_dual_canonical", "emcf", "emcf_run"]
+    assert sorted(em_checks) == sorted(stages)
+    assert len(exfb_checks) == (1 if command == "fbcf" else 0)
     assert len(subspace_calls) == 1
 
 

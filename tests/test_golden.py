@@ -7,6 +7,11 @@ value or by spelling, changes the digest.  A speed-up must keep them all;
 a change that means to alter an output must say why and record the new
 digests.
 
+Explicit-side certificates enter both digests in the paper's blocks
+(F_u, F_v, R, K) under their original keys, recovered from the blocks in
+the new coordinates by :func:`paper_cert`, so the digests are independent
+of how the library stores a certificate.
+
 Each ends digest covers only what the normal form's free choices cannot
 reach: the input, the explicitation record, the triangular stage and its
 certificate, the block dimensions, both index records and the two
@@ -23,9 +28,9 @@ import pytest
 
 from dacscanon.canonical import fbcf_run
 from dacscanon.cli import (
-    _emcf_certs,
     _emcf_stages,
     _indices_json,
+    _mat_to_json,
     _serialize_cert,
     _serialize_record,
     _stage_entry,
@@ -33,6 +38,7 @@ from dacscanon.cli import (
     serialize_system,
 )
 from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
+from test_systems import paper_blocks
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "circuit.json"
 
@@ -76,6 +82,17 @@ def _digest(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def paper_cert(t, stage):
+    """An explicit certificate as JSON in the paper's blocks: F_u =
+    T_u^-1 TF_u, F_v = T_v^-1 TF_v, R = T_v^-1 TR and K = T_x^-1 TK."""
+    blocks = dict(zip(("T_x", "T_u", "T_v", "T_y"), (t.T_x, t.T_u, t.T_v, t.T_y)))
+    blocks.update(zip(("F_u", "F_v", "R", "K"), paper_blocks(t)))
+    dims = {"n": t.T_x.rows, "m": t.T_u.rows, "s": t.T_v.rows, "p": t.T_y.rows}
+    out = {"stage": stage, "kind": "em", "dims": dims}
+    out.update((key, _mat_to_json(M)) for key, M in blocks.items())
+    return out
+
+
 def fbcf_run_digest(run):
     ex = run.explicit
     doc = {
@@ -83,9 +100,14 @@ def fbcf_run_digest(run):
         + _emcf_stages(ex)
         + [serialize_system(run.d_can)],
         "block_dims": [dict(ex.tri.dims._asdict()), list(ex.tri.groups)],
-        "certificates": [_serialize_record(run.rec)]
-        + _emcf_certs(ex, "total_explicit")
-        + [_serialize_cert(run.cert, "total")],
+        "certificates": [
+            _serialize_record(run.rec),
+            paper_cert(ex.tri.transform, "triangular"),
+            paper_cert(ex.nf.transform, "normal_form"),
+            paper_cert(ex.t_can, "canonical"),
+            paper_cert(ex.total, "total_explicit"),
+            _serialize_cert(run.cert, "total"),
+        ],
         "indices": [_indices_json(ex.idx), _indices_json(run.fidx)],
     }
     return _digest(doc)
@@ -104,7 +126,7 @@ def ends_digest(run):
         "block_dims": [dict(ex.tri.dims._asdict()), list(ex.tri.groups)],
         "certificates": [
             _serialize_record(run.rec),
-            _serialize_cert(ex.tri.transform, "triangular"),
+            paper_cert(ex.tri.transform, "triangular"),
         ],
         "indices": [_indices_json(ex.idx), _indices_json(run.fidx)],
     }

@@ -343,7 +343,7 @@ def test_mnf_on_already_diagonal_system_is_identity():
     assert again.system == diag
     t = again.transform
     assert t.T_x == RatMatrix.identity(5)
-    assert t.F_u.is_zero() and t.K.is_zero()
+    assert t.TF_u.is_zero() and t.TK.is_zero()
 
 
 def test_mnf_random_pipeline():
@@ -369,7 +369,7 @@ def test_emnf_random_pipeline_and_identity_input_transform():
         # the triangular one
         assert r.transform.T_u == base.transform.T_u
         assert r.transform.T_v == base.transform.T_v
-        assert r.transform.R == base.transform.R
+        assert r.transform.TR == base.transform.TR
         assert r.transform.T_y == base.transform.T_y
 
 

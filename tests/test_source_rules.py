@@ -166,6 +166,19 @@ def test_matrix_storage_is_private_to_ratmat():
     assert not offenders, "RatMatrix storage read outside ratmat: %s" % offenders
 
 
+def test_no_instance_dict_access_in_library():
+    # the library's value types are frozen dataclasses; writing into an
+    # instance's __dict__ hides state from ==, hash, repr and replace, so
+    # nothing may travel with a value that its fields do not show
+    offenders = [
+        "%s:%d" % (path.name, lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "__dict__" in line
+    ]
+    assert not offenders, "__dict__ in the library: %s" % offenders
+
+
 def test_benchmark_span_table_matches_library():
     # perfbench/spans.py names library functions by module and attribute;
     # installing its recorder fails when one of them was renamed or deleted

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from dacscanon import ratmat
-from dacscanon.canonical import emcf_run, fbcf, fbcf_run
+from dacscanon import canonical, morse, ratmat, systems
+from dacscanon.canonical import fbcf, fbcf_run
 from dacscanon.cli import parse_system
 from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 from dacscanon.ratmat import (
@@ -96,11 +96,33 @@ def random_em(rng, n, m, s, p):
         T_u=random_invertible(rng, m),
         T_v=random_invertible(rng, s),
         T_y=random_invertible(rng, p),
-        F_u=random_matrix(rng, m, n),
-        F_v=random_matrix(rng, s, n),
-        R=random_matrix(rng, s, m),
-        K=random_matrix(rng, n, p),
+        TF_u=random_matrix(rng, m, n),
+        TF_v=random_matrix(rng, s, n),
+        TR=random_matrix(rng, s, m),
+        TK=random_matrix(rng, n, p),
     )
+
+
+def paper_blocks(t):
+    """The paper's (F_u, F_v, R, K) of t, recovered from the blocks in the
+    new coordinates: F_u = T_u^-1 TF_u, F_v = T_v^-1 TF_v, R = T_v^-1 TR,
+    K = T_x^-1 TK."""
+    Tvi = inverse(t.T_v)
+    return inverse(t.T_u) * t.TF_u, Tvi * t.TF_v, Tvi * t.TR, inverse(t.T_x) * t.TK
+
+
+def from_paper(T_x, T_u, T_v, T_y, F_u, F_v, R, K):
+    """The certificate with the paper's blocks (F_u, F_v, R, K)."""
+    return EmTransform(T_x, T_u, T_v, T_y, T_u * F_u, T_v * F_v, T_v * R, T_x * K)
+
+
+def paper_merged(t):
+    """(T_w, F_w, K) of t in the paper's blocks, merged over w = (u, v):
+    T_w = [[T_u, 0], [-T_v R, T_v]] and F_w = [F_u; F_v + R F_u]."""
+    F_u, F_v, R, K = paper_blocks(t)
+    m, s = t.T_u.rows, t.T_v.rows
+    T_w = vstack([hstack([t.T_u, RatMatrix.zeros(m, s)]), hstack([-(t.T_v * R), t.T_v])])
+    return T_w, vstack([F_u, F_v + R * F_u]), K
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +237,19 @@ def test_apply_em_names_the_singular_block(block):
 
 
 def merged_action_oracle(o: Odecs2, t: EmTransform) -> Odecs2:
-    """Transform via the single block identity on [[A, B_w], [C, D_w]]."""
+    """Transform via the single block identity on [[A, B_w], [C, D_w]],
+    written with the paper's blocks:
+
+        [[T_x, T_x K], [0, T_y]] [[A, B_w], [C, D_w]] [[T_x^-1, 0], [F_w T_x^-1, T_w^-1]]
+
+    with T_w = [[T_u, 0], [-T_v R, T_v]] and F_w = [F_u; F_v + R F_u]."""
     n, m, s, p = o.n, o.m, o.s, o.p
     A, B_w, C, D_w = o.merged()
     P = vstack([hstack([A, B_w]), hstack([C, D_w])])
-    T_w, F_w = t.merged_input()
+    T_w, F_w, K = paper_merged(t)
     U = vstack(
         [
-            hstack([t.T_x, t.T_x * t.K]),
+            hstack([t.T_x, t.T_x * K]),
             hstack([RatMatrix.zeros(p, n), t.T_y]),
         ]
     )
@@ -246,6 +273,44 @@ def merged_action_oracle(o: Odecs2, t: EmTransform) -> Odecs2:
         B_v=B_w2.take_cols(range(m, m + s)),
         C=C2,
         D_u=D_w2.take_cols(range(m)),
+    )
+
+
+def written_out_action(o: Odecs2, t: EmTransform) -> Odecs2:
+    """The action with the paper's blocks, term by term."""
+    F_u, F_v, R, K = paper_blocks(t)
+    Txi, Tui, Tvi = inverse(t.T_x), inverse(t.T_u), inverse(t.T_v)
+    C_fb = o.C + o.D_u * F_u
+    A_fb = o.A + o.B_u * F_u + o.B_v * (F_v + R * F_u) + K * C_fb
+    return Odecs2(
+        A=t.T_x * A_fb * Txi,
+        B_u=t.T_x * (o.B_u + o.B_v * R + K * o.D_u) * Tui,
+        B_v=t.T_x * o.B_v * Tvi,
+        C=t.T_y * C_fb * Txi,
+        D_u=t.T_y * o.D_u * Tui,
+    )
+
+
+def paper_compose(t1: EmTransform, t2: EmTransform) -> EmTransform:
+    """Composition in the paper's coordinates (merged form): T_w = T_w2
+    T_w1, F_w = F_w1 + T_w1^-1 F_w2 T_x1, K = K1 + T_x1^-1 K2 T_y1."""
+    m, s = t1.T_u.rows, t1.T_v.rows
+    u, v = range(m), range(m, m + s)
+    (T_w1, F_w1, K1), (T_w2, F_w2, K2) = paper_merged(t1), paper_merged(t2)
+    T_w = T_w2 * T_w1
+    F_w = F_w1 + inverse(T_w1) * F_w2 * t1.T_x
+    T_u, T_v = T_w.submatrix(u, u), T_w.submatrix(v, v)
+    R = -(inverse(T_v) * T_w.submatrix(v, u))
+    F_u = F_w.take_rows(u)
+    return from_paper(
+        t2.T_x * t1.T_x,
+        T_u,
+        T_v,
+        t2.T_y * t1.T_y,
+        F_u,
+        F_w.take_rows(v) - R * F_u,
+        R,
+        K1 + inverse(t1.T_x) * K2 * t1.T_y,
     )
 
 
@@ -274,6 +339,41 @@ def test_em_compose_and_inverse(seed):
     assert apply_em(o, t_id) == o
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_paper_coordinates_oracle_agrees_with_every_operation(seed):
+    # certificates drawn in the paper's blocks (F_u, F_v, R, K); the
+    # library's operations in the new coordinates must match the oracle
+    rng = random.Random(700 + seed)
+    n, m, s, p = rng.randint(1, 4), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+    o = random_odecs(rng, n, m, s, p)
+
+    def draw():
+        return from_paper(
+            random_invertible(rng, n),
+            random_invertible(rng, m),
+            random_invertible(rng, s),
+            random_invertible(rng, p),
+            random_matrix(rng, m, n),
+            random_matrix(rng, s, n),
+            random_matrix(rng, s, m),
+            random_matrix(rng, n, p),
+        )
+
+    t1, t2 = draw(), draw()
+    o1 = merged_action_oracle(o, t1)
+    assert apply_em(o, t1) == o1 == written_out_action(o, t1)
+    assert verify_em(o, o1, t1)
+    assert not verify_em(o, dataclasses.replace(o1, A=o1.A + RatMatrix.identity(n)), t1)
+    o2 = merged_action_oracle(o1, t2)
+    assert em_compose(t1, t2) == paper_compose(t1, t2)
+    assert merged_action_oracle(o, em_compose(t1, t2)) == o2
+    assert verify_em(o, o2, em_compose(t1, t2))
+    back = em_inverse(t1)
+    assert merged_action_oracle(o1, back) == o
+    assert paper_compose(t1, back) == EmTransform.identity(n, m, s, p)
+    assert em_inverse(back) == t1
+
+
 def test_em_identity_is_neutral():
     rng = random.Random(3)
     o = random_odecs(rng, 3, 2, 1, 2)
@@ -286,35 +386,31 @@ def test_morse_transform_round_trip():
     # an EmTransform with empty v-blocks acts as a classical Morse transformation
     rng = random.Random(4)
     o = random_odecs(rng, 3, 2, 0, 2)
-    t = dataclasses.replace(
-        EmTransform.identity(3, 2, 0, 2),
-        T_x=random_invertible(rng, 3),
-        T_u=random_invertible(rng, 2),
-        T_y=random_invertible(rng, 2),
-        F_u=random_matrix(rng, 2, 3),
-        K=random_matrix(rng, 3, 2),
-    )
+    T_x, T_u, T_y = random_invertible(rng, 3), random_invertible(rng, 2), random_invertible(rng, 2)
+    F_u, K = random_matrix(rng, 2, 3), random_matrix(rng, 3, 2)
+    empty = RatMatrix.identity(0)
+    t = from_paper(T_x, T_u, empty, T_y, F_u, RatMatrix.zeros(0, 3), RatMatrix.zeros(0, 2), K)
     # classical Morse action, written out directly
-    Txi, Tui = inverse(t.T_x), inverse(t.T_u)
+    Txi, Tui = inverse(T_x), inverse(T_u)
     o2 = apply_em(o, t)
-    assert o2.A == t.T_x * (o.A + o.B_u * t.F_u + t.K * (o.C + o.D_u * t.F_u)) * Txi
-    assert o2.B_u == t.T_x * (o.B_u + t.K * o.D_u) * Tui
-    assert o2.C == t.T_y * (o.C + o.D_u * t.F_u) * Txi
-    assert o2.D_u == t.T_y * o.D_u * Tui
+    assert o2.A == T_x * (o.A + o.B_u * F_u + K * (o.C + o.D_u * F_u)) * Txi
+    assert o2.B_u == T_x * (o.B_u + K * o.D_u) * Tui
+    assert o2.C == T_y * (o.C + o.D_u * F_u) * Txi
+    assert o2.D_u == T_y * o.D_u * Tui
 
 
 def test_em_from_merged_splits_merged_input():
     rng = random.Random(5)
     for n, m, s, p in [(3, 2, 2, 1), (2, 0, 2, 1), (2, 2, 0, 0), (4, 1, 3, 2)]:
         t = random_em(rng, n, m, s, p)
-        T_w, F_w = t.merged_input()
-        assert em_from_merged(t.T_x, T_w, t.T_y, F_w, t.K, m) == t
+        T_w, TF_w = t.merged_input()
+        assert em_from_merged(t.T_x, T_w, t.T_y, TF_w, t.TK, m) == t
     t = random_em(rng, 2, 1, 1, 1)
-    _, F_w = t.merged_input()
+    _, TF_w = t.merged_input()
     with pytest.raises(ValueError):  # singular T_w
-        em_from_merged(t.T_x, mat([[1, 0], [2, 0]]), t.T_y, F_w, t.K, 1)
+        em_from_merged(t.T_x, mat([[1, 0], [2, 0]]), t.T_y, TF_w, t.TK, 1)
     with pytest.raises(InternalInvariantViolation):  # u-coordinates involve v
-        em_from_merged(t.T_x, mat([[1, 1], [0, 1]]), t.T_y, F_w, t.K, 1)
+        em_from_merged(t.T_x, mat([[1, 1], [0, 1]]), t.T_y, TF_w, t.TK, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +485,10 @@ def test_inverse_free_verification_matches_definitions(name):
     run = fbcf_run(d)
     ex = run.explicit
     em_cases = [
-        (ex.source, ex.tri.system, ex.tri.transform, ("T_x", "R", "K")),
-        (ex.source, ex.nf.system, ex.nf.transform, ("T_x", "R", "K")),
-        (ex.nf.system, ex.o_can, ex.t_can, ("T_x", "R", "K")),
-        (ex.source, ex.o_can, ex.total, ("T_x", "T_u", "T_v", "T_y", "F_u", "F_v", "R", "K")),
+        (ex.source, ex.tri.system, ex.tri.transform, ("T_x", "TR", "TK")),
+        (ex.source, ex.nf.system, ex.nf.transform, ("T_x", "TR", "TK")),
+        (ex.nf.system, ex.o_can, ex.t_can, ("T_x", "TR", "TK")),
+        (ex.source, ex.o_can, ex.total, ("T_x", "T_u", "T_v", "T_y", "TF_u", "TF_v", "TR", "TK")),
     ]
     rejected = 0
     for o1, o2, t, changed in em_cases:
@@ -452,9 +548,9 @@ def test_misshaped_certificates_are_rejected():
     o, _ = explicitate(d)
     t = EmTransform.identity(o.n, o.m, o.s, o.p)
     assert verify_em(o, o, t)
-    for name in ("T_x", "T_u", "T_v", "T_y", "F_u", "F_v", "R", "K"):
+    for name in ("T_x", "T_u", "T_v", "T_y", "TF_u", "TF_v", "TR", "TK"):
         assert not verify_em(o, o, dataclasses.replace(t, **{name: RatMatrix.identity(3)}))
-    assert not verify_em(o, o, dataclasses.replace(t, K=RatMatrix.identity(1)))
+    assert not verify_em(o, o, dataclasses.replace(t, TK=RatMatrix.identity(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -639,78 +735,75 @@ def test_full_row_rank_E_gives_zero_residuals():
 
 
 # ---------------------------------------------------------------------------
-# inverses carried by explicit-side certificates
+# where explicit-side certificates invert
 # ---------------------------------------------------------------------------
 
 
-def carried(t):
-    """The inverses t carries (None where it carries none yet)."""
-    return t.__dict__.get("_inverses", [None, None, None])
+def _count_inverses(monkeypatch, modules, record):
+    """Wrap each module's ``inverse`` binding so every call is recorded."""
+    real = ratmat.inverse
 
+    def counting(M):
+        record(M)
+        return real(M)
 
-def assert_carries_true_inverses(t):
-    for block, Mi in zip(("T_x", "T_u", "T_v"), carried(t)):
-        M = getattr(t, block)
-        assert Mi is not None, "%s^-1 is not carried" % block
-        I = RatMatrix.identity(M.rows)
-        assert M * Mi == I and Mi * M == I, "%s^-1 is wrong" % block
+    for module in modules:
+        monkeypatch.setattr(module, "inverse", counting)
 
 
 @pytest.mark.parametrize("name", ["fixture", "case1", "random"])
-def test_pipeline_transforms_carry_their_inverses(name):
+def test_em_compose_and_verify_em_compute_no_inverse(name, monkeypatch):
     if name == "random":
-        o = random_odecs(random.Random(11), 5, 2, 2, 2)
+        rng = random.Random(11)
+        o = random_odecs(rng, 5, 2, 2, 2)
+        ts = [random_em(rng, 5, 2, 2, 2) for _ in range(3)]
+        pairs = [(o, apply_em(o, ts[0]), ts[0])]
     else:
-        o, _ = explicitate(_verification_input(name)[0])
-    run = emcf_run(o)
-    tri, nf = run.tri.transform, run.nf.transform
-    stages = [tri, nf, run.t_can, run.total]
-    composed = [em_compose(tri, run.t_can), em_compose(run.total, em_inverse(run.total))]
-    for t in stages + composed + [em_inverse(t) for t in stages]:
-        assert_carries_true_inverses(t)
+        run = fbcf_run(_verification_input(name)[0]).explicit
+        ts = [run.tri.transform, run.nf.transform, run.t_can, run.total]
+        pairs = [
+            (run.source, run.tri.system, run.tri.transform),
+            (run.source, run.nf.system, run.nf.transform),
+            (run.nf.system, run.o_can, run.t_can),
+            (run.source, run.o_can, run.total),
+        ]
+    calls = []
+    _count_inverses(monkeypatch, [ratmat, systems], calls.append)
+    composed = [em_compose(a, b) for a in ts for b in ts]
+    assert all(verify_em(o1, o2, t) for o1, o2, t in pairs)
+    assert not calls
+    # em_inverse does invert, once per coordinate change, and undoes itself
+    for t in ts + composed[:2]:
         assert em_inverse(em_inverse(t)) == t
+    assert len(calls) == 8 * len(ts + composed[:2])
 
 
-def test_carried_inverses_stay_out_of_eq_hash_and_repr():
-    rng = random.Random(12)
-    t = random_em(rng, 3, 2, 2, 2)
-    assert carried(t) == [None, None, None]
-    back = em_inverse(em_inverse(t))
-    assert back == t and hash(back) == hash(t) and repr(back) == repr(t)
-    assert_carries_true_inverses(back)
-    # code that walks the fields (serializers, size probes) sees the
-    # certificate only, and a replaced transform carries nothing stale
-    blocks = ["T_x", "T_u", "T_v", "T_y", "F_u", "F_v", "R", "K"]
-    assert [f.name for f in dataclasses.fields(back)] == blocks
-    changed = dataclasses.replace(back, T_x=back.T_x.scale(2))
-    assert carried(changed) == [None, None, None]
-    assert_carries_true_inverses(em_inverse(em_inverse(changed)))
+@pytest.mark.parametrize("name", ["fixture"] + ["case%d" % k for k in range(5)])
+def test_fbcf_inverts_no_prime_sized_matrix(name, monkeypatch):
+    # inside the prime block's canonical stage no matrix of the block's
+    # size is inverted (the identity, which inverts for free, aside): the
+    # tower matrix T_x is never inverted
+    d, _ = _verification_input(name)
+    prime_n, sizes, inverted = [None], [], []
+    real = canonical._prime_canonical
 
+    def tracked(o):
+        prime_n[0] = o.n
+        sizes.append(o.n)
+        try:
+            return real(o)
+        finally:
+            prime_n[0] = None
 
-@pytest.mark.parametrize("seed", range(4))
-def test_constructor_built_transform_inverts_once_on_first_use(seed):
-    rng = random.Random(400 + seed)
-    n, m, s, p = rng.randint(1, 4), rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
-    o = random_odecs(rng, n, m, s, p)
-    t = random_em(rng, n, m, s, p)
-    assert carried(t) == [None, None, None]
-    # the action written with freshly computed inverses
-    Txi, Tui, Tvi = inverse(t.T_x), inverse(t.T_u), inverse(t.T_v)
-    C_fb = o.C + o.D_u * t.F_u
-    A_fb = o.A + o.B_u * t.F_u + o.B_v * (t.F_v + t.R * t.F_u) + t.K * C_fb
-    want = Odecs2(
-        A=t.T_x * A_fb * Txi,
-        B_u=t.T_x * (o.B_u + o.B_v * t.R + t.K * o.D_u) * Tui,
-        B_v=t.T_x * o.B_v * Tvi,
-        C=t.T_y * C_fb * Txi,
-        D_u=t.T_y * o.D_u * Tui,
-    )
-    assert apply_em(o, t) == want
-    assert_carries_true_inverses(t)
-    first = list(carried(t))
-    assert apply_em(o, t) == want
-    assert all(a is b for a, b in zip(first, carried(t)))
-    assert em_inverse(em_inverse(t)) == t
+    def record(M):
+        if prime_n[0] is not None and not M.is_identity():
+            inverted.append(M.rows)
+
+    monkeypatch.setattr(canonical, "_prime_canonical", tracked)
+    _count_inverses(monkeypatch, [ratmat, systems, morse, canonical], record)
+    fbcf(d)
+    assert len(sizes) == 1
+    assert sizes[0] not in inverted, inverted
 
 
 if __name__ == "__main__":
