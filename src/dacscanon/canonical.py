@@ -25,7 +25,7 @@ one, which is verified before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from ._chains import (
@@ -46,6 +46,7 @@ from .morse import (
     MnfSystem,
     MtfSystem,
     _feedback_stage,
+    _input_groups,
     _state_blocks,
     _static_normalizer,
     emnf,
@@ -78,7 +79,6 @@ from .systems import (
     Odecs2,
     apply_em,
     em_compose,
-    em_from_merged,
     explicitate,
     verify_em,
     verify_exfb,
@@ -327,7 +327,7 @@ def brunovsky_two_inputs(
     if B_u.rows != n or B_v.rows != n:
         raise ValueError("input matrices must have n rows")
     u_chains, v_chains, T_x, T_w, TF_w = _two_kind_chains(A, B_u, B_v)
-    t = em_from_merged(T_x, T_w, RatMatrix.identity(0), TF_w, RatMatrix.zeros(n, 0), m)
+    t = EmTransform(T_x, T_w, RatMatrix.identity(0), TF_w, RatMatrix.zeros(n, 0), m)
     eps = [k for _, k in u_chains]
     eps_bar = [k for _, k in v_chains]
 
@@ -395,7 +395,8 @@ def _output_chains(A: RatMatrix, B_w: RatMatrix, C_live: RatMatrix) -> List[_Pri
 
     Heads of depth-k towers form the spaces H_k = rowspace(C) `intersect`
     P_k with P_1 everything and P_{k+1} = {tau : tau B = 0, tau A in
-    P_k + rowspace(C)}.  For a prime core the H_k dimension jumps count the
+    P_k + rowspace(C)}, computed up to its first fixed point, which holds
+    for every larger k.  For a prime core the H_k dimension jumps count the
     chains of each length, any prolongation choice keeps the towers jointly
     independent, and every tower ends in a nonzero drive.  Longest first.
     """
@@ -406,8 +407,12 @@ def _output_chains(A: RatMatrix, B_w: RatMatrix, C_live: RatMatrix) -> List[_Pri
     annB = kernel_basis(B_w.T)
     At, Ct = A.T, C_live.T
     P: List[Subspace] = [Subspace.full(n), Subspace.full(n)]
-    for _ in range(n):
-        P.append(subspace_intersect(annB, preimage(At, subspace_sum(P[-1], S1))))
+    while len(P) <= n:
+        nxt = subspace_intersect(annB, preimage(At, subspace_sum(P[-1], S1)))
+        if nxt == P[-1]:
+            break  # a fixed point: every later step would repeat it
+        P.append(nxt)
+    P += [P[-1]] * (n + 1 - len(P))
     heads: List[Tuple[int, RatMatrix]] = []
     chosen = RatMatrix.zeros(n, 0)
     for k in range(n, 0, -1):
@@ -521,7 +526,9 @@ def _prime_canonical(o: Odecs2) -> Tuple[EmTransform, List[int], int, List[int]]
 
     # 1) rotate the static part of D into the last inputs and outputs
     T_y0, T_u0, delta = _static_normalizer(o.D_u)
-    t_d = replace(EmTransform.identity(n, m, s, p), T_u=T_u0, T_y=T_y0)
+    t_d = EmTransform.coordinates(
+        RatMatrix.identity(n), block_diag([T_u0, RatMatrix.identity(s)]), T_y0, m
+    )
     o1 = apply_em(o, t_d)
 
     # 2) absorb the static columns of B and rows of C
@@ -576,7 +583,7 @@ def _prime_canonical(o: Odecs2) -> Tuple[EmTransform, List[int], int, List[int]]
     TK = solve_left(o2.C, M)
     if TK is None:
         raise InternalInvariantViolation("prime corrections are not output injections")
-    t_chain = em_from_merged(T_x, T_w, T_y1, TF_w, TK, m)
+    t_chain = EmTransform(T_x, T_w, T_y1, TF_w, TK, m)
     if not verify_em(o2, o_can, t_chain):
         raise InternalInvariantViolation("prime normalization has a wrong pattern")
     return em_compose(em_compose(t_d, t_kill), t_chain), sigma, delta, sigma_bar
@@ -604,16 +611,7 @@ def observable_dual_canonical(C4: RatMatrix, A4: RatMatrix) -> Tuple[EmTransform
     except NotControllable as exc:
         raise NotObservable("the pair (C4, A4) is not observable") from exc
     T_x = RatMatrix.identity(n).take_rows(_reversed_chains(kappa)) * T_xd_inv.T
-    t = EmTransform(
-        T_x=T_x,
-        T_u=RatMatrix.identity(0),
-        T_v=RatMatrix.identity(0),
-        T_y=T_ud_inv.T,
-        TF_u=RatMatrix.zeros(0, n),
-        TF_v=RatMatrix.zeros(0, n),
-        TR=RatMatrix.identity(0),
-        TK=T_x * Fd.T,
-    )
+    t = EmTransform(T_x, RatMatrix.identity(0), T_ud_inv.T, RatMatrix.zeros(0, n), T_x * Fd.T, 0)
     src = Odecs2(A4, RatMatrix.zeros(n, 0), RatMatrix.zeros(n, 0), C4, RatMatrix.zeros(p, 0))
     want = EmcfIndices((), (), RatMatrix.zeros(0, 0), (), 0, (), kappa, dead_y=p - len(kappa))
     if not verify_em(src, emcf_system(want), t):
@@ -661,7 +659,7 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
 
     Dispatches the four diagonal blocks to the chain constructions above,
     embeds the per-block certificates into one system-wide transformation,
-    and appends the input permutations that sort dead inputs last.  The
+    and appends the input permutation that sorts dead inputs last.  The
     returned transform maps ``m.system`` to the returned canonical system;
     the indices are the complete invariant.
     """
@@ -669,6 +667,8 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     m1u, s1 = m.groups
     b1, b2, b3, b4 = _state_blocks(dims)
     n, mu, s, p = o.n, o.m, o.s, o.p
+    w = mu + s
+    g1, g3 = _input_groups(mu, s, m1u, s1)
     u1, u3 = list(range(m1u)), list(range(m1u, mu))
     v1, v3 = list(range(s1)), list(range(s1, s))
     y3, y4 = list(range(dims.p3)), list(range(dims.p3, p))
@@ -688,25 +688,24 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     )
     t4, eta = observable_dual_canonical(o.C.submatrix(y4, b4), o.A.submatrix(b4, b4))
 
+    # block 1's inputs are the merged group g1 = (u1, v1) and block 3's
+    # g3 = (u3, v3), each in its certificate's own (u, v) order
     t_blk = EmTransform(
         T_x=block_diag([t1.T_x, T2f, t3.T_x, t4.T_x]),
-        T_u=block_diag([t1.T_u, t3.T_u]),
-        T_v=block_diag([t1.T_v, t3.T_v]),
+        T_w=place(w, w, [(g1, g1, t1.T_w), (g3, g3, t3.T_w)]),
         T_y=block_diag([t3.T_y, t4.T_y]),
-        TF_u=place(mu, n, [(u1, b1, t1.TF_u), (u3, b3, t3.TF_u)]),
-        TF_v=place(s, n, [(v1, b1, t1.TF_v), (v3, b3, t3.TF_v)]),
-        TR=block_diag([t1.TR, t3.TR]),
+        TF_w=place(w, n, [(g1, b1, t1.TF_w), (g3, b3, t3.TF_w)]),
         TK=place(n, p, [(b3, y3, t3.TK), (b4, y4, t4.TK)]),
+        m=mu,
     )
 
+    # sort the dead inputs, block 1's surplus, last within their kind
     a, b, e = len(eps), len(eps_bar), len(eta)
     dead_u, dead_v, dead_y = m1u - a, s1 - b, dims.p4 - e
-    uperm = list(range(a)) + list(range(m1u, mu)) + list(range(a, m1u))
-    vperm = list(range(b)) + list(range(s1, s)) + list(range(b, s1))
-    t_perm = replace(
-        EmTransform.identity(n, mu, s, p),
-        T_u=RatMatrix.identity(mu).take_rows(uperm),
-        T_v=RatMatrix.identity(s).take_rows(vperm),
+    dead = set(range(a, m1u)) | set(range(mu + b, mu + s1))
+    wperm = sorted(range(w), key=lambda j: (j >= mu, j in dead))
+    t_perm = EmTransform.coordinates(
+        RatMatrix.identity(n), RatMatrix.identity(w).take_rows(wperm), RatMatrix.identity(p), mu
     )
 
     total = em_compose(t_blk, t_perm)

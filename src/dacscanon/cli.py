@@ -18,13 +18,16 @@ and the two certificate kinds are
 
 where an em certificate carries the paper's feedback, input mixing and
 output injection in the new coordinates (TF_u = T_u F_u, TF_v = T_v F_v,
-TR = T_v R, TK = T_x K), so ``verify`` checks it with products only.
+TR = T_v R, TK = T_x K), so ``verify`` checks it with products only.  The
+library stores an em certificate merged over w = (u, v) (see
+:class:`EmTransform`); its file keeps the per-kind blocks.
 
 The "dims" block is always written on serialize.  On parse it is optional
 (it disambiguates matrices with zero rows): each entry it gives must fit
 every matrix that names it and be no larger than the length of the
 object's compact JSON text, and an entry it leaves out is read off the
-matrices.  "name" and "description" are free metadata.  A report produced
+first matrix that names it, as a width or a row count, and must fit every
+later one.  "name" and "description" are free metadata.  A report produced
 by any command is itself parseable as a system file: parse_system descends
 into its "result" entry.
 
@@ -228,7 +231,9 @@ def _from_json(obj: dict, role: str, noun: str):
     """The system or certificate an object describes, checked against the
     schema: every given dims entry must fit every matrix that names it and
     be no larger than the length of the object's compact JSON text, and a
-    width the dims leave out is taken from an earlier matrix sharing it."""
+    size the dims leave out is read off the first matrix that names it, as
+    its width or its row count.  So blocks that contradict each other are
+    refused whether or not the object has a dims block."""
     kind = obj.get("kind")
     spec = _SCHEMA.get(kind) if isinstance(kind, str) else None
     if spec is None or spec[0] != role:
@@ -242,22 +247,23 @@ def _from_json(obj: dict, role: str, noun: str):
         limit = len(json.dumps(obj, separators=(",", ":"))) if isinstance(dims, dict) else 0
     except RecursionError:
         raise ParseError("%s %s is nested too deeply" % (kind, noun)) from None
-    widths, parsed = {}, {}
-    for key, attr, _, cols in mats:
-        width = _dims_entry(dims, cols, limit)
-        if width is not None:
-            widths[cols] = (width, "dims say %s=%d" % (cols, width))
-        M = _mat_from_json(obj[key], key, *widths.get(cols, (None,)))
-        widths.setdefault(cols, (M.cols, "%s's rows have %d" % (key, M.cols)))
+    sizes, parsed = {}, {}  # dims entry -> (size, where it was read)
+    for key, attr, rows, cols in mats:
+        for entry in (cols, rows):
+            v = None if entry in sizes else _dims_entry(dims, entry, limit)
+            if v is not None:
+                sizes[entry] = (v, "dims say %s=%d" % (entry, v))
+        M = _mat_from_json(obj[key], key, *sizes.get(cols, (None,)))
+        sizes.setdefault(cols, (M.cols, "%s's rows have %d" % (key, M.cols)))
+        sizes.setdefault(rows, (M.rows, "%s has %d rows" % (key, M.rows)))
         parsed[attr] = M
     for key, attr, rows, _ in mats:
-        want = _dims_entry(dims, rows, limit)
-        if want is not None and parsed[attr].rows != want:
-            raise DimensionError(
-                "%s has %d rows, dims say %s=%d" % (key, parsed[attr].rows, rows, want)
-            )
+        want, said_by = sizes[rows]
+        if parsed[attr].rows != want:
+            raise DimensionError("%s has %d rows, %s" % (key, parsed[attr].rows, said_by))
     try:
-        return cls(**parsed)
+        # an em certificate stores merged blocks and is built from the per-kind ones
+        return getattr(cls, "from_blocks", cls)(**parsed)
     except ValueError as exc:
         raise DimensionError(str(exc)) from None
 

@@ -23,7 +23,7 @@ certificates keep the lower-block-triangular input structure throughout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -58,7 +58,6 @@ from .systems import (
     Odecs2,
     apply_em,
     em_compose,
-    em_from_merged,
     verify_em,
 )
 
@@ -282,13 +281,9 @@ def _feedback_stage(o: Odecs2, F_blocks=(), K_blocks=()) -> EmTransform:
     """Identity certificate for o with the merged feedback F_w (rows w = (u,
     v)) and the output injection K placed from blocks; with every
     coordinate change the identity, TF_w = F_w and TK = K."""
-    F_w = place(o.m + o.s, o.n, F_blocks)
-    return replace(
-        EmTransform.identity(o.n, o.m, o.s, o.p),
-        TF_u=F_w.take_rows(range(o.m)),
-        TF_v=F_w.take_rows(range(o.m, o.m + o.s)),
-        TK=place(o.n, o.p, K_blocks),
-    )
+    n, w, p = o.n, o.m + o.s, o.p
+    eye = RatMatrix.identity
+    return EmTransform(eye(n), eye(w), eye(p), place(w, n, F_blocks), place(n, p, K_blocks), o.m)
 
 
 def _static_pattern(rows: int, cols: int, delta: int) -> RatMatrix:
@@ -351,9 +346,7 @@ def _stage0(o: Odecs2) -> Tuple[EmTransform, BlockDims, int, int]:
     basis_y = hstack([inv.Y_star.basis, complement(inv.Y_star, Subspace.full(p))])
     T_y = _inverse_or_violation(basis_y, "output blocks do not assemble to a basis")
 
-    zero_F, zero_K = RatMatrix.zeros(m + s, n), RatMatrix.zeros(n, p)
-    t0 = em_from_merged(T_x, T_w, T_y, zero_F, zero_K, m)
-    return t0, d, m1u, s1
+    return EmTransform.coordinates(T_x, T_w, T_y, m), d, m1u, s1
 
 
 def _assert_stage0(o: Odecs2, d: BlockDims, g1: List[int]) -> None:
@@ -403,10 +396,12 @@ def _d_normalize(
     """Input/output changes on group 3 bringing the feedthrough block to
     [[0, 0], [0, I]]."""
     T_y3, T_u3, _ = _static_normalizer(o.D_u.submatrix(range(d.p3), range(m1u, o.m)))
-    t = replace(
-        EmTransform.identity(o.n, o.m, o.s, o.p),
-        T_u=block_diag([RatMatrix.identity(m1u), T_u3]),
-        T_y=block_diag([T_y3, RatMatrix.identity(o.p - d.p3)]),
+    eye = RatMatrix.identity
+    t = EmTransform.coordinates(
+        eye(o.n),
+        block_diag([eye(m1u), T_u3, eye(o.s)]),
+        block_diag([T_y3, eye(o.p - d.p3)]),
+        o.m,
     )
     return apply_em(o, t), t
 
@@ -639,7 +634,8 @@ def _similarity_stage(
         [(b1, b2, T1), (b1, b3, T2), (b1, b4, T3), (b2, b4, T4), (b3, b4, T5)],
         base=RatMatrix.identity(o.n),
     )
-    return replace(EmTransform.identity(o.n, o.m, o.s, o.p), T_x=S)
+    eye = RatMatrix.identity
+    return EmTransform.coordinates(S, eye(o.m + o.s), eye(o.p), o.m)
 
 
 def _assert_diagonal(o: Odecs2, d: BlockDims, m1u: int, s1: int, blocks: List[RatMatrix]) -> None:

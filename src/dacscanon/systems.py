@@ -13,19 +13,22 @@ here (deterministic Q from the echelon certificate, pivot-column right
 inverse, echelon kernel basis) and is recorded so that it can be undone
 or compared.  Two certificate types realize the two equivalences:
 ``ExFbTransform`` (Q, P, F, G) acts on implicit systems, ``EmTransform``
-(T_x, T_u, T_v, T_y, TF_u, TF_v, TR, TK) acts on explicit ones with the
-triangular input structure (v may be fed back with x and u, u only with
-x).  An EmTransform writes its feedback, input mixing and output injection
-in the new coordinates (TF_u = T_u F_u, ..., TK = T_x K), so composing two
-of them and checking one are plain matrix products; only applying or
-inverting one computes inverses, on the spot.  verify_* re-check the
-defining matrix identities exactly, so any pipeline output can be audited
+(T_x, T_w, T_y, TF_w, TK) on explicit ones.  An EmTransform is a Morse
+transformation of the merged system (A, B_w, C, D_w) with w = (u, v)
+whose input transform T_w never mixes v into u (v may be fed back with x
+and u, u only with x); the paper's eight per-kind blocks are views of it.
+All explicit-side algebra is the plain single-kind Morse algebra on the
+merged systems.  Feedback and output injection are written in the new
+coordinates (TF_w = T_w F_w, TK = T_x K), so composing two certificates
+and checking one are plain matrix products; only applying or inverting
+one computes inverses, on the spot.  verify_* re-check the defining
+matrix identities exactly, so any pipeline output can be audited
 independently of how it was produced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .ratmat import (
@@ -160,82 +163,88 @@ class ExFbTransform:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmTransform:
-    """Certificate for explicit-side equivalence (the 8-tuple action).
+    """Certificate for explicit-side equivalence: a Morse transformation of
+    the merged input w = (u, v) whose input transform T_w = [[T_u, 0],
+    [-TR, T_v]] never mixes v into u; its first ``m`` rows and columns are
+    the first kind's.
 
-    The coordinate changes T_x, T_u, T_v, T_y act on states, first-kind
-    inputs, second-kind inputs and outputs.  The feedback F_u, F_v, the
-    input mixing R and the output injection K of the paper are carried in
-    the new coordinates, TF_u = T_u F_u, TF_v = T_v F_v, TR = T_v R and
-    TK = T_x K, so that checking and composing certificates takes products
-    only (see :func:`verify_em` and :func:`em_compose`).  The paper's blocks
-    come back as F_u = T_u^{-1} TF_u, F_v = T_v^{-1} TF_v, R = T_v^{-1} TR
-    and K = T_x^{-1} TK.
+    Feedback and output injection are carried in the new coordinates,
+    TF_w = T_w F_w = [TF_u; TF_v] and TK = T_x K, so checking and composing
+    certificates takes products only.  The paper's blocks T_u, T_v,
+    TR = T_v R, TF_u = T_u F_u and TF_v = T_v F_v are read-only views.
+    ``m`` is init-only, so code walking the dataclass fields sees only the
+    five matrices; equality and hashing include it.  Raises ValueError for
+    a non-square T_w, an ``m`` outside [0, w] or a nonzero upper-right
+    m x s block of T_w.
     """
 
     T_x: RatMatrix
-    T_u: RatMatrix
-    T_v: RatMatrix
+    T_w: RatMatrix
     T_y: RatMatrix
-    TF_u: RatMatrix
-    TF_v: RatMatrix
-    TR: RatMatrix
+    TF_w: RatMatrix
     TK: RatMatrix
+    m: InitVar[int]
+
+    def __post_init__(self, m: int):
+        w = self.T_w.rows
+        if self.T_w.cols != w:
+            raise ValueError("T_w must be square, got %dx%d" % self.T_w.shape)
+        if not 0 <= m <= w:
+            raise ValueError("m = %d is outside [0, %d]" % (m, w))
+        if not self.T_w.submatrix(range(m), range(m, w)).is_zero():
+            raise ValueError("T_w mixes second-kind inputs into the first kind")
+        object.__setattr__(self, "m", m)
+
+    def _key(self) -> tuple:
+        return (self.m, self.T_x, self.T_w, self.T_y, self.TF_w, self.TK)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EmTransform) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @property
+    def T_u(self) -> RatMatrix:
+        return self.T_w.submatrix(range(self.m), range(self.m))
+
+    @property
+    def T_v(self) -> RatMatrix:
+        v = range(self.m, self.T_w.rows)
+        return self.T_w.submatrix(v, v)
+
+    @property
+    def TR(self) -> RatMatrix:
+        return -self.T_w.submatrix(range(self.m, self.T_w.rows), range(self.m))
+
+    @property
+    def TF_u(self) -> RatMatrix:
+        return self.TF_w.take_rows(range(self.m))
+
+    @property
+    def TF_v(self) -> RatMatrix:
+        return self.TF_w.take_rows(range(self.m, self.T_w.rows))
+
+    @staticmethod
+    def from_blocks(T_x, T_u, T_v, T_y, TF_u, TF_v, TR, TK) -> "EmTransform":
+        """The certificate with the per-kind blocks: T_w = [[T_u, 0],
+        [-TR, T_v]] and TF_w = [TF_u; TF_v]."""
+        m, s = T_u.rows, T_v.rows
+        T_w = vstack([hstack([T_u, RatMatrix.zeros(m, s)]), hstack([-TR, T_v])])
+        return EmTransform(T_x, T_w, T_y, vstack([TF_u, TF_v]), TK, m)
+
+    @staticmethod
+    def coordinates(T_x: RatMatrix, T_w: RatMatrix, T_y: RatMatrix, m: int) -> "EmTransform":
+        """The pure change of coordinates: no feedback, no output injection."""
+        n, w, p = T_x.rows, T_w.rows, T_y.rows
+        return EmTransform(T_x, T_w, T_y, RatMatrix.zeros(w, n), RatMatrix.zeros(n, p), m)
 
     @staticmethod
     def identity(n: int, m: int, s: int, p: int) -> "EmTransform":
-        return EmTransform(
-            RatMatrix.identity(n),
-            RatMatrix.identity(m),
-            RatMatrix.identity(s),
-            RatMatrix.identity(p),
-            RatMatrix.zeros(m, n),
-            RatMatrix.zeros(s, n),
-            RatMatrix.zeros(s, m),
-            RatMatrix.zeros(n, p),
-        )
-
-    def merged_input(self) -> Tuple[RatMatrix, RatMatrix]:
-        """(T_w, TF_w) of the merged single-input-kind view w = (u, v):
-        T_w = [[T_u, 0], [-TR, T_v]] is block lower triangular and
-        TF_w = [TF_u; TF_v] = T_w F_w."""
-        m, s = self.T_u.rows, self.T_v.rows
-        T_w = vstack(
-            [
-                hstack([self.T_u, RatMatrix.zeros(m, s)]),
-                hstack([-self.TR, self.T_v]),
-            ]
-        )
-        return T_w, vstack([self.TF_u, self.TF_v])
-
-
-def em_from_merged(
-    T_x: RatMatrix, T_w: RatMatrix, T_y: RatMatrix, TF_w: RatMatrix, TK: RatMatrix, m: int
-) -> EmTransform:
-    """Split a merged-input Morse transformation into the 8-tuple.
-
-    Requires the triangular structure T_w = [[T_u, 0], [-TR, T_v]]: the
-    upper-right m x s block must vanish (u-coordinates may not involve v).
-    TF_w = T_w F_w and TK = T_x K are the feedback and output injection in
-    the new coordinates.  Raises ValueError when T_w is singular.
-    """
-    s = T_w.rows - m
-    if not is_invertible(T_w):
-        raise ValueError("merged input transform is singular")
-    u, v = range(m), range(m, m + s)
-    if not T_w.submatrix(u, v).is_zero():
-        raise InternalInvariantViolation("merged input transform is not triangular")
-    return EmTransform(
-        T_x,
-        T_w.submatrix(u, u),
-        T_w.submatrix(v, v),
-        T_y,
-        TF_w.take_rows(u),
-        TF_w.take_rows(v),
-        -T_w.submatrix(v, u),
-        TK,
-    )
+        eye = RatMatrix.identity
+        return EmTransform.coordinates(eye(n), eye(m + s), eye(p), m)
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +304,26 @@ def apply_exfb(d: Dacs, t: ExFbTransform) -> Dacs:
 
 
 def apply_em(o: Odecs2, t: EmTransform) -> Odecs2:
-    """The image of o under t; the inverses of T_x, T_u and T_v are
-    computed here.  Raises SingularTransform naming a singular block."""
+    """The image of o under t: the Morse action on the merged system,
+    B_w2 = (T_x B_w + TK D_w) T_w^-1, D_w2 = T_y D_w T_w^-1,
+    A2 = (T_x A + TK C + B_w2 TF_w) T_x^-1, C2 = (T_y C + D_w2 TF_w) T_x^-1.
+    The inverses of T_x and T_w are computed here.  Raises SingularTransform
+    naming a singular block, and ValueError when t splits w elsewhere."""
+    if t.m != o.m:
+        raise ValueError("certificate has m = %d, system m = %d" % (t.m, o.m))
     Txi = _inverse_of(t.T_x, "T_x")
-    Tui = _inverse_of(t.T_u, "T_u")
-    Tvi = _inverse_of(t.T_v, "T_v")
+    Twi = _inverse_of(t.T_w, "T_w")
     _require_invertible(t.T_y, "T_y")
-    B_v = t.T_x * o.B_v * Tvi
-    D_u = t.T_y * o.D_u * Tui
-    B_u = (t.T_x * o.B_u + t.TK * o.D_u + B_v * t.TR) * Tui
+    A, B_w, C, D_w = o.merged()
+    B_w = (t.T_x * B_w + t.TK * D_w) * Twi
+    D_w = t.T_y * D_w * Twi
+    u, v = range(o.m), range(o.m, B_w.cols)
     return Odecs2(
-        A=(t.T_x * o.A + t.TK * o.C + B_u * t.TF_u + B_v * t.TF_v) * Txi,
-        B_u=B_u,
-        B_v=B_v,
-        C=(t.T_y * o.C + D_u * t.TF_u) * Txi,
-        D_u=D_u,
+        A=(t.T_x * A + t.TK * C + B_w * t.TF_w) * Txi,
+        B_u=B_w.take_cols(u),
+        B_v=B_w.take_cols(v),
+        C=(t.T_y * C + D_w * t.TF_w) * Txi,
+        D_u=D_w.take_cols(u),
     )
 
 
@@ -339,32 +353,33 @@ def verify_exfb(d1: Dacs, d2: Dacs, t: ExFbTransform) -> bool:
 def verify_em(o1: Odecs2, o2: Odecs2, t: EmTransform) -> bool:
     """Exact check that t maps o1 to o2 (the action of :func:`apply_em`).
 
-    With T_x, T_u, T_v and T_y invertible, o2 == apply_em(o1, t) holds
-    exactly when
+    With T_x, T_w and T_y invertible, o2 == apply_em(o1, t) holds exactly
+    when the merged systems satisfy
 
-        A2 T_x   = T_x A + TK C + B_u2 TF_u + B_v2 TF_v
-        B_u2 T_u = T_x B_u + TK D_u + B_v2 TR
-        B_v2 T_v = T_x B_v
-        C2 T_x   = T_y C + D_u2 TF_u
-        D_u2 T_u = T_y D_u
+        A2 T_x   = T_x A + TK C + B_w2 TF_w
+        B_w2 T_w = T_x B_w + TK D_w
+        C2 T_x   = T_y C + D_w2 TF_w
+        D_w2 T_w = T_y D_w
 
-    which are checked as written, so no inverse is computed.
+    which are checked as written, so no inverse is computed.  Their block
+    rows over w = (u, v) are the paper's five per-kind identities.
     """
     n, m, s, p = o1.n, o1.m, o1.s, o1.p
-    if (o2.n, o2.m, o2.s, o2.p) != (n, m, s, p):
+    if (o2.n, o2.m, o2.s, o2.p) != (n, m, s, p) or t.m != m:
         return False
-    shapes = [(n, n), (m, m), (s, s), (p, p), (m, n), (s, n), (s, m), (n, p)]
-    if [M.shape for M in (t.T_x, t.T_u, t.T_v, t.T_y, t.TF_u, t.TF_v, t.TR, t.TK)] != shapes:
+    w = m + s
+    shapes = [(n, n), (w, w), (p, p), (w, n), (n, p)]
+    if [M.shape for M in (t.T_x, t.T_w, t.T_y, t.TF_w, t.TK)] != shapes:
         return False
-    for M in (t.T_x, t.T_u, t.T_v, t.T_y):
-        if not is_invertible(M):
-            return False
+    if not all(is_invertible(M) for M in (t.T_x, t.T_w, t.T_y)):
+        return False
+    A1, B1, C1, D1 = o1.merged()
+    A2, B2, C2, D2 = o2.merged()
     return (
-        o2.B_v * t.T_v == t.T_x * o1.B_v
-        and o2.D_u * t.T_u == t.T_y * o1.D_u
-        and o2.B_u * t.T_u == t.T_x * o1.B_u + t.TK * o1.D_u + o2.B_v * t.TR
-        and o2.C * t.T_x == t.T_y * o1.C + o2.D_u * t.TF_u
-        and o2.A * t.T_x == t.T_x * o1.A + t.TK * o1.C + o2.B_u * t.TF_u + o2.B_v * t.TF_v
+        B2 * t.T_w == t.T_x * B1 + t.TK * D1
+        and D2 * t.T_w == t.T_y * D1
+        and C2 * t.T_x == t.T_y * C1 + D2 * t.TF_w
+        and A2 * t.T_x == t.T_x * A1 + t.TK * C1 + B2 * t.TF_w
     )
 
 
@@ -385,36 +400,25 @@ def exfb_inverse(t: ExFbTransform) -> ExFbTransform:
 
 def em_compose(t1: EmTransform, t2: EmTransform) -> EmTransform:
     """Certificate for applying t1 first, then t2: products only."""
+    if t1.m != t2.m:
+        raise ValueError("certificates split w at m = %d and m = %d" % (t1.m, t2.m))
     return EmTransform(
         T_x=t2.T_x * t1.T_x,
-        T_u=t2.T_u * t1.T_u,
-        T_v=t2.T_v * t1.T_v,
+        T_w=t2.T_w * t1.T_w,
         T_y=t2.T_y * t1.T_y,
-        TF_u=t2.T_u * t1.TF_u + t2.TF_u * t1.T_x,
-        TF_v=t2.T_v * t1.TF_v - t2.TR * t1.TF_u + t2.TF_v * t1.T_x,
-        TR=t2.TR * t1.T_u + t2.T_v * t1.TR,
+        TF_w=t2.T_w * t1.TF_w + t2.TF_w * t1.T_x,
         TK=t2.T_x * t1.TK + t2.TK * t1.T_y,
+        m=t1.m,
     )
 
 
 def em_inverse(t: EmTransform) -> EmTransform:
-    """The certificate undoing t; the inverses of its four coordinate
+    """The certificate undoing t; the inverses of its three coordinate
     changes are computed here."""
     Txi = _inverse_of(t.T_x, "T_x")
-    Tui = _inverse_of(t.T_u, "T_u")
-    Tvi = _inverse_of(t.T_v, "T_v")
+    Twi = _inverse_of(t.T_w, "T_w")
     Tyi = _inverse_of(t.T_y, "T_y")
-    TF_u = -(Tui * t.TF_u * Txi)
-    return EmTransform(
-        T_x=Txi,
-        T_u=Tui,
-        T_v=Tvi,
-        T_y=Tyi,
-        TF_u=TF_u,
-        TF_v=Tvi * (t.TR * TF_u - t.TF_v * Txi),
-        TR=-(Tvi * t.TR * Tui),
-        TK=-(Txi * t.TK * Tyi),
-    )
+    return EmTransform(Txi, Twi, Tyi, -(Twi * t.TF_w * Txi), -(Txi * t.TK * Tyi), t.m)
 
 
 # ---------------------------------------------------------------------------

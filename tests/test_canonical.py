@@ -17,7 +17,7 @@ from dacscanon.systems import (
     verify_em,
     verify_exfb,
 )
-from dacscanon import _chains
+from dacscanon import _chains, canonical
 from dacscanon._chains import controllability_indices, frobenius_form
 from dacscanon.geometry import invariant_subspaces
 from dacscanon.morse import emnf, emtf
@@ -32,6 +32,7 @@ from dacscanon.canonical import (
     emcf,
     emcf_system,
     fbcf,
+    fbcf_run,
     observable_dual_canonical,
     prime_canonical,
     translate_indices,
@@ -503,6 +504,26 @@ def test_fbcf_reuses_the_proven_block_2_polynomial(monkeypatch):
         fbcf(random_exfb_scramble(d, Seeded(base + 1, entry_bound=1))[0])
     assert "pole_place" in callers
     assert "_frobenius" not in callers
+
+
+@pytest.mark.parametrize("case", [None, 1])
+def test_prime_filtration_stops_at_its_fixed_point(monkeypatch, case):
+    # the filtration P_k of the prime stage's output chains reaches its
+    # fixed point one step after the longest chain; no later step is run
+    # (the circuit's 9-state prime block: 2 preimages, not 9)
+    calls, real = [], canonical.preimage
+    monkeypatch.setattr(canonical, "preimage", lambda *args: calls.append(1) or real(*args))
+    if case is None:
+        d = circuit_dacs()
+    else:
+        base = 900001 + 2 * case
+        d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
+        d = random_exfb_scramble(d, Seeded(base + 1, entry_bound=1))[0]
+    run = fbcf_run(d)
+    idx = run.explicit.idx
+    n3 = run.explicit.tri.dims.n3
+    assert len(calls) == max(idx.sigma + idx.sigma_bar) + 1 < n3
+    assert (case, n3) in [(None, 9), (1, 10)]
 
 
 if __name__ == "__main__":

@@ -426,6 +426,58 @@ def test_verify_misshaped_certificate_is_not_verified(tmp_path):
     assert json.loads(Path(out).read_text())["verified"] is False
 
 
+@pytest.fixture(scope="module")
+def report_certificates(tmp_path_factory):
+    """(left, right, certificate) files for both certificate kinds: the
+    fixture's fbcf report and the emcf report on its explicitation."""
+    tmp = tmp_path_factory.mktemp("reports")
+    fb, expl, em = (str(tmp / name) for name in ("fb.json", "expl.json", "em.json"))
+    assert main(["fbcf", str(FIXTURE), "--out", fb]) == 0
+    assert main(["explicitate", str(FIXTURE), "--out", expl]) == 0
+    assert main(["emcf", expl, "--out", em]) == 0
+
+    def last(path, kind):
+        certs = json.loads(Path(path).read_text())["certificates"]
+        return [c for c in certs if c["kind"] == kind][-1]
+
+    return {"exfb": (str(FIXTURE), fb, last(fb, "exfb")), "em": (expl, em, last(em, "em"))}
+
+
+@pytest.mark.parametrize("with_dims", [True, False])
+@pytest.mark.parametrize(
+    "kind, key, dim, first",
+    # the block that gets one row too many, the dims entry naming its rows,
+    # and the first matrix that names that entry
+    [("exfb", "F", "m", "G: rows have {want} entries, F has {rows} rows"),
+     ("em", "TR", "s", "TR has {rows} rows, T_v's rows have {want}")],
+    ids=["exfb", "em"],
+)
+def test_certificate_shape_verdict_does_not_depend_on_dims(
+    report_certificates, tmp_path, capsys, kind, key, dim, first, with_dims
+):
+    # blocks that contradict each other are unusable input (exit 2); blocks
+    # that fit each other but not the two systems fail to verify (exit 1)
+    left, right, cert = report_certificates[kind]
+    t = ExFbTransform.identity(3, 4, 1) if kind == "exfb" else EmTransform.identity(3, 1, 1, 2)
+    misfit = _serialize_cert(t, "total")
+    cert = json.loads(json.dumps(cert))
+    if not with_dims:
+        del cert["dims"], misfit["dims"]
+    want = len(cert[key])
+    cert[key].append(["0"] * len(cert[key][0]))
+    rows = want + 1
+    verify = ["verify", "--left", left, "--right", right, "--cert"]
+    capsys.readouterr()
+    assert main(verify + [write(tmp_path, "c.json", cert)]) == 2
+    msg = "%s has %d rows, dims say %s=%d" % (key, rows, dim, want) if with_dims else first.format(
+        rows=rows, want=want
+    )
+    assert capsys.readouterr().err == "error: %s\n" % msg
+    out = str(tmp_path / "v.json")
+    assert main(verify + [write(tmp_path, "misfit.json", misfit), "--out", out]) == 1
+    assert json.loads(Path(out).read_text())["verified"] is False
+
+
 def test_every_report_certificate_reverifies(tmp_path):
     # the report invariant: feed each report's own certificate back through
     # `verify` with the report as the right-hand system

@@ -291,8 +291,7 @@ def test_emtf_random_systems():
             assert isinstance(r.transform, EmTransform)
             assert verify_em(o, r.system, r.transform)
             check_block_properties(r)
-            T_w, _ = r.transform.merged_input()
-            W = inverse(T_w)
+            W = inverse(r.transform.T_w)
             assert W.submatrix(range(m), range(m, m + s)).is_zero()
 
 

@@ -4,8 +4,12 @@ The feedback canonical form is a fixed point of the pipeline: decoding the
 system built from any index datum returns that datum and that system.
 Index translation keeps the system dimensions that explicitation relates.
 Drawn scrambles of generated systems, and scrambles with large entries,
-leave the indices and the canonical system unchanged.
+leave the indices and the canonical system unchanged.  So do scrambles of
+inputs well beyond the generators: permutation-only scrambles, sparse
+systems, and degenerate shapes.
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -14,8 +18,8 @@ from hypothesis import strategies as st
 from dacscanon._chains import frobenius_form
 from dacscanon.canonical import EmcfIndices, FbcfIndices, build_fbcf, fbcf, translate_indices
 from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
-from dacscanon.ratmat import RatMatrix
-from dacscanon.systems import explicitate, verify_exfb
+from dacscanon.ratmat import RatMatrix, qq
+from dacscanon.systems import Dacs, ExFbTransform, apply_exfb, explicitate, verify_exfb
 
 MAX_STATES = 12
 SETTINGS = settings(
@@ -123,3 +127,74 @@ def test_large_entry_scrambles_round_trip(case):
     assert got == built
     assert d_can == d
     assert verify_exfb(scrambled, d_can, t)
+
+
+# ---------------------------------------------------------------------------
+# inputs beyond the generators
+# ---------------------------------------------------------------------------
+
+
+def _decodes_stably(d, seed):
+    """fbcf(d) with a verified certificate; a scramble with entries up to 2
+    keeps its indices and canonical system.  Returns both."""
+    t, f, d_can = fbcf(d)
+    assert verify_exfb(d, d_can, t)
+    scrambled, _ = random_exfb_scramble(d, Seeded(seed, entry_bound=2))
+    t2, f2, d_can2 = fbcf(scrambled)
+    assert (f2, d_can2) == (f, d_can)
+    assert verify_exfb(scrambled, d_can2, t2)
+    return f, d_can
+
+
+def _random_dacs(rng, l, n, m, density=1.0):
+    """Entries in [-3, 3]; each is nonzero with probability ``density``."""
+
+    def matrix(rows, cols):
+        entries = [
+            [qq(rng.choice([-3, -2, -1, 1, 2, 3])) if rng.random() < density else qq(0)
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        return RatMatrix(entries, cols=cols)
+
+    return Dacs(E=matrix(l, n), H=matrix(l, n), L=matrix(l, m))
+
+
+def _permutation(rng, k):
+    return RatMatrix.identity(k).take_rows(rng.sample(range(k), k))
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_permutation_scrambles_round_trip(case):
+    # criterion-2 systems behind pure row, state and input permutations
+    base = 900001 + 2 * case
+    d, built = random_fbcf(Seeded(base), bounds=(3, 4))
+    rng = random.Random(case)
+    t_scr = ExFbTransform(
+        Q=_permutation(rng, d.l), P=_permutation(rng, d.n), F=RatMatrix.zeros(d.m, d.n),
+        G=_permutation(rng, d.m),
+    )
+    scrambled = apply_exfb(d, t_scr)
+    assert verify_exfb(d, scrambled, t_scr)
+    assert _decodes_stably(scrambled, base) == (built, d)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_systems_decode(seed):
+    rng = random.Random(seed)
+    d = _random_dacs(rng, rng.randint(2, 6), rng.randint(2, 6), rng.randint(0, 3), density=0.3)
+    _decodes_stably(d, seed)
+
+
+@pytest.mark.parametrize("shape", [(1, 6, 1), (6, 1, 1), (2, 7, 0), (0, 3, 1), (3, 0, 2), (0, 0, 0)])
+def test_extreme_shapes_decode(shape):
+    _decodes_stably(_random_dacs(random.Random(str(shape)), *shape), 7)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("E", ["zero", "identity"])
+def test_trivial_E_decodes(n, E):
+    rng = random.Random(n)
+    d = _random_dacs(rng, n, n, rng.randint(0, 2))
+    E_n = RatMatrix.zeros(n, n) if E == "zero" else RatMatrix.identity(n)
+    _decodes_stably(Dacs(E=E_n, H=d.H, L=d.L), n)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ from dacscanon.canonical import fbcf, fbcf_run
 from dacscanon.cli import parse_system
 from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 from dacscanon.ratmat import (
-    InternalInvariantViolation,
     RatMatrix,
     image,
     inverse,
@@ -36,7 +36,6 @@ from dacscanon.systems import (
     apply_exfb,
     dacs_residuals,
     em_compose,
-    em_from_merged,
     em_inverse,
     exfb_compose,
     exfb_inverse,
@@ -90,8 +89,9 @@ def random_exfb(rng, l, n, m):
     )
 
 
-def random_em(rng, n, m, s, p):
-    return EmTransform(
+def random_em_blocks(rng, n, m, s, p):
+    """Drawn per-kind blocks of an em certificate."""
+    return dict(
         T_x=random_invertible(rng, n),
         T_u=random_invertible(rng, m),
         T_v=random_invertible(rng, s),
@@ -101,6 +101,10 @@ def random_em(rng, n, m, s, p):
         TR=random_matrix(rng, s, m),
         TK=random_matrix(rng, n, p),
     )
+
+
+def random_em(rng, n, m, s, p):
+    return EmTransform.from_blocks(**random_em_blocks(rng, n, m, s, p))
 
 
 def paper_blocks(t):
@@ -113,7 +117,15 @@ def paper_blocks(t):
 
 def from_paper(T_x, T_u, T_v, T_y, F_u, F_v, R, K):
     """The certificate with the paper's blocks (F_u, F_v, R, K)."""
-    return EmTransform(T_x, T_u, T_v, T_y, T_u * F_u, T_v * F_v, T_v * R, T_x * K)
+    return EmTransform.from_blocks(T_x, T_u, T_v, T_y, T_u * F_u, T_v * F_v, T_v * R, T_x * K)
+
+
+EM_BLOCKS = ("T_x", "T_u", "T_v", "T_y", "TF_u", "TF_v", "TR", "TK")
+
+
+def em_with(t, **blocks):
+    """t with some of its per-kind blocks replaced."""
+    return EmTransform.from_blocks(**dict({k: getattr(t, k) for k in EM_BLOCKS}, **blocks))
 
 
 def paper_merged(t):
@@ -221,14 +233,21 @@ def test_apply_exfb_names_the_singular_block(block):
         apply_exfb(d, t)
 
 
-@pytest.mark.parametrize("block", ["T_x", "T_u", "T_v", "T_y"])
+@pytest.mark.parametrize("block", ["T_x", "T_w", "T_y"])
 def test_apply_em_names_the_singular_block(block):
+    # a singular T_u or T_v makes T_w singular; both inverting operations
+    # name the stored block
     rng = random.Random(6)
     o = random_odecs(rng, 3, 2, 2, 2)
     t = random_em(rng, 3, 2, 2, 2)
-    t = dataclasses.replace(t, **{block: _singular(getattr(t, block))})
-    with pytest.raises(SingularTransform, match="^%s is singular$" % block):
-        apply_em(o, t)
+    t = dataclasses.replace(t, m=t.m, **{block: _singular(getattr(t, block))})
+    for operation in (partial(apply_em, o), em_inverse):
+        with pytest.raises(SingularTransform, match="^%s is singular$" % block):
+            operation(t)
+    if block == "T_w":
+        for kind in ("T_u", "T_v"):
+            with pytest.raises(SingularTransform, match="^T_w is singular$"):
+                apply_em(o, em_with(t, **{kind: _singular(getattr(t, kind))}))
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +418,28 @@ def test_morse_transform_round_trip():
     assert o2.D_u == T_y * o.D_u * Tui
 
 
-def test_em_from_merged_splits_merged_input():
+def test_em_transform_is_triangular_and_round_trips_its_blocks():
     rng = random.Random(5)
-    for n, m, s, p in [(3, 2, 2, 1), (2, 0, 2, 1), (2, 2, 0, 0), (4, 1, 3, 2)]:
-        t = random_em(rng, n, m, s, p)
-        T_w, TF_w = t.merged_input()
-        assert em_from_merged(t.T_x, T_w, t.T_y, TF_w, t.TK, m) == t
-    t = random_em(rng, 2, 1, 1, 1)
-    _, TF_w = t.merged_input()
-    with pytest.raises(ValueError):  # singular T_w
-        em_from_merged(t.T_x, mat([[1, 0], [2, 0]]), t.T_y, TF_w, t.TK, 1)
-    with pytest.raises(InternalInvariantViolation):  # u-coordinates involve v
-        em_from_merged(t.T_x, mat([[1, 1], [0, 1]]), t.T_y, TF_w, t.TK, 1)
+    for n, m, s, p in [(3, 2, 2, 1), (2, 0, 2, 1), (2, 2, 0, 0), (4, 1, 3, 2), (1, 0, 0, 1)]:
+        blocks = random_em_blocks(rng, n, m, s, p)
+        t = EmTransform.from_blocks(**blocks)
+        assert (t.m, t.T_w.rows) == (m, m + s)
+        assert {k: getattr(t, k) for k in EM_BLOCKS} == blocks
+        assert t.T_w.submatrix(range(m), range(m, m + s)).is_zero()
+        assert t.TF_w == vstack([blocks["TF_u"], blocks["TF_v"]])
+        assert t == EmTransform(t.T_x, t.T_w, t.T_y, t.TF_w, t.TK, m)
+        assert hash(t) == hash(EmTransform(t.T_x, t.T_w, t.T_y, t.TF_w, t.TK, m))
+    # the split is part of the certificate
+    t = EmTransform.identity(2, 1, 1, 1)
+    assert t != EmTransform.identity(2, 2, 0, 1) and t != EmTransform.identity(2, 0, 2, 1)
+    args = (t.T_x, t.T_w, t.T_y, t.TF_w, t.TK)
+    with pytest.raises(ValueError, match="mixes second-kind"):  # u-coordinates involve v
+        EmTransform(t.T_x, mat([[1, 1], [0, 1]]), t.T_y, t.TF_w, t.TK, 1)
+    with pytest.raises(ValueError, match="must be square"):
+        EmTransform(t.T_x, mat([[1, 0]]), t.T_y, t.TF_w, t.TK, 1)
+    for m in (-1, 3):
+        with pytest.raises(ValueError, match="outside"):
+            EmTransform(*args, m)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +467,7 @@ def verify_em_by_action(o1, o2, t):
     """The definition: o2 is the image of o1 under apply_em."""
     if (o1.n, o1.m, o1.s, o1.p) != (o2.n, o2.m, o2.s, o2.p):
         return False
-    if any(rank(M) != M.rows for M in (t.T_x, t.T_u, t.T_v, t.T_y)):
+    if t.m != o1.m or any(rank(M) != M.rows for M in (t.T_x, t.T_w, t.T_y)):
         return False
     return o2 == apply_em(o1, t)
 
@@ -457,14 +486,16 @@ def _singular(M):
 
 
 def _variants(t, changed, singular, rng):
-    """t, t with one entry of each nonempty field in ``changed`` moved by 1,
-    and t with field ``singular`` made singular."""
+    """t, t with one entry of each nonempty block in ``changed`` moved by 1,
+    and t with block ``singular`` made singular.  An em certificate's
+    blocks are its per-kind views."""
+    new = em_with if isinstance(t, EmTransform) else dataclasses.replace
     out = [t]
     for name in changed:
         M = getattr(t, name)
         if M.rows and M.cols:
-            out.append(dataclasses.replace(t, **{name: _changed_entry(M, rng)}))
-    out.append(dataclasses.replace(t, **{singular: _singular(getattr(t, singular))}))
+            out.append(new(t, **{name: _changed_entry(M, rng)}))
+    out.append(new(t, **{singular: _singular(getattr(t, singular))}))
     return out
 
 
@@ -488,12 +519,12 @@ def test_inverse_free_verification_matches_definitions(name):
         (ex.source, ex.tri.system, ex.tri.transform, ("T_x", "TR", "TK")),
         (ex.source, ex.nf.system, ex.nf.transform, ("T_x", "TR", "TK")),
         (ex.nf.system, ex.o_can, ex.t_can, ("T_x", "TR", "TK")),
-        (ex.source, ex.o_can, ex.total, ("T_x", "T_u", "T_v", "T_y", "TF_u", "TF_v", "TR", "TK")),
+        (ex.source, ex.o_can, ex.total, EM_BLOCKS),
     ]
     rejected = 0
     for o1, o2, t, changed in em_cases:
         assert verify_em(o1, o2, t)
-        for tv in _variants(t, changed, "T_x", rng):
+        for tv in _variants(t, changed, "T_x", rng) + _variants(t, (), "T_v", rng)[1:]:
             want = verify_em_by_action(o1, o2, tv)
             assert verify_em(o1, o2, tv) == want
             rejected += not want
@@ -548,9 +579,15 @@ def test_misshaped_certificates_are_rejected():
     o, _ = explicitate(d)
     t = EmTransform.identity(o.n, o.m, o.s, o.p)
     assert verify_em(o, o, t)
-    for name in ("T_x", "T_u", "T_v", "T_y", "TF_u", "TF_v", "TR", "TK"):
-        assert not verify_em(o, o, dataclasses.replace(t, **{name: RatMatrix.identity(3)}))
-    assert not verify_em(o, o, dataclasses.replace(t, TK=RatMatrix.identity(1)))
+    for name in ("T_x", "T_w", "T_y", "TF_w", "TK"):
+        assert not verify_em(o, o, dataclasses.replace(t, m=t.m, **{name: RatMatrix.identity(3)}))
+    assert not verify_em(o, o, dataclasses.replace(t, m=t.m, TK=RatMatrix.identity(1)))
+    # the same matrices with w split elsewhere
+    assert not verify_em(o, o, dataclasses.replace(t, m=t.m - 1))
+    # per-kind blocks that do not fit together build no certificate at all
+    for name in ("T_u", "T_v", "TF_u", "TF_v", "TR"):
+        with pytest.raises(ValueError):
+            em_with(t, **{name: RatMatrix.identity(3)})
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +812,7 @@ def test_em_compose_and_verify_em_compute_no_inverse(name, monkeypatch):
     # em_inverse does invert, once per coordinate change, and undoes itself
     for t in ts + composed[:2]:
         assert em_inverse(em_inverse(t)) == t
-    assert len(calls) == 8 * len(ts + composed[:2])
+    assert len(calls) == 6 * len(ts + composed[:2])
 
 
 @pytest.mark.parametrize("name", ["fixture"] + ["case%d" % k for k in range(5)])
