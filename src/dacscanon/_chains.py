@@ -11,7 +11,8 @@ drawn from the annihilator filtration
 which decreases from everything (K_0) to zero (controllable pairs).  A head
 tau of length k satisfies tau A^l B = 0 for l < k-1, so the tower
 (tau, tau A, ..., tau A^{k-1}) turns into a pure integrator chain in the new
-coordinates — no cleanup pass needed afterwards.
+coordinates — no cleanup pass needed afterwards.  A chain is held as that
+tower, together with its tail tau A^k.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .ratmat import (
     qq,
     rank,
     solve,
-    subspace_sum,
     vstack,
 )
 
@@ -172,12 +172,18 @@ def controllability_indices(A: RatMatrix, B: RatMatrix) -> List[int]:
     return sorted(out, reverse=True)
 
 
-def functional_chains(A: RatMatrix, B: RatMatrix) -> List[Tuple[RatMatrix, int]]:
-    """Chain heads (row functional, length) for a controllable pair,
-    longest first.  Raises NotControllable otherwise."""
+def functional_chains(A: RatMatrix, B: RatMatrix) -> List[List[RatMatrix]]:
+    """The chains of a controllable pair as towers, longest first.
+
+    A chain of length k is its tower [tau, tau A, ..., tau A^k] of 1 x n
+    rows, from a head tau drawn at level k of the annihilator filtration:
+    rows 0..k-1 are its states, row k-1 times B its drive row and row k its
+    tail.  Each level i spans K_i with the current rows (tau A^{k-i}) of
+    the longer chains, which lie in K_{i-1}, and takes the new heads as the
+    complement in K_{i-1}; then every tower grows by one row, one product
+    with A.  Raises NotControllable otherwise.
+    """
     n = A.rows
-    if n == 0:
-        return []
     K: List[Subspace] = [Subspace.full(n)]
     ctrb = B
     while K[-1].dim > 0:
@@ -187,40 +193,17 @@ def functional_chains(A: RatMatrix, B: RatMatrix) -> List[Tuple[RatMatrix, int]]
         ctrb = hstack([ctrb, A * (ctrb.take_cols(range(ctrb.cols - B.cols, ctrb.cols)))])
     if K[-1].dim != 0:
         raise NotControllable("annihilator filtration did not reach zero")
-    mu = len(K) - 1
-    chains: List[Tuple[RatMatrix, int]] = []
-    for i in range(mu, 0, -1):
-        reps = [
-            (tau * _matrix_power(A, k - i)) for tau, k in chains if k > i
-        ]  # level-i representatives of longer chains, living in K_{i-1}
-        inner = K[i]
-        for r in reps:
-            inner = subspace_sum(inner, image(r.T))
+    towers: List[List[RatMatrix]] = []
+    for i in range(len(K) - 1, 0, -1):
+        inner = image(hstack([K[i].basis] + [t[-1].T for t in towers]))
         new_heads = complement(inner, K[i - 1])
-        for j in range(new_heads.cols):
-            chains.append((RatMatrix([new_heads.col(j)], cols=n), i))
-    total = sum(k for _, k in chains)
+        towers += [[RatMatrix([new_heads.col(j)], cols=n)] for j in range(new_heads.cols)]
+        for t in towers:
+            t.append(t[-1] * A)
+    total = sum(len(t) - 1 for t in towers)
     if total != n:
         raise InternalInvariantViolation("chain lengths sum to %d, not n=%d" % (total, n))
-    return chains
-
-
-def _matrix_power(A: RatMatrix, k: int) -> RatMatrix:
-    M = RatMatrix.identity(A.rows)
-    for _ in range(k):
-        M = M * A
-    return M
-
-
-def tower_matrix(chains: Sequence[Tuple[RatMatrix, int]], A: RatMatrix) -> RatMatrix:
-    """Stack each chain's functional tower tau, tau A, ..., tau A^{k-1}."""
-    rows = []
-    for tau, k in chains:
-        cur = tau
-        for _ in range(k):
-            rows.append(cur)
-            cur = cur * A
-    return vstack(rows) if rows else RatMatrix.zeros(0, A.rows)
+    return towers
 
 
 def brunovsky_single(
@@ -229,23 +212,26 @@ def brunovsky_single(
     """(T_x, T_x^{-1}, T_u, T_u^{-1}, F, kappa) with T_x (A + B F) T_x^{-1}
     in chain form and T_x B T_u^{-1} the matching input selections.
 
-    Chain j occupies a state block of size kappa[j] (ones on the
-    superdiagonal) and is driven by new input j at its last row; surplus
-    inputs (columns m > number of chains) drive nothing.
+    Everything is read off the towers of :func:`functional_chains`: T_x
+    stacks each tower without its tail, T_u starts with the drive rows, and
+    F kills the tails.  Chain j occupies a state block of size kappa[j]
+    (ones on the superdiagonal) and is driven by new input j at its last
+    row; surplus inputs (columns m > number of chains) drive nothing.
     """
     n, m = A.rows, B.cols
-    chains = functional_chains(A, B)
-    T_x = tower_matrix(chains, A)
+    towers = functional_chains(A, B)
+    states = [r for t in towers for r in t[:-1]]
+    T_x = vstack(states) if states else RatMatrix.zeros(0, n)
     T_x_inv = _inverse_or_violation(T_x, "chain tower is not a basis")
-    gamma_rows = [tau * _matrix_power(A, k - 1) * B for tau, k in chains]
+    gamma_rows = [t[-2] * B for t in towers]
     Gamma = vstack(gamma_rows) if gamma_rows else RatMatrix.zeros(0, m)
     extra = complement(image(Gamma.T), Subspace.full(m)).T
     T_u = vstack([Gamma, extra]) if m else RatMatrix.identity(0)
     T_u_inv = _inverse_or_violation(T_u, "chain tails do not extend to an input basis")
-    tails = [tau * _matrix_power(A, k) for tau, k in chains]
-    M = vstack(tails + [RatMatrix.zeros(m - len(chains), n)]) if m else RatMatrix.zeros(0, n)
+    tails = [t[-1] for t in towers]
+    M = vstack(tails + [RatMatrix.zeros(m - len(towers), n)]) if m else RatMatrix.zeros(0, n)
     F = -(T_u_inv * M) if m else RatMatrix.zeros(0, n)
-    kappa = [k for _, k in chains]
+    kappa = [len(t) - 1 for t in towers]
     _assert_chain_form(T_x * (A + B * F) * T_x_inv, T_x * B * T_u_inv, kappa)
     return T_x, T_x_inv, T_u, T_u_inv, F, kappa
 

@@ -34,12 +34,10 @@ from ._chains import (
     _chain_diag,
     _frobenius,
     _head_selectors,
-    _matrix_power,
     _reversed_chains,
     _tail_selectors,
     brunovsky_single,
     functional_chains,
-    tower_matrix,
 )
 from .geometry import invariant_subspaces
 from .morse import (
@@ -234,81 +232,76 @@ class FbcfIndices:
 
 def _two_kind_chains(
     A: RatMatrix, B_u: RatMatrix, B_v: RatMatrix
-) -> Tuple[
-    List[Tuple[RatMatrix, int]], List[Tuple[RatMatrix, int]], RatMatrix, RatMatrix, RatMatrix
-]:
+) -> Tuple[List[int], List[int], RatMatrix, RatMatrix, RatMatrix]:
     """Chain decomposition of (A, [B_u B_v]) with second-kind priority.
 
-    Each chain is found as a row functional tau with tau A^l [B_u B_v] = 0
-    for l <= k-2; its tail row gamma = tau A^{k-1} [B_u B_v] decides the
-    kind.  Chains are processed longest first and every new tail row is
-    reduced against the already-fixed ones (subtracting shifted functionals
-    tau_i A^{k_i - k}, which stay inside the same annihilator filtration),
-    so the surviving entries of gamma are intrinsic: a nonzero second-kind
-    entry makes the chain second-kind, with the smallest such column as
-    pivot.
+    Each chain is the tower [tau, tau A, ..., tau A^k] of a row functional
+    tau with tau A^l [B_u B_v] = 0 for l <= k-2 (see functional_chains);
+    its drive row gamma = tau A^{k-1} [B_u B_v] decides the kind.  Chains
+    are processed longest first and every new drive row is reduced against
+    the already-fixed ones: subtracting lam times the shifted functional
+    tau_i A^{k_i - k}, which stays inside the same annihilator filtration,
+    subtracts lam * tower_i[k_i - k + j] from row j of the tower.  So the
+    surviving entries of gamma are intrinsic: a nonzero second-kind entry
+    makes the chain second-kind, with the smallest such column as pivot.
 
-    Returns (u_chains, v_chains, T_x, T_w, TF_w): chains as (tau, length)
-    with pivots consumed, T_x the stacked functional towers (first-kind
-    chains first, lengths nonincreasing within each kind), T_w the merged
-    input transform whose rows are [u-chain tails, u-completions, v-chain
-    tails, v-completions], and TF_w = T_w F_w the merged feedback killing
-    the tails, in the new input coordinates.  T_w is block lower
-    triangular: first-kind rows never involve second-kind columns.
+    Returns (eps, eps_bar, T_x, T_w, TF_w): the chain lengths of each kind,
+    T_x the stacked towers without their tails (first-kind chains first,
+    lengths nonincreasing within each kind), T_w the merged input transform
+    whose rows are [u-chain drive rows, u-completions, v-chain drive rows,
+    v-completions], and TF_w = T_w F_w the merged feedback killing the
+    tails, in the new input coordinates.  T_w is block lower triangular:
+    first-kind rows never involve second-kind columns.
     """
     n, m, s = A.rows, B_u.cols, B_v.cols
     B_w = hstack([B_u, B_v])
-    raw = functional_chains(A, B_w)  # longest first; may raise NotControllable
-    reduced: List[Tuple[RatMatrix, int, int, RatMatrix]] = []  # (tau, k, pivot, gamma)
-    for tau, k in raw:
-        gamma = tau * _matrix_power(A, k - 1) * B_w
-        for tau_i, k_i, piv_i, g_i in reduced:
+    reduced: List[Tuple[List[RatMatrix], int, RatMatrix]] = []  # (tower, pivot, gamma)
+    for tower in functional_chains(A, B_w):  # longest first; may raise NotControllable
+        k = len(tower) - 1
+        gamma = tower[k - 1] * B_w
+        for tower_i, piv_i, g_i in reduced:
             lam = gamma[0, piv_i] / g_i[0, piv_i]
             if lam != 0:
-                tau = tau - (tau_i * _matrix_power(A, k_i - k)).scale(lam)
+                d = len(tower_i) - 1 - k
+                tower = [r - tower_i[d + j].scale(lam) for j, r in enumerate(tower)]
                 gamma = gamma - g_i.scale(lam)
-        v_hits = [j for j in range(m, m + s) if gamma[0, j] != 0]
-        if v_hits:
-            piv = v_hits[0]  # second kind takes priority; smallest column
-        else:
-            u_hits = [j for j in range(m) if gamma[0, j] != 0]
-            if not u_hits:
-                raise InternalInvariantViolation("chain tail row vanished during reduction")
-            piv = u_hits[0]
-        reduced.append((tau, k, piv, gamma))
+        # second kind takes priority; the smallest such column is the pivot
+        hits = [j for j in range(m, m + s) if gamma[0, j]] or [j for j in range(m) if gamma[0, j]]
+        if not hits:
+            raise InternalInvariantViolation("chain tail row vanished during reduction")
+        reduced.append((tower, hits[0], gamma))
 
-    u_chains = [c for c in reduced if c[2] < m]
-    v_chains = [c for c in reduced if c[2] >= m]
-    for _, _, _, g in u_chains:
+    u_chains = [c for c in reduced if c[1] < m]
+    v_chains = [c for c in reduced if c[1] >= m]
+    for _, _, g in u_chains:
         if any(g[0, j] != 0 for j in range(m, m + s)):
             raise InternalInvariantViolation("first-kind tail row touches second-kind columns")
 
     ordered = u_chains + v_chains
-    T_x = tower_matrix([(tau, k) for tau, k, _, _ in ordered], A)
+    states = [r for t, _, _ in ordered for r in t[:-1]]
+    T_x = vstack(states) if states else RatMatrix.zeros(0, n)
     if T_x.rows != n or not is_invertible(T_x):
         raise InternalInvariantViolation("chain towers do not form a basis")
 
-    u_pivots = {c[2] for c in u_chains}
-    v_pivots = {c[2] for c in v_chains}
+    pivots = {c[1] for c in reduced}
     eye = RatMatrix.identity(m + s)
     w_rows = (
-        [g for _, _, _, g in u_chains]
-        + [eye.take_rows([j]) for j in range(m) if j not in u_pivots]
-        + [g for _, _, _, g in v_chains]
-        + [eye.take_rows([j]) for j in range(m, m + s) if j not in v_pivots]
+        [g for _, _, g in u_chains]
+        + [eye.take_rows([j]) for j in range(m) if j not in pivots]
+        + [g for _, _, g in v_chains]
+        + [eye.take_rows([j]) for j in range(m, m + s) if j not in pivots]
     )
     T_w = vstack(w_rows) if w_rows else RatMatrix.identity(0)
     if not is_invertible(T_w):
         raise InternalInvariantViolation("chain tails do not extend to an input basis")
 
-    # tail-killing feedback: row r_j of M is tau_j A^{k_j}, zero elsewhere
+    # tail-killing feedback: row r_j of M is the tail tau_j A^{k_j}, zero elsewhere
     tail_rows = list(range(len(u_chains))) + list(range(m, m + len(v_chains)))
-    tails = [tau * _matrix_power(A, k) for tau, k, _, _ in ordered]
-    M = place(m + s, n, [([r], range(n), tail) for r, tail in zip(tail_rows, tails)])
+    M = place(m + s, n, [([r], range(n), t[-1]) for r, (t, _, _) in zip(tail_rows, ordered)])
 
-    u_list = [(tau, k) for tau, k, _, _ in u_chains]
-    v_list = [(tau, k) for tau, k, _, _ in v_chains]
-    return u_list, v_list, T_x, T_w, -M
+    eps = [len(t) - 1 for t, _, _ in u_chains]
+    eps_bar = [len(t) - 1 for t, _, _ in v_chains]
+    return eps, eps_bar, T_x, T_w, -M
 
 
 def brunovsky_two_inputs(
@@ -326,10 +319,8 @@ def brunovsky_two_inputs(
     n, m, s = A.rows, B_u.cols, B_v.cols
     if B_u.rows != n or B_v.rows != n:
         raise ValueError("input matrices must have n rows")
-    u_chains, v_chains, T_x, T_w, TF_w = _two_kind_chains(A, B_u, B_v)
+    eps, eps_bar, T_x, T_w, TF_w = _two_kind_chains(A, B_u, B_v)
     t = EmTransform(T_x, T_w, RatMatrix.identity(0), TF_w, RatMatrix.zeros(n, 0), m)
-    eps = [k for _, k in u_chains]
-    eps_bar = [k for _, k in v_chains]
 
     src = Odecs2(A, B_u, B_v, RatMatrix.zeros(0, n), RatMatrix.zeros(0, m))
     want = EmcfIndices(

@@ -232,8 +232,9 @@ def _from_json(obj: dict, role: str, noun: str):
     schema: every given dims entry must fit every matrix that names it and
     be no larger than the length of the object's compact JSON text, and a
     size the dims leave out is read off the first matrix that names it, as
-    its width or its row count.  So blocks that contradict each other are
-    refused whether or not the object has a dims block."""
+    its width or its row count (a square block with no rows has width 0).
+    So blocks that contradict each other are refused whether or not the
+    object has a dims block."""
     kind = obj.get("kind")
     spec = _SCHEMA.get(kind) if isinstance(kind, str) else None
     if spec is None or spec[0] != role:
@@ -253,6 +254,8 @@ def _from_json(obj: dict, role: str, noun: str):
             v = None if entry in sizes else _dims_entry(dims, entry, limit)
             if v is not None:
                 sizes[entry] = (v, "dims say %s=%d" % (entry, v))
+        if rows == cols and obj[key] == []:  # a square block's width is its row count
+            sizes.setdefault(cols, (0, "%s has 0 rows" % key))
         M = _mat_from_json(obj[key], key, *sizes.get(cols, (None,)))
         sizes.setdefault(cols, (M.cols, "%s's rows have %d" % (key, M.cols)))
         sizes.setdefault(rows, (M.rows, "%s has %d rows" % (key, M.rows)))

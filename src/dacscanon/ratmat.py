@@ -560,8 +560,9 @@ def _det_nonzero_mod_p(M: RatMatrix) -> bool:
     leading column is one big-integer multiply-add: the row becomes
     ``(r >> slot) + (p - f) * tail``, where f is its leading residue and
     tail holds the pivot row's residues after its lead, scaled so that the
-    lead is 1.  Only the pivot row is unpacked and reduced mod p.  Every
-    term is nonnegative, a row starts below p in each slot and gets at most
+    lead is 1.  Only the pivot row is unpacked and reduced mod p, and only
+    nonzero entries and slots get a residue computed.  Every term is
+    nonnegative, a row starts below p in each slot and gets at most
     n - 1 updates, each adding less than p^2 to a slot; so a slot stays
     below n * p^2 < 2^(2 bits(p) + bits(n)) and never carries into the
     next one.  The elimination order does not matter for whether the
@@ -579,7 +580,7 @@ def _det_nonzero_mod_p(M: RatMatrix) -> bool:
         inv = pow(int(d), -1, p)
         r = 0
         for x in reversed(nums):
-            r = (r << slot) | (int(x % p) * inv % p)
+            r = (r << slot) | (int(x % p) * inv % p) if x else r << slot
         rows.append(r)
     for k in range(n - 1, -1, -1):  # k: the columns after the leading one
         leads = [(r & mask) % p for r in rows]
@@ -590,7 +591,8 @@ def _det_nonzero_mod_p(M: RatMatrix) -> bool:
         inv = pow(leads.pop(pr), -1, p)
         tail = 0
         for j in range(k, 0, -1):
-            tail = (tail << slot) | (((prow >> (slot * j)) & mask) * inv % p)
+            v = (prow >> (slot * j)) & mask
+            tail = (tail << slot) | (v * inv % p) if v else tail << slot
         rows = [(r >> slot) + (p - f) * tail if f else r >> slot for r, f in zip(rows, leads)]
     return True
 

@@ -6,9 +6,25 @@ import random
 
 import pytest
 
-from dacscanon.ratmat import RatMatrix, inverse, qq, rank, hstack
+from dacscanon.canonical import brunovsky_two_inputs
+from dacscanon.ratmat import (
+    RatMatrix,
+    Subspace,
+    complement,
+    hstack,
+    image,
+    inverse,
+    is_invertible,
+    kernel_basis,
+    place,
+    qq,
+    rank,
+    subspace_sum,
+    vstack,
+)
 from dacscanon._chains import (
     NotControllable,
+    _assert_chain_form,
     _cyclic_vector,
     brunovsky_single,
     charpoly,
@@ -119,8 +135,8 @@ def test_functional_chains_match_rank_increments():
     rng = random.Random(41)
     for kappa, m in [([2], 1), ([3, 1], 2), ([2, 2], 2), ([1, 1, 1], 3), ([4, 2, 1], 3)]:
         A, B = scrambled_pair(rng, kappa, m)
-        chains = functional_chains(A, B)
-        assert sorted((k for _, k in chains), reverse=True) == kappa
+        towers = functional_chains(A, B)
+        assert sorted((len(t) - 1 for t in towers), reverse=True) == kappa
         assert controllability_indices(A, B) == kappa
 
 
@@ -129,6 +145,150 @@ def test_functional_chains_rejects_uncontrollable():
     B = RatMatrix.from_column([qq(1), qq(0)])
     with pytest.raises(NotControllable):
         functional_chains(A, B)
+
+
+# The construction before chains were towers: functional_chains returned
+# (tau, k) pairs and every caller rebuilt tau A^j from powers of A.  The
+# towers must reproduce it exactly, stored integers included.
+
+
+def _power(A, k):
+    M = RatMatrix.identity(A.rows)
+    for _ in range(k):
+        M = M * A
+    return M
+
+
+def _power_chains(A, B):
+    n = A.rows
+    if n == 0:
+        return []
+    K = [Subspace.full(n)]
+    ctrb = B
+    while K[-1].dim > 0:
+        K.append(kernel_basis(ctrb.T))
+        ctrb = hstack([ctrb, A * (ctrb.take_cols(range(ctrb.cols - B.cols, ctrb.cols)))])
+    chains = []
+    for i in range(len(K) - 1, 0, -1):
+        inner = K[i]
+        for tau, k in chains:
+            if k > i:
+                inner = subspace_sum(inner, image((tau * _power(A, k - i)).T))
+        heads = complement(inner, K[i - 1])
+        chains += [(RatMatrix([heads.col(j)], cols=n), i) for j in range(heads.cols)]
+    return chains
+
+
+def _power_towers(chains, A):
+    rows = [tau * _power(A, j) for tau, k in chains for j in range(k)]
+    return vstack(rows) if rows else RatMatrix.zeros(0, A.rows)
+
+
+def _power_brunovsky_single(A, B):
+    n, m = A.rows, B.cols
+    chains = _power_chains(A, B)
+    T_x = _power_towers(chains, A)
+    T_x_inv = inverse(T_x)
+    gamma = [tau * _power(A, k - 1) * B for tau, k in chains]
+    Gamma = vstack(gamma) if gamma else RatMatrix.zeros(0, m)
+    extra = complement(image(Gamma.T), Subspace.full(m)).T
+    T_u = vstack([Gamma, extra]) if m else RatMatrix.identity(0)
+    T_u_inv = inverse(T_u)
+    tails = [tau * _power(A, k) for tau, k in chains]
+    M = vstack(tails + [RatMatrix.zeros(m - len(chains), n)]) if m else RatMatrix.zeros(0, n)
+    F = -(T_u_inv * M) if m else RatMatrix.zeros(0, n)
+    kappa = [k for _, k in chains]
+    _assert_chain_form(T_x * (A + B * F) * T_x_inv, T_x * B * T_u_inv, kappa)
+    return T_x, T_x_inv, T_u, T_u_inv, F, kappa
+
+
+def _power_two_kind(A, B_u, B_v):
+    """(T_x, T_w, TF_w, eps, eps_bar) of the two-kind chain engine."""
+    n, m, s = A.rows, B_u.cols, B_v.cols
+    B_w = hstack([B_u, B_v])
+    reduced = []
+    for tau, k in _power_chains(A, B_w):
+        gamma = tau * _power(A, k - 1) * B_w
+        for tau_i, k_i, piv_i, g_i in reduced:
+            lam = gamma[0, piv_i] / g_i[0, piv_i]
+            if lam != 0:
+                tau = tau - (tau_i * _power(A, k_i - k)).scale(lam)
+                gamma = gamma - g_i.scale(lam)
+        v_hits = [j for j in range(m, m + s) if gamma[0, j] != 0]
+        piv = v_hits[0] if v_hits else next(j for j in range(m) if gamma[0, j] != 0)
+        reduced.append((tau, k, piv, gamma))
+    u_chains = [c for c in reduced if c[2] < m]
+    v_chains = [c for c in reduced if c[2] >= m]
+    ordered = u_chains + v_chains
+    T_x = _power_towers([(tau, k) for tau, k, _, _ in ordered], A)
+    eye = RatMatrix.identity(m + s)
+    used = {c[2] for c in reduced}
+    w_rows = (
+        [g for _, _, _, g in u_chains]
+        + [eye.take_rows([j]) for j in range(m) if j not in used]
+        + [g for _, _, _, g in v_chains]
+        + [eye.take_rows([j]) for j in range(m, m + s) if j not in used]
+    )
+    T_w = vstack(w_rows) if w_rows else RatMatrix.identity(0)
+    tail_rows = list(range(len(u_chains))) + list(range(m, m + len(v_chains)))
+    tails = [tau * _power(A, k) for tau, k, _, _ in ordered]
+    M = place(m + s, n, [([r], range(n), t) for r, t in zip(tail_rows, tails)])
+    return T_x, T_w, -M, [c[1] for c in u_chains], [c[1] for c in v_chains]
+
+
+def _drawn_pairs():
+    """Controllable pairs: scrambled chains with surplus inputs, m = 1, n = 0."""
+    rng = random.Random(46)
+    pairs = [chain_pair([], 0), chain_pair([], 2)]
+    for kappa, m in [([1], 1), ([3], 1), ([4], 1), ([2, 1], 3), ([3, 3, 1], 3), ([3, 2], 4)]:
+        pairs += [scrambled_pair(rng, kappa, m) for _ in range(2)]
+    return pairs
+
+
+def test_each_tower_row_is_the_row_above_times_A():
+    for A, B in _drawn_pairs():
+        towers = functional_chains(A, B)
+        for t in towers:
+            assert all(t[j + 1] == t[j] * A for j in range(len(t) - 1))
+            assert all((t[j] * B).is_zero() for j in range(len(t) - 2))
+            assert not (t[-2] * B).is_zero()
+        lengths = [len(t) - 1 for t in towers]
+        assert lengths == sorted(lengths, reverse=True)
+        assert sum(lengths) == A.rows
+
+
+def test_towers_and_certificates_match_the_power_construction():
+    for A, B in _drawn_pairs():
+        chains = _power_chains(A, B)
+        towers = functional_chains(A, B)
+        assert [[tau * _power(A, j) for j in range(k + 1)] for tau, k in chains] == towers
+        assert brunovsky_single(A, B) == _power_brunovsky_single(A, B)
+        for m_u in range(B.cols + 1):
+            B_u, B_v = B.take_cols(range(m_u)), B.take_cols(range(m_u, B.cols))
+            t, eps, eps_bar = brunovsky_two_inputs(A, B_u, B_v)
+            T_x, T_w, TF_w, want_eps, want_eps_bar = _power_two_kind(A, B_u, B_v)
+            assert (t.T_x, t.T_w, t.TF_w) == (T_x, T_w, TF_w)
+            assert (eps, eps_bar) == (want_eps, want_eps_bar)
+            assert is_invertible(T_x) and is_invertible(T_w)
+
+
+def test_functional_chains_makes_one_product_per_tower_row_level_and_check(monkeypatch):
+    # n products grow the towers, and each of the mu filtration levels
+    # costs one product for its block of [B, AB, ...] and one for the
+    # containment check inside complement
+    counted = []
+    product = RatMatrix.__mul__
+
+    def counting(self, other):
+        counted.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(RatMatrix, "__mul__", counting)
+    for A, B in _drawn_pairs():
+        counted.clear()
+        towers = functional_chains(A, B)
+        mu = len(towers[0]) - 1 if towers else 0
+        assert len(counted) == A.rows + 2 * mu
 
 
 def test_brunovsky_single_recovers_indices():

@@ -190,6 +190,18 @@ def test_certificates_roundtrip_through_json(t):
     assert _parse_cert_obj(obj) == t
 
 
+@pytest.mark.parametrize("with_dims", [True, False])
+@pytest.mark.parametrize(
+    "t", [ExFbTransform.identity(0, 2, 1), EmTransform.identity(0, 1, 1, 0)], ids=["exfb", "em"]
+)
+def test_empty_square_block_parses_without_dims(t, with_dims):
+    # the first block (Q or T_x) has no rows, so, being square, no columns
+    obj = json.loads(json.dumps(_serialize_cert(t, "total")))
+    if not with_dims:
+        del obj["dims"]
+    assert _parse_cert_obj(obj) == t
+
+
 def test_em_certificate_with_the_paper_keys_exits_2(tmp_path, capsys):
     # an em certificate stores TF_u, TF_v, TR and TK; a file written with
     # the paper's F_u, F_v, R and K is refused, naming the first missing key

@@ -320,6 +320,44 @@ def test_is_invertible_matches_exact_rank():
         assert is_invertible(M)
 
 
+def _sparse_square(rng, n, p_row):
+    """n x n, at most 30% of the entries nonzero: often a signed permutation
+    plus scattered entries; with ``p_row`` one row gets a denominator
+    divisible by _PRIME, so the modular test cannot read it."""
+    p = _PRIME
+    rows = [[0] * n for _ in range(n)]
+    if rng.random() < 0.7:
+        for i, j in enumerate(rng.sample(range(n), n)):
+            rows[i][j] = rng.choice([1, -1, 2, qq(1, 3)])
+    for _ in range(rng.randint(0, 3 * n * n // 10 - n)):
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(
+            [rng.randint(-3, 3), qq(rng.randint(-(10**20), 10**20), rng.randint(1, 9)), p]
+        )
+    nonzero = [(i, j) for i in range(n) for j in range(n) if rows[i][j]]
+    if p_row and nonzero:
+        i, j = rng.choice(nonzero)
+        rows[i][j] = qq(rng.choice([1, -7, 10**12]), rng.choice([1, 2, 3]) * p)
+    return mat(rows, cols=n)
+
+
+def test_is_invertible_matches_exact_rank_on_sparse_matrices():
+    rng = random.Random(67)
+    seen = set()
+    for case in range(150):
+        n = rng.randint(4, 12)
+        M = _sparse_square(rng, n, p_row=case % 3 == 0)
+        entries = M.to_lists()
+        assert 10 * sum(x != 0 for r in entries for x in r) <= 3 * n * n
+        expected = rank(M) == n
+        assert is_invertible(M) == expected, M
+        modular = _det_nonzero_mod_p(M)
+        if all(x.denominator % _PRIME for r in entries for x in r):
+            assert modular == (ref_det(entries, n).numerator % _PRIME != 0), M
+        seen.add((expected, modular))
+    # both verdicts, and invertible cases the modular test could not decide
+    assert seen >= {(True, True), (True, False), (False, False)}
+
+
 def test_place_scatters_blocks():
     M = mat([[1, 2], [3, 4]])
     # entry (a, b) goes to (row_idx[a], col_idx[b]); index lists need not be sorted
