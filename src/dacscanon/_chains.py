@@ -186,11 +186,10 @@ def functional_chains(A: RatMatrix, B: RatMatrix) -> List[List[RatMatrix]]:
     n = A.rows
     K: List[Subspace] = [Subspace.full(n)]
     ctrb = B
-    while K[-1].dim > 0:
+    while K[-1].dim > 0 and len(K) <= n + 1:
+        if len(K) > 1:
+            ctrb = hstack([ctrb, A * (ctrb.take_cols(range(ctrb.cols - B.cols, ctrb.cols)))])
         K.append(kernel_basis(ctrb.T))
-        if len(K) > n + 1:
-            break
-        ctrb = hstack([ctrb, A * (ctrb.take_cols(range(ctrb.cols - B.cols, ctrb.cols)))])
     if K[-1].dim != 0:
         raise NotControllable("annihilator filtration did not reach zero")
     towers: List[List[RatMatrix]] = []

@@ -63,7 +63,6 @@ from .ratmat import (
     kernel_basis,
     place,
     preimage,
-    solve,
     solve_left,
     subspace_intersect,
     subspace_sum,
@@ -336,46 +335,8 @@ def brunovsky_two_inputs(
 # ---------------------------------------------------------------------------
 
 
-class _PrimeChain:
-    """One output-rooted chain of a prime core: mutable while being reduced.
-
-    ``tower`` holds the functionals tau_1..tau_k as column vectors, with
-    tau_1 = t * C a combination of the outputs, tau_{j+1} = tau_j A modulo
-    rows of C, and tau_j B = 0 at every level but the last.  ``rho`` is the
-    drive row tau_k B: the input combination that the chain's last state
-    differentiates onto.
-    """
-
-    __slots__ = ("tower", "t", "rho")
-
-    def __init__(self, tower: List[RatMatrix], t: RatMatrix, rho: RatMatrix):
-        self.tower = tower
-        self.t = t
-        self.rho = rho
-
-    @property
-    def length(self) -> int:
-        return len(self.tower)
-
-    def absorb(self, other: "_PrimeChain", coef) -> None:
-        """Subtract coef * other, aligned at the tails.
-
-        Other must not be longer.  The other chain's head enters this tower
-        mid-way as an output-injection correction, so the move costs nothing
-        on the input side; the drives subtract accordingly.
-        """
-        d = self.length - other.length
-        if d < 0:
-            raise InternalInvariantViolation("absorbed chain is longer than its target")
-        for l in range(other.length):
-            self.tower[d + l] = self.tower[d + l] - other.tower[l].scale(coef)
-        self.rho = self.rho - other.rho.scale(coef)
-        if d == 0:
-            self.t = self.t - other.t.scale(coef)
-
-
-def _output_chains(A: RatMatrix, B_w: RatMatrix, C_live: RatMatrix) -> List[_PrimeChain]:
-    """Chain decomposition of a prime core rooted at the outputs.
+def _output_chains(A: RatMatrix, B_w: RatMatrix, C_live: RatMatrix) -> List[List[RatMatrix]]:
+    """Chain decomposition of a prime core rooted at the outputs, as towers.
 
     The input-side chain engine cannot be used here: which chains feed from
     which input kind is not decided by (A, B_u, B_v) alone, because output
@@ -389,14 +350,22 @@ def _output_chains(A: RatMatrix, B_w: RatMatrix, C_live: RatMatrix) -> List[_Pri
     P_k + rowspace(C)}, computed up to its first fixed point, which holds
     for every larger k.  For a prime core the H_k dimension jumps count the
     chains of each length, any prolongation choice keeps the towers jointly
-    independent, and every tower ends in a nonzero drive.  Longest first.
+    independent, and every tower ends in a nonzero drive.
+
+    A chain of length k is its tower [tau_1, ..., tau_k] of 1 x n rows: tau_1
+    a combination of the outputs, tau_{i+1} = tau_i A modulo rows of C, and
+    tau_i B = 0 at every level but the last.  The towers grow together,
+    one depth at a time: at depth j the last rows R of the towers still j
+    rows short of their length become R A - kappa C, with kappa the C part
+    of the first solution of [X kappa] [P_j; C] = R A, so each P_j is
+    eliminated once; at depth 1 they become R A.  Longest first.
     """
     n = A.rows
     S1 = image(C_live.T)
     if S1.dim != C_live.rows:
         raise InternalInvariantViolation("prime core outputs are dependent")
     annB = kernel_basis(B_w.T)
-    At, Ct = A.T, C_live.T
+    At = A.T
     P: List[Subspace] = [Subspace.full(n), Subspace.full(n)]
     while len(P) <= n:
         nxt = subspace_intersect(annB, preimage(At, subspace_sum(P[-1], S1)))
@@ -404,66 +373,68 @@ def _output_chains(A: RatMatrix, B_w: RatMatrix, C_live: RatMatrix) -> List[_Pri
             break  # a fixed point: every later step would repeat it
         P.append(nxt)
     P += [P[-1]] * (n + 1 - len(P))
-    heads: List[Tuple[int, RatMatrix]] = []
+    lengths: List[int] = []
+    towers: List[List[RatMatrix]] = []
     chosen = RatMatrix.zeros(n, 0)
     for k in range(n, 0, -1):
         new = complement(Subspace.from_columns(chosen), subspace_intersect(S1, P[k]))
-        for j in range(new.cols):
-            heads.append((k, new.take_cols([j])))
+        lengths += [k] * new.cols
+        towers += [[RatMatrix([new.col(j)], cols=n)] for j in range(new.cols)]
         if new.cols:
             chosen = hstack([chosen, new])
-    if sum(k for k, _ in heads) != n:
+    if sum(lengths) != n:
         raise InternalInvariantViolation("prime output chains do not span the states")
 
-    chains = []
-    for k, head in heads:
-        tower = [head]
-        for level in range(2, k + 1):
-            rhs = At * tower[-1]
-            if level == k:
-                tower.append(rhs)
-                continue
-            sol = solve(hstack([P[k - level + 1].basis, Ct]), rhs)
+    for j in range(max(lengths, default=0) - 1, 0, -1):
+        growing = [t for t, k in zip(towers, lengths) if k > j]
+        RA = vstack([t[-1] for t in growing]) * A
+        if j > 1:
+            sol = solve_left(vstack([P[j].basis.T, C_live]), RA)
             if sol is None:
                 raise InternalInvariantViolation("prime tower prolongation failed")
-            kappa = sol.take_rows(range(P[k - level + 1].dim, sol.rows))
-            tower.append(rhs - Ct * kappa)
-        t = solve(Ct, head)
-        if t is None:
-            raise InternalInvariantViolation("prime chain head is not an output")
-        chains.append(_PrimeChain(tower, t.T, tower[-1].T * B_w))
-    return chains
+            RA = RA - sol.take_cols(range(P[j].dim, sol.cols)) * C_live
+        for i, t in enumerate(growing):
+            t.append(RA.take_rows([i]))
+    return towers
 
 
 def _prime_kind_split(
-    chains: List[_PrimeChain], m3: int
-) -> Tuple[List[_PrimeChain], List[_PrimeChain]]:
-    """Assign each chain to an input kind and clean the first-kind drives.
+    towers: List[List[RatMatrix]], B_w: RatMatrix, m3: int
+) -> Tuple[List[Tuple[List[RatMatrix], RatMatrix]], List[Tuple[List[RatMatrix], RatMatrix]]]:
+    """Assign each tower to an input kind and clean the first-kind drives.
 
-    Shortest chains first, each drive is reduced against the second-kind
-    pivots found so far (tail-aligned absorption, always free).  A chain
-    whose second-kind coefficients all cancel feeds from the first kind;
-    a surviving coefficient makes the chain second-kind and a new pivot.
-    The second-kind orders collected this way are the rank jumps of the
-    drive rows' second-kind parts along the length filtration, hence
-    invariants.
+    Each tower is paired with its drive row tau_k B_w, the input combination
+    that the chain's last state differentiates onto.  Shortest chains
+    first, each drive is reduced against the second-kind pivots found so
+    far: a multiple of the pivot's tower is subtracted aligned at the tails,
+    where its head enters as an output-injection correction (always free),
+    and the same multiple of its drive.  A chain whose second-kind
+    coefficients all cancel feeds from the first kind; a surviving
+    coefficient makes the chain second-kind and a new pivot.  The
+    second-kind orders collected this way are the rank jumps of the drive
+    rows' second-kind parts along the length filtration, hence invariants.
+    Returns the (tower, drive) pairs of each kind, longest first.
     """
-    u_chains: List[_PrimeChain] = []
-    v_chains: List[_PrimeChain] = []
-    pivots: List[Tuple[int, _PrimeChain]] = []
-    w = chains[0].rho.cols if chains else m3
-    for ch in sorted(chains, key=lambda c: c.length):
-        for col, piv in pivots:
-            coef = ch.rho[0, col] / piv.rho[0, col]
+    u_chains: List[Tuple[List[RatMatrix], RatMatrix]] = []
+    v_chains: List[Tuple[List[RatMatrix], RatMatrix]] = []
+    pivots: List[Tuple[int, List[RatMatrix], RatMatrix]] = []
+    for tower in sorted(towers, key=len):
+        rho = tower[-1] * B_w
+        for col, piv, piv_rho in pivots:
+            coef = rho[0, col] / piv_rho[0, col]
             if coef != 0:
-                ch.absorb(piv, coef)
-        vcol = next((j for j in range(m3, w) if ch.rho[0, j] != 0), None)
+                d = len(tower) - len(piv)
+                if d < 0:
+                    raise InternalInvariantViolation("absorbed chain is longer than its target")
+                tower[d:] = [r - p.scale(coef) for r, p in zip(tower[d:], piv)]
+                rho = rho - piv_rho.scale(coef)
+        vcol = next((j for j in range(m3, B_w.cols) if rho[0, j] != 0), None)
         if vcol is None:
-            u_chains.append(ch)
+            u_chains.append((tower, rho))
         else:
-            v_chains.append(ch)
-            pivots.append((vcol, ch))
-    key = lambda c: -c.length
+            v_chains.append((tower, rho))
+            pivots.append((vcol, tower, rho))
+    key = lambda c: -len(c[0])
     return sorted(u_chains, key=key), sorted(v_chains, key=key)
 
 
@@ -540,30 +511,31 @@ def _prime_canonical(o: Odecs2) -> Tuple[EmTransform, List[int], int, List[int]]
     m3 = m - delta
     C_live = o2.C.take_rows(range(p - delta))
     B_w = hstack([o2.B_u.take_cols(range(m3)), o2.B_v])
-    chains = _output_chains(o2.A, B_w, C_live)
-    u_chains, v_chains = _prime_kind_split(chains, m3)
-    sigma = [ch.length for ch in u_chains]
-    sigma_bar = [ch.length for ch in v_chains]
+    u_chains, v_chains = _prime_kind_split(_output_chains(o2.A, B_w, C_live), B_w, m3)
+    sigma = [len(t) for t, _ in u_chains]
+    sigma_bar = [len(t) for t, _ in v_chains]
     if len(sigma) != m3 or len(sigma_bar) != s:
         raise InternalInvariantViolation("prime chain counts do not exhaust the inputs")
     ordered = u_chains + v_chains
 
     # 4) assemble the certificate: towers stack into T_x, drives into T_w,
-    #   head coefficients into T_y, the tails' derivatives (in the new
-    #   input coordinates) into TF_w, and TK soaks up every correction the
-    #   towers borrowed from the outputs.
-    T_x = vstack([RatMatrix.zeros(0, n)] + [col.T for ch in ordered for col in ch.tower])
-    T_w_core = vstack([RatMatrix.zeros(0, m3 + s)] + [ch.rho for ch in ordered])
+    #   the heads' output coefficients into T_y, the tails' derivatives (in
+    #   the new input coordinates) into TF_w, and TK soaks up every
+    #   correction the towers borrowed from the outputs.
+    T_x = vstack([RatMatrix.zeros(0, n)] + [r for t, _ in ordered for r in t])
+    T_w_core = vstack([RatMatrix.zeros(0, m3 + s)] + [rho for _, rho in ordered])
     if not is_invertible(T_w_core):
         raise InternalInvariantViolation("prime drive rows are dependent")
-    N = vstack([RatMatrix.zeros(0, n)] + [ch.tower[-1].T * o2.A for ch in ordered])
+    N = vstack([RatMatrix.zeros(0, n)] + [t[-1] for t, _ in ordered]) * o2.A
 
     # widen by the static inputs, which sit in the last u slots untouched;
     # the outputs follow the same order [sigma heads, statics, sigma_bar heads]
     live = list(range(m3)) + list(range(m, m + s))
     T_w = place(m + s, m + s, [(live, live, T_w_core), (u_st, u_st, RatMatrix.identity(delta))])
     TF_w = place(m + s, n, [(live, range(n), -N)])
-    heads = vstack([RatMatrix.zeros(0, p - delta)] + [ch.t for ch in ordered])
+    heads = solve_left(C_live, vstack([RatMatrix.zeros(0, n)] + [t[0] for t, _ in ordered]))
+    if heads is None:
+        raise InternalInvariantViolation("prime chain head is not an output")
     T_y1 = place(p, p, [(live, range(p - delta), heads), (u_st, y_st, RatMatrix.identity(delta))])
 
     # TK C = A_can T_x - T_x A - B_w,can TF_w: the first identity of

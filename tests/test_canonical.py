@@ -7,12 +7,32 @@ import sys
 
 import pytest
 
-from dacscanon.ratmat import RatMatrix, hstack, mat, qq
+from dacscanon import ratmat
+from dacscanon.ratmat import (
+    RatMatrix,
+    Subspace,
+    block_diag,
+    complement,
+    hstack,
+    image,
+    kernel_basis,
+    mat,
+    place,
+    preimage,
+    qq,
+    solve,
+    solve_left,
+    subspace_intersect,
+    subspace_sum,
+    vstack,
+)
 from dacscanon.systems import (
     Dacs,
+    EmTransform,
     Odecs2,
     apply_em,
     apply_exfb,
+    em_compose,
     explicitate,
     verify_em,
     verify_exfb,
@@ -195,6 +215,174 @@ def test_prime_scrambled_round_trip(seed):
     t2, sigma2, delta2, sigma_bar2 = prime_canonical(o2.A, o2.B_u, o2.B_v, o2.C, o2.D_u)
     assert (tuple(sigma2), delta2, tuple(sigma_bar2)) == (sigma, delta, sigma_bar)
     assert verify_em(o2, apply_em(o2, t2), t2)
+
+
+# -- prime chains against the per-chain construction -----------------------------
+
+
+class _RefChain:
+    """The former mutable prime chain: column towers, head coefficients t and
+    drive row rho, kept as the reference for the towers of _output_chains."""
+
+    def __init__(self, tower, t, rho):
+        self.tower, self.t, self.rho = tower, t, rho
+
+    def absorb(self, other, coef):
+        d = len(self.tower) - len(other.tower)
+        assert d >= 0
+        for l in range(len(other.tower)):
+            self.tower[d + l] = self.tower[d + l] - other.tower[l].scale(coef)
+        self.rho = self.rho - other.rho.scale(coef)
+        if d == 0:
+            self.t = self.t - other.t.scale(coef)
+
+
+def _ref_output_chains(A, B_w, C_live):
+    """Per-chain towers: one solve per tower level and one per head."""
+    n = A.rows
+    S1 = image(C_live.T)
+    annB = kernel_basis(B_w.T)
+    At, Ct = A.T, C_live.T
+    P = [Subspace.full(n), Subspace.full(n)]
+    while len(P) <= n:
+        nxt = subspace_intersect(annB, preimage(At, subspace_sum(P[-1], S1)))
+        if nxt == P[-1]:
+            break
+        P.append(nxt)
+    P += [P[-1]] * (n + 1 - len(P))
+    heads = []
+    chosen = RatMatrix.zeros(n, 0)
+    for k in range(n, 0, -1):
+        new = complement(Subspace.from_columns(chosen), subspace_intersect(S1, P[k]))
+        heads += [(k, new.take_cols([j])) for j in range(new.cols)]
+        if new.cols:
+            chosen = hstack([chosen, new])
+    chains = []
+    for k, head in heads:
+        tower = [head]
+        for level in range(2, k + 1):
+            rhs = At * tower[-1]
+            if level == k:
+                tower.append(rhs)
+                continue
+            sol = solve(hstack([P[k - level + 1].basis, Ct]), rhs)
+            kappa = sol.take_rows(range(P[k - level + 1].dim, sol.rows))
+            tower.append(rhs - Ct * kappa)
+        chains.append(_RefChain(tower, solve(Ct, head).T, tower[-1].T * B_w))
+    return chains
+
+
+def _ref_prime_canonical(o):
+    """The prime stage built on _ref_output_chains and _RefChain.absorb."""
+    n, m, s, p = o.n, o.m, o.s, o.p
+    T_y0, T_u0, delta = canonical._static_normalizer(o.D_u)
+    t_d = EmTransform.coordinates(
+        RatMatrix.identity(n), block_diag([T_u0, RatMatrix.identity(s)]), T_y0, m
+    )
+    o1 = apply_em(o, t_d)
+    u_st, y_st = range(m - delta, m), range(p - delta, p)
+    t_kill = canonical._feedback_stage(
+        o1, [(u_st, range(n), -o1.C.take_rows(y_st))], [(range(n), y_st, -o1.B_u.take_cols(u_st))]
+    )
+    o2 = apply_em(o1, t_kill)
+    m3 = m - delta
+    C_live = o2.C.take_rows(range(p - delta))
+    B_w = hstack([o2.B_u.take_cols(range(m3)), o2.B_v])
+    u_chains, v_chains, pivots = [], [], []
+    for ch in sorted(_ref_output_chains(o2.A, B_w, C_live), key=lambda c: len(c.tower)):
+        for col, piv in pivots:
+            coef = ch.rho[0, col] / piv.rho[0, col]
+            if coef != 0:
+                ch.absorb(piv, coef)
+        vcol = next((j for j in range(m3, m3 + s) if ch.rho[0, j] != 0), None)
+        (u_chains if vcol is None else v_chains).append(ch)
+        if vcol is not None:
+            pivots.append((vcol, ch))
+    u_chains.sort(key=lambda c: -len(c.tower))
+    v_chains.sort(key=lambda c: -len(c.tower))
+    sigma = [len(ch.tower) for ch in u_chains]
+    sigma_bar = [len(ch.tower) for ch in v_chains]
+    ordered = u_chains + v_chains
+    T_x = vstack([RatMatrix.zeros(0, n)] + [col.T for ch in ordered for col in ch.tower])
+    T_w_core = vstack([RatMatrix.zeros(0, m3 + s)] + [ch.rho for ch in ordered])
+    N = vstack([RatMatrix.zeros(0, n)] + [ch.tower[-1].T * o2.A for ch in ordered])
+    live = list(range(m3)) + list(range(m, m + s))
+    T_w = place(m + s, m + s, [(live, live, T_w_core), (u_st, u_st, RatMatrix.identity(delta))])
+    TF_w = place(m + s, n, [(live, range(n), -N)])
+    heads = vstack([RatMatrix.zeros(0, p - delta)] + [ch.t for ch in ordered])
+    T_y1 = place(p, p, [(live, range(p - delta), heads), (u_st, y_st, RatMatrix.identity(delta))])
+    o_can = emcf_system(EmcfIndices((), (), RatMatrix.zeros(0, 0), sigma, delta, sigma_bar, ()))
+    M = o_can.A * T_x - T_x * o2.A - hstack([o_can.B_u, o_can.B_v]) * TF_w
+    t_chain = EmTransform(T_x, T_w, T_y1, TF_w, solve_left(o2.C, M), m)
+    return em_compose(em_compose(t_d, t_kill), t_chain), sigma, delta, sigma_bar
+
+
+def _scrambled_prime(rng, sigma, delta, sigma_bar):
+    """The canonical prime system with these indices under a drawn equivalence."""
+    idx = EmcfIndices(eps=(), eps_bar=(), A_nn=RatMatrix.zeros(0, 0),
+                      sigma=sigma, delta=delta, sigma_bar=sigma_bar, eta=())
+    o = emcf_system(idx)
+    return apply_em(o, random_em(rng, o.n, o.m, o.s, o.p))
+
+
+def _drawn_prime_systems():
+    """Scrambled prime systems with repeated chain lengths up to 4 of both
+    kinds and delta 0-2."""
+    rng = random.Random(310)
+    kinds = [((4, 4), 0, (4, 4)), ((3, 3, 1), 1, (2, 2)), ((4, 2, 2), 2, ()),
+             ((), 1, (3, 3, 3)), ((1, 1), 0, (1, 1)), ((), 0, ())]
+    for _ in range(6):
+        draw = lambda: tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 3))),
+                                    reverse=True))
+        kinds.append((draw(), rng.randint(0, 2), draw()))
+    return [_scrambled_prime(rng, *k) for k in kinds]
+
+
+def _fbcf_prime_inputs(monkeypatch):
+    """Every _prime_canonical input fbcf_run meets on criterion 2's cases 0-9."""
+    seen, real = [], canonical._prime_canonical
+    monkeypatch.setattr(canonical, "_prime_canonical", lambda o: seen.append(o) or real(o))
+    for case in range(10):
+        base = 900001 + 2 * case
+        d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
+        fbcf_run(random_exfb_scramble(d, Seeded(base + 1, entry_bound=1))[0])
+    monkeypatch.undo()
+    return seen
+
+
+def test_prime_towers_match_the_per_chain_construction(monkeypatch):
+    systems = _drawn_prime_systems() + _fbcf_prime_inputs(monkeypatch)
+    assert len(systems) == 22
+    for o in systems:
+        assert canonical._prime_canonical(o) == _ref_prime_canonical(o)
+
+
+def test_output_chains_eliminate_once_per_depth_and_solve_the_heads_once(monkeypatch):
+    # chains (4, 3) of the first kind and (3, 3) of the second: depths 3
+    # and 2 each cost one elimination (one per tower level and head, 9, in
+    # the per-chain construction), and one more solves all four heads
+    o = _scrambled_prime(random.Random(320), (4, 3), 1, (3, 3))
+    args, inside, live = [], [False], []
+    real_rank_rref, real_chains = ratmat.rank_rref, canonical._output_chains
+
+    def counting(M):
+        args.append((inside[0], M))
+        return real_rank_rref(M)
+
+    def chains(A, B_w, C_live):
+        live.append(C_live)
+        inside[0] = True
+        try:
+            return real_chains(A, B_w, C_live)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(ratmat, "rank_rref", counting)
+    monkeypatch.setattr(canonical, "_output_chains", chains)
+    _, sigma, delta, sigma_bar = canonical._prime_canonical(o)
+    assert (sigma, delta, sigma_bar) == ([4, 3], 1, [3, 3])
+    assert sum(1 for within, _ in args if within) == max(0, max(sigma + sigma_bar) - 2) == 2
+    assert sum(1 for _, M in args if M == live[0].T) == 1
 
 
 # -- observable part --------------------------------------------------------------
