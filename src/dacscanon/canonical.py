@@ -458,10 +458,13 @@ def prime_canonical(
 
     :func:`emcf` calls the construction directly, without this test: the
     triangular stage cut its prime block out along the full system's V*,
-    W*, U* and Y*, and the normal form's product check on the polynomial
-    inverse of the block's pencil proved that square pencil unimodular,
-    which is primeness.  The construction's own pattern check and the
-    verified composed certificate still guard that path.
+    W*, U* and Y*, and the construction proves primeness after the fact:
+    ``verify_em(o2, o_can, t_chain)`` certifies the block Morse-equivalent
+    to a chain form of prime-type blocks, whose pencil [[A - s I, B], [C,
+    D]] is unimodular, and Morse transformations multiply a pencil by
+    constant invertible factors, so they keep it unimodular.  A block that
+    is not prime fails an earlier check (its output chains must span the
+    states), or the normal form finds its pencil singular at t1 or t4.
     """
     o = Odecs2(A=A, B_u=B_u, B_v=B_v, C=C, D_u=D_u)
     inv = invariant_subspaces(o)
@@ -639,7 +642,7 @@ def emcf(m: MnfSystem) -> Tuple[EmTransform, EmcfIndices, Odecs2]:
     t1, eps, eps_bar = brunovsky_two_inputs(
         o.A.submatrix(b1, b1), o.B_u.submatrix(b1, u1), o.B_v.submatrix(b1, v1)
     )
-    T2f, A_nn, _ = _frobenius(o.A.submatrix(b2, b2), m.polys[1])
+    T2f, A_nn, _ = _frobenius(o.A.submatrix(b2, b2), m.chi2)
     t3, sigma, delta, sigma_bar = _prime_canonical(
         Odecs2(
             o.A.submatrix(b3, b3),

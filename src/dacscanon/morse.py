@@ -40,7 +40,7 @@ from .ratmat import (
     block_diag,
     complement,
     hstack,
-    inverse,
+    is_invertible,
     kernel_basis,
     place,
     qq,
@@ -103,16 +103,16 @@ class MtfSystem:
 class MnfSystem:
     """A system in block-diagonal normal form together with its certificate.
 
-    ``groups`` is as in MtfSystem.  ``polys`` holds the characteristic
-    polynomials of the four diagonal blocks, proven pairwise coprime; the
-    canonical stage reads block 2's.  Neither takes part in ``==``.
+    ``groups`` is as in MtfSystem.  ``chi2`` is the characteristic
+    polynomial of block 2, whose Frobenius form the canonical stage builds
+    from it.  Neither takes part in ``==``.
     """
 
     system: Odecs2
     dims: BlockDims
     transform: EmTransform
     groups: Tuple[int, int] = field(compare=False)
-    polys: Tuple[List, List, List, List] = field(compare=False, repr=False)
+    chi2: List = field(compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -133,41 +133,21 @@ def _matrix_poly_eval(p: List, A: RatMatrix) -> RatMatrix:
     return M
 
 
-def _pencil_poly_inverse(P0: RatMatrix, n_dyn: int) -> List[RatMatrix]:
-    """Coefficients Q_k of the polynomial inverse of P(s) = P0 - s J, where
-    J is the identity on the first ``n_dyn`` coordinates and zero after.
-
-    The pencil of a prime block is unimodular -- its determinant is a nonzero
-    constant -- so P0 = P(0) is invertible and P(s) = P0 (I - s N) with
-    N = P0^{-1} J.  Then det(I - s N) = det P(s) / det P0 is constant, so N
-    is nilpotent, and a nilpotent N of rank at most rank J = n_dyn has
-    N^{n_dyn + 1} = 0.  The inverse is therefore the finite series
-
-        P(s)^{-1} = sum_{k=0}^{n_dyn} s^k N^k P0^{-1},   Q_k = N^k P0^{-1}.
-
-    The final product check certifies both the degree bound and the
-    primeness assumption."""
-    size = P0.rows
-    deg = n_dyn
-    J = place(size, size, [(range(n_dyn), range(n_dyn), RatMatrix.identity(n_dyn))])
-    try:
-        P0_inv = inverse(P0)
-    except ValueError as exc:
-        raise InternalInvariantViolation("prime pencil is singular at s = 0") from exc
-    N = P0_inv * J
-    Q = [P0_inv]
-    for _ in range(deg):
-        Q.append(N * Q[-1])
-    for k in range(deg + 2):
-        term = RatMatrix.zeros(size, size)
-        if k <= deg:
-            term = term + P0 * Q[k]
-        if 1 <= k <= deg + 1:
-            term = term - J * Q[k - 1]
-        expected = RatMatrix.identity(size) if k == 0 else RatMatrix.zeros(size, size)
-        if term != expected:
-            raise InternalInvariantViolation("pencil inverse is not polynomial")
-    return Q
+def _pencil_taylor(P0: RatMatrix, n_dyn: int, t: int, terms: int) -> List[RatMatrix]:
+    """The first ``terms`` coefficients R_j of P(s)^-1 = sum_j (s - t)^j R_j,
+    where P(s) = P0 - s J and J is the identity on the first ``n_dyn``
+    coordinates and zero after.  P(s) = P(t) - (s - t) J, so the geometric
+    series gives R_j = (P(t)^-1 J)^j P(t)^-1.  A singular P(t) raises
+    InternalInvariantViolation: a prime block's pencil is unimodular."""
+    if terms == 0:
+        return []
+    dyn = range(n_dyn)
+    J = place(P0.rows, P0.rows, [(dyn, dyn, RatMatrix.identity(n_dyn))])
+    R = [_inverse_or_violation(P0 - J.scale(qq(t)), "prime pencil is singular at s = %d" % t)]
+    Pd = R[0].take_cols(dyn)
+    while len(R) < terms:
+        R.append(Pd * R[-1].take_rows(dyn))
+    return R
 
 
 def _sylvester_closed_form(A: RatMatrix, B: RatMatrix, C: RatMatrix, q: List) -> RatMatrix:
@@ -487,11 +467,11 @@ def _poly_at(p: List, t: int):
 
 def _disjoint_spectra_stage(
     o: Odecs2, d: BlockDims, g1: List[int], g3: List[int]
-) -> Tuple[EmTransform, List[RatMatrix], List[List]]:
+) -> Tuple[EmTransform, List[RatMatrix], List, int, int]:
     """Feedback and output injection (preserving the triangular pattern) that
     make the four diagonal blocks' characteristic polynomials pairwise
-    coprime; returns it with the diagonal blocks it leaves and their
-    polynomials.
+    coprime; returns it with the diagonal blocks it leaves, block 2's
+    polynomial chi_2, and the eigenvalues t1 and t4 it gives blocks 1 and 4.
 
     Only block 2's spectrum is an invariant.  Feedback puts block 1 at the
     single eigenvalue t1 and output injection puts block 4 at t4, the first
@@ -502,17 +482,22 @@ def _disjoint_spectra_stage(
     those evaluations, t1 != t4 (!= t3) and the one gcd.  A block already at
     its target is left alone, so the stage is the identity on its own output.
     chi_2 and chi_3 have at most n2 + n3 roots, so n2 + n3 + 3 candidates
-    always suffice."""
+    always suffice.  chi_3 is never formed: t is a root of it exactly when
+    A3 - t I is singular, and gcd(chi_2, chi_3) = 1 exactly when chi_2(A3)
+    is invertible (its eigenvalues are chi_2 at those of A3)."""
     A, B_w, C, _ = o.merged()
     b1, b2, b3, b4 = _state_blocks(d)
     y4 = list(range(d.p3, o.p))
     blocks = [A.submatrix(b, b) for b in (b1, b2, b3, b4)]
-    polys = [charpoly(Ab) for Ab in blocks]
-    chi2, chi3 = polys[1], polys[2]
-    place3 = poly_gcd(chi2, chi3) != [qq(1)]
-    avoid, need = ([chi2], 3) if place3 else ([chi2, chi3], 2)
+    chi2, A3, eye3 = charpoly(blocks[1]), blocks[2], RatMatrix.identity(d.n3)
+    place3 = not is_invertible(_matrix_poly_eval(chi2, A3))
     candidates = map(_integer_candidate, range(d.n2 + d.n3 + 3))
-    admissible = (t for t in candidates if all(_poly_at(p, t) != 0 for p in avoid))
+    admissible = (
+        t
+        for t in candidates
+        if _poly_at(chi2, t) != 0 and (place3 or is_invertible(A3 - eye3.scale(qq(t))))
+    )
+    need = 3 if place3 else 2
     targets = list(islice(admissible, need))
     if len(targets) < need:
         raise InternalInvariantViolation("no admissible integer poles for the normal form")
@@ -520,30 +505,27 @@ def _disjoint_spectra_stage(
     B1, B3, C4 = B_w.submatrix(b1, g1), B_w.submatrix(b3, g3), C.submatrix(y4, b4)
     F_blocks, K_blocks = [], []
     try:
-        chi1 = poly_from_roots([t1] * d.n1)
-        if polys[0] != chi1:
+        if charpoly(blocks[0]) != poly_from_roots([t1] * d.n1):
             F1 = pole_place(blocks[0], B1, [t1] * d.n1)
             F_blocks.append((g1, b1, F1))
-            blocks[0], polys[0] = blocks[0] + B1 * F1, chi1
+            blocks[0] = blocks[0] + B1 * F1
         if place3:
-            t3 = targets[2]
-            F3 = pole_place(blocks[2], B3, [t3] * d.n3)
+            F3 = pole_place(A3, B3, [targets[2]] * d.n3)
             F_blocks.append((g3, b3, F3))
-            blocks[2], polys[2] = blocks[2] + B3 * F3, poly_from_roots([t3] * d.n3)
-        chi4 = poly_from_roots([t4] * d.n4)
-        if polys[3] != chi4:
+            blocks[2] = A3 + B3 * F3
+        if charpoly(blocks[3]) != poly_from_roots([t4] * d.n4):
             K4 = pole_place(blocks[3].T, C4.T, [t4] * d.n4).T
             K_blocks.append((b4, y4, K4))
-            blocks[3], polys[3] = blocks[3] + K4 * C4, chi4
+            blocks[3] = blocks[3] + K4 * C4
     except NotControllable as exc:
         raise InternalInvariantViolation(
             "triangular form lost block controllability/observability"
         ) from exc
-    return _feedback_stage(o, F_blocks, K_blocks), blocks, polys
+    return _feedback_stage(o, F_blocks, K_blocks), blocks, chi2, t1, t4
 
 
 def _coupling_corrections(
-    o: Odecs2, d: BlockDims, g3: List[int]
+    o: Odecs2, d: BlockDims, g3: List[int], t1: int, t4: int
 ) -> Tuple[EmTransform, RatMatrix, RatMatrix]:
     """Output injection into block 1 and feedback from block 4 that make the
     later similarity stage able to zero B's block-(1,3) columns and C's
@@ -554,9 +536,13 @@ def _coupling_corrections(
         A1 T2 - T2 A3 - K1 C3 = A13,   T2 B3 + K1 D3 = -B13,
         A3 T5 - T5 A4 - B3 F3 = A34,   C3 T5 - D3 F3 = C34,
 
-    each uniquely solvable because the middle block is prime (its system
-    matrix [[A3 - s I, B3], [C3, D3]] has full rank for every s).  Returns
-    the (K, F) stage plus the T2, T5 blocks for the similarity."""
+    both driven by the prime pencil P(s) = [[A3 - s I, B3], [C3, D3]].
+    Blocks 1 and 4 sit at the single eigenvalues t1 and t4, so the first
+    system is uniquely solvable when P(t1) is invertible and the second when
+    P(t4) is, which holds because the middle block is prime (its pencil is
+    unimodular); each solution needs only n1, respectively n4, Taylor terms
+    of P(s)^-1 at t1, respectively t4.  Returns the (K, F) stage plus the T2,
+    T5 blocks for the similarity."""
     A, B_w, C, D_w = o.merged()
     b1, _, b3, b4 = _state_blocks(d)
     y3 = list(range(d.p3))
@@ -570,24 +556,22 @@ def _coupling_corrections(
     if d.m3 != p3:
         raise InternalInvariantViolation("prime block has unequal input/output counts")
     m3 = len(g3)
+    P0 = vstack([hstack([A3, B3]), hstack([C3, D3])])
 
-    # Both joint systems are driven by the same prime pencil
-    #     P(s) = [[A3 - s I, B3], [C3, D3]],
-    # which is unimodular, so its inverse Q(s) is a polynomial matrix.  The
-    # first system says [T2 K1] P(s) = [(A1 - s I) T2 - A13, -B13] for every
-    # s; evaluating at s = A1 from the left kills the unknown-bearing term:
-    #     [T2 K1] = -sum_k A1^k [A13 B13] Q_k.
+    # The first system says [T2 K1] P(s) = [(A1 - s I) T2 - A13, -B13] for
+    # every s.  Expanding P(s)^-1 = sum_j (s - t1)^j R_j(t1) and evaluating
+    # at s = A1 from the left kills the unknown-bearing term, and
+    # (A1 - t1 I)^n1 = 0 ends the sum:
+    #     [T2 K1] = -sum_{j<n1} (A1 - t1 I)^j [A13 B13] R_j(t1).
     A13 = A.submatrix(b1, b3)
     B13 = B_w.submatrix(b1, g3)
-    Q = _pencil_poly_inverse(
-        vstack([hstack([A3, B3]), hstack([C3, D3])]), n3
-    )
+    N1 = A1 - RatMatrix.identity(n1).scale(qq(t1))
     acc1 = RatMatrix.zeros(n1, n3 + m3)
     pow1 = hstack([A13, B13])
-    for k, Qk in enumerate(Q):
-        acc1 = acc1 + pow1 * Qk
-        if k + 1 < len(Q):
-            pow1 = A1 * pow1
+    for j, R in enumerate(_pencil_taylor(P0, n3, t1, n1)):
+        acc1 = acc1 + pow1 * R
+        if j + 1 < n1:
+            pow1 = N1 * pow1
     T2 = acc1.take_cols(range(n3)).scale(qq(-1))
     K1 = acc1.take_cols(range(n3, n3 + m3)).scale(qq(-1))
     if A1 * T2 - T2 * A3 - K1 * C3 != A13 or T2 * B3 + K1 * D3 != -B13:
@@ -595,16 +579,17 @@ def _coupling_corrections(
 
     # The second system says P(s) [[T5], [-F3]] = [[A34], [C34]] +
     # [[T5], [0]] (A4 - s I) for every s; evaluating at s = A4 from the
-    # right kills the unknown-bearing term:
-    #     [[T5], [-F3]] = sum_k Q_k [[A34], [C34]] A4^k.
+    # right in the same way:
+    #     [[T5], [-F3]] = sum_{j<n4} R_j(t4) [[A34], [C34]] (A4 - t4 I)^j.
     A34 = A.submatrix(b3, b4)
     C34 = C.submatrix(y3, b4)
+    N4 = A4 - RatMatrix.identity(n4).scale(qq(t4))
     acc2 = RatMatrix.zeros(n3 + m3, n4)
     pow2 = vstack([A34, C34])
-    for k, Qk in enumerate(Q):
-        acc2 = acc2 + Qk * pow2
-        if k + 1 < len(Q):
-            pow2 = pow2 * A4
+    for j, R in enumerate(_pencil_taylor(P0, n3, t4, n4)):
+        acc2 = acc2 + R * pow2
+        if j + 1 < n4:
+            pow2 = pow2 * N4
     T5 = acc2.take_rows(range(n3))
     F3 = -acc2.take_rows(range(n3, n3 + m3))
     if A3 * T5 - T5 * A4 - B3 * F3 != A34 or C3 * T5 - D3 * F3 != C34:
@@ -614,16 +599,16 @@ def _coupling_corrections(
 
 
 def _similarity_stage(
-    o: Odecs2, d: BlockDims, T2: RatMatrix, T5: RatMatrix, polys: List[List]
+    o: Odecs2, d: BlockDims, T2: RatMatrix, T5: RatMatrix, q2: List, q4: List
 ) -> EmTransform:
-    """Unipotent state similarity removing the remaining coupling blocks; the
-    diagonal blocks' ``polys`` are proven pairwise coprime, and blocks 1 and
-    4 sit at single integer eigenvalues, so the Sylvester solutions'
-    denominators divide small resultants."""
+    """Unipotent state similarity removing the remaining coupling blocks,
+    given the characteristic polynomials q2 = chi_2 of block 2 and
+    q4 = (s - t4)^n4 of block 4.  Blocks 1 and 4 sit at t1 != t4, neither a
+    root of chi_2, so the Sylvester solutions' denominators divide small
+    resultants."""
     A = o.A
     b1, b2, b3, b4 = _state_blocks(d)
     A1, A2, A4 = (A.submatrix(b, b) for b in (b1, b2, b4))
-    _, q2, _, q4 = polys
     T1 = _sylvester_closed_form(A1, A2, A.submatrix(b1, b2), q2)
     T4 = _sylvester_closed_form(A2, A4, A.submatrix(b2, b4), q4)
     A14 = A.submatrix(b1, b4) + T1 * A.submatrix(b2, b4) + T2 * A.submatrix(b3, b4)
@@ -674,16 +659,14 @@ def emnf(m: MtfSystem) -> MnfSystem:
     except InternalInvariantViolation as exc:
         raise ValueError("input system is not in triangular form") from exc
     g1, g3 = _input_groups(o.m, o.s, m1u, s1)
-    t_spec, blocks, polys = _disjoint_spectra_stage(o, d, g1, g3)
+    t_spec, blocks, chi2, t1, t4 = _disjoint_spectra_stage(o, d, g1, g3)
     o_bar = apply_em(o, t_spec)
-    t_corr, T2, T5 = _coupling_corrections(o_bar, d, g3)
+    t_corr, T2, T5 = _coupling_corrections(o_bar, d, g3, t1, t4)
     o_corr = apply_em(o_bar, t_corr)
-    t_sim = _similarity_stage(o_corr, d, T2, T5, polys)
+    t_sim = _similarity_stage(o_corr, d, T2, T5, chi2, poly_from_roots([t4] * d.n4))
     o_mnf = apply_em(o_corr, t_sim)
     _assert_diagonal(o_mnf, d, m1u, s1, blocks)
     total = em_compose(m.transform, em_compose(em_compose(t_spec, t_corr), t_sim))
     if not verify_em(m.source, o_mnf, total):
         raise InternalInvariantViolation("normal-form certificate failed to verify")
-    return MnfSystem(
-        system=o_mnf, dims=d, transform=total, groups=m.groups, polys=tuple(polys)
-    )
+    return MnfSystem(system=o_mnf, dims=d, transform=total, groups=m.groups, chi2=chi2)

@@ -43,7 +43,8 @@ from .ratmat import (
     image,
     inverse,
     is_invertible,
-    kernel_basis,
+    pivot_columns,
+    place,
     qq,
     rank_rref,
     right_inverse,
@@ -257,16 +258,20 @@ def explicitate(d: Dacs) -> Tuple[Odecs2, ExplicitationRecord]:
 
     Deterministic choices: Q is the row-operation certificate of the
     echelon form of E (nonzero rows first), E1^+ the pivot-column right
-    inverse, B_v the echelon kernel basis of E.
+    inverse, B_v the echelon kernel basis of E, canonicalized from the
+    kernel vectors that the free columns of the same echelon form give.
     """
     q, R, Q = rank_rref(d.E)
     E1 = R.take_rows(range(q))
+    pivs = pivot_columns(R, q)
+    free = [j for j in range(d.n) if j not in pivs]
+    k, eye = range(len(free)), RatMatrix.identity(len(free))
+    B_v = image(place(d.n, len(free), [(pivs, k, -E1.take_cols(free)), (free, k, eye)])).basis
     QH = Q * d.H
     QL = Q * d.L
     H1, H2 = QH.take_rows(range(q)), QH.take_rows(range(q, d.l))
     L1, L2 = QL.take_rows(range(q)), QL.take_rows(range(q, d.l))
     E1d = right_inverse(E1)
-    B_v = kernel_basis(d.E).basis
     o = Odecs2(A=E1d * H1, B_u=E1d * L1, B_v=B_v, C=H2, D_u=L2)
     rec = ExplicitationRecord(Q=Q, E1_dagger=E1d, B_v=B_v, q=q)
     if E1 * o.A != H1 or E1 * o.B_u != L1:

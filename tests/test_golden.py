@@ -42,9 +42,11 @@ from test_systems import paper_blocks
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "circuit.json"
 
-# sha256 per input: the circuit fixture, criterion 2's cases 0-9, and case
-# 182, whose block 3 has the eigenvalue 0 and block 2 the eigenvalue 1, so
-# the normal form's pole targets skip both first candidates (t1 = -1, t4 = 2)
+# sha256 per input: the circuit fixture, criterion 2's cases 0-9, case 182,
+# whose block 3 has the eigenvalue 0 and block 2 the eigenvalue 1, so the
+# normal form's pole targets skip both first candidates (t1 = -1, t4 = 2),
+# and the (57, 51, 11) ladder input, whose blocks (16, 2, 24, 9) put both
+# coupling corrections and both block-3 spectrum tests at n3 = 24
 GOLDEN = {
     "fixture": "b5a1261c7f42bfc734d386916e7a8f65096564377d036e195353d3ef130d5c93",
     "case0": "910927efd90870f081b5cd52843dcd3f2f815a07016f08017220c2d46abff016",
@@ -58,6 +60,7 @@ GOLDEN = {
     "case8": "fd12c443788a38c2d760f6b151f3dfab09ed31746a9451d49f4e6b204ac81c95",
     "case9": "2d3c6f7aaba96f6168d8d33ee80b498780d11ebfcb757e8cc28e8e249d74968a",
     "case182": "f7fa95a4e96d72a80066c81cad8eb56d06b88783359fac7a390350019d4d66db",
+    "ladder51": "04470c6cb8a4f3c95bbeddec6f5917f550fed43eff7cd33aa657733668484ac4",
 }
 
 # the same inputs' ends digests: outputs that no choice of the normal form's
@@ -75,6 +78,7 @@ GOLDEN_ENDS = {
     "case8": "e1e38eb8653a63a530c3e4fde0c2c59fed8f7c405fc87b6920c5e111c220dd9e",
     "case9": "2cc4c295b350a022c5255875e6a1459b770d94639d38974b85fe3d0dcbc1d806",
     "case182": "84cdf9aa4b41500300516018811143bc19430ce9f39cdde0a5e3cafc328a36b6",
+    "ladder51": "13ce024f4d0f72a9b51c1c7243ab03067429e009e3c13ff26dd73285014be016",
 }
 
 
@@ -134,11 +138,15 @@ def ends_digest(run):
 
 
 def golden_input(name, entry_bound=1):
-    """The fixture, or criterion 2's scrambled round-trip case."""
+    """The fixture, the ladder input, or criterion 2's scrambled round-trip
+    case."""
     if name == "fixture":
         return parse_system(str(FIXTURE))
-    base = 900001 + 2 * int(name[len("case"):])
-    d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
+    if name == "ladder51":
+        base, bounds = 800001, (5, 6)
+    else:
+        base, bounds = 900001 + 2 * int(name[len("case"):]), (3, 4)
+    d, _ = random_fbcf(Seeded(base), bounds=bounds)
     return random_exfb_scramble(d, Seeded(base + 1, entry_bound=entry_bound))[0]
 
 

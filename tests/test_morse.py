@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from dacscanon import morse
+from dacscanon import morse, ratmat
+from dacscanon.canonical import emcf
 from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 from dacscanon.ratmat import (
     InternalInvariantViolation,
@@ -405,15 +406,47 @@ def _counted(monkeypatch, name):
 
 @pytest.mark.parametrize("which", ["circuit", "case0"])
 def test_emnf_proves_disjoint_spectra_once(monkeypatch, which):
-    # one characteristic polynomial per diagonal block, reused by the
-    # Sylvester solves and the final check; at most one placement per block
+    # characteristic polynomials of blocks 2, 1 and 4 only, once each: block
+    # 3's spectrum is tested by invertibility, and the Sylvester solves reuse
+    # chi_2 and (s - t4)^n4; at most one placement per block
     d = parse_system(str(FIXTURE)) if which == "circuit" else _criterion_2_case(0)
     tri = emtf(explicitate(d)[0])
     charpolys = _counted(monkeypatch, "charpoly")
     placements = _counted(monkeypatch, "pole_place")
     emnf(tri)
-    assert len(charpolys) == 4
+    b1, b2, _, b4 = morse._state_blocks(tri.dims)
+    A = tri.system.A
+    assert [args[0] for args in charpolys] == [A.submatrix(b, b) for b in (b2, b1, b4)]
     assert len(placements) <= 3
+
+
+def test_coupling_corrections_invert_the_pencil_once_per_side(monkeypatch):
+    # the (57, 51, 11) ladder input, blocks (16, 2, 24, 9): one inverse of
+    # the pencil P(t1) and one of P(t4), each (n3 + m3) x (n3 + m3), for the
+    # 16 and 9 Taylor terms the two sides take
+    d, _ = random_fbcf(Seeded(800001), bounds=(5, 6))
+    tri = emtf(explicitate(random_exfb_scramble(d, Seeded(800002, entry_bound=1))[0])[0])
+    assert tuple(tri.dims)[:4] == (16, 2, 24, 9)
+    inside, inverses = [], []
+    real_inverse, real_corrections = ratmat.inverse, morse._coupling_corrections
+
+    def counting_inverse(M):
+        if inside:
+            inverses.append(M.shape)
+        return real_inverse(M)
+
+    def corrections(*args):
+        inside.append(True)
+        try:
+            return real_corrections(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ratmat, "inverse", counting_inverse)
+    monkeypatch.setattr(morse, "_coupling_corrections", corrections)
+    emnf(tri)
+    size = tri.dims.n3 + tri.dims.m3
+    assert inverses == [(size, size), (size, size)]
 
 
 def _hand_built_emnf(A, B_u, C, D, dims, groups):
@@ -431,7 +464,7 @@ def _hand_built_emnf(A, B_u, C, D, dims, groups):
     assert verify_em(o, r.system, r.transform)
     check_diagonal_pattern(r)
     polys = [charpoly(r.system.A.submatrix(b, b)) for b in morse._state_blocks(dims)]
-    assert list(r.polys) == polys
+    assert r.chi2 == polys[1]
     return polys
 
 
@@ -481,20 +514,20 @@ def test_emnf_without_admissible_targets_raises(monkeypatch):
         _one_state_blocks(3, 0)
 
 
-# -- prime pencil inverse -------------------------------------------------------
+# -- prime pencil Taylor terms ----------------------------------------------------
 
 
 def _pencils_met(monkeypatch):
-    """Every (P0, n_dyn) the normal form inverts on the circuit fixture and
-    on criterion-2 cases 0-9."""
+    """Every (P0, n_dyn, t) the normal form expands on the circuit fixture
+    and on criterion-2 cases 0-9."""
     met = []
-    real = morse._pencil_poly_inverse
+    real = morse._pencil_taylor
 
-    def recording(P0, n_dyn):
-        met.append((P0, n_dyn))
-        return real(P0, n_dyn)
+    def recording(P0, n_dyn, t, terms):
+        met.append((P0, n_dyn, t))
+        return real(P0, n_dyn, t, terms)
 
-    monkeypatch.setattr(morse, "_pencil_poly_inverse", recording)
+    monkeypatch.setattr(morse, "_pencil_taylor", recording)
     systems = [parse_system(str(FIXTURE))] + [_criterion_2_case(case) for case in range(10)]
     for d in systems:
         emnf(emtf(explicitate(d)[0]))
@@ -512,32 +545,59 @@ def _hand_built_pencils():
     with_D = K * base * F
     assert not with_D.submatrix(range(2, 4), range(2, 4)).is_zero()
     return [
-        (RatMatrix.zeros(0, 0), 0),
-        (mat([[2, 1], [1, 1]]), 0),
-        (with_D, 2),
+        (RatMatrix.zeros(0, 0), 0, 1),
+        (mat([[2, 1], [1, 1]]), 0, -1),
+        (with_D, 2, 0),
+        (with_D, 2, 3),
     ]
 
 
-def test_pencil_poly_inverse_matches_pointwise_inverse(monkeypatch):
+def test_pencil_taylor_matches_pointwise_inverse(monkeypatch):
+    # a unimodular pencil's series at t ends after n_dyn + 1 terms, so those
+    # terms are P(s)^-1 exactly, at every s
     met = _pencils_met(monkeypatch)
     assert len(met) >= 11
-    for P0, n_dyn in met + _hand_built_pencils():
-        Q = morse._pencil_poly_inverse(P0, n_dyn)
-        assert 1 <= len(Q) <= n_dyn + 1
+    for P0, n_dyn, t in met + _hand_built_pencils():
+        R = morse._pencil_taylor(P0, n_dyn, t, n_dyn + 1)
+        assert len(R) == n_dyn + 1
         size = P0.rows
         J = place(size, size, [(range(n_dyn), range(n_dyn), RatMatrix.identity(n_dyn))])
-        for s in range(n_dyn + 2):
+        for s in range(t - 1, t + n_dyn + 1):
             series = RatMatrix.zeros(size, size)
-            for k, Qk in enumerate(Q):
-                series = series + Qk.scale(qq(s) ** k)
+            for j, Rj in enumerate(R):
+                series = series + Rj.scale(qq(s - t) ** j)
             assert series == inverse(P0 - J.scale(qq(s)))
 
 
-@pytest.mark.parametrize("P0", [mat([[1]]), mat([[0]])], ids=["not_unimodular", "singular_P0"])
-def test_pencil_poly_inverse_rejects_non_prime_pencils(P0):
-    # 1 - s is not unimodular; -s is singular at s = 0
-    with pytest.raises(InternalInvariantViolation):
-        morse._pencil_poly_inverse(P0, 1)
+# block 1 at one state driven by input 0, block 3 at one state with input 1
+# and output 0; the block-3 pencil [[-s, b3], [c3, d3]] decides primeness
+_NON_PRIME_DIMS = morse.BlockDims(n1=1, n2=0, n3=1, n4=0, m1=1, m3=1, p3=1, p4=0)
+
+
+@pytest.mark.parametrize(
+    "b3, c3, d3, stage",
+    [
+        (0, 1, 0, "_coupling_corrections"),  # det = 0, so P(t1) is singular
+        (0, 0, 0, "_coupling_corrections"),
+        (0, 0, 1, "_prime_canonical"),  # det = -s: P(t1) and P(t4) invertible
+    ],
+    ids=["singular_P_t1", "zero_pencil", "not_unimodular"],
+)
+def test_non_prime_block_3_raises_in_the_pipeline(b3, c3, d3, stage):
+    o = Odecs2(
+        mat([[2, 1], [0, 0]]), mat([[1, 1], [0, b3]]), RatMatrix.zeros(2, 0),
+        mat([[0, c3]]), mat([[0, d3]]),
+    )
+    tri = MtfSystem(
+        system=o,
+        dims=_NON_PRIME_DIMS,
+        transform=EmTransform.identity(2, 2, 0, 1),
+        groups=(1, 0),
+        source=o,
+    )
+    with pytest.raises(InternalInvariantViolation) as info:
+        emcf(emnf(tri))
+    assert stage in [entry.name for entry in info.traceback]
 
 
 if __name__ == "__main__":

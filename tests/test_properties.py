@@ -3,13 +3,15 @@
 The feedback canonical form is a fixed point of the pipeline: decoding the
 system built from any index datum returns that datum and that system.
 Index translation keeps the system dimensions that explicitation relates.
-Drawn scrambles of generated systems, and scrambles with large entries,
-leave the indices and the canonical system unchanged.  So do scrambles of
+Drawn scrambles of generated systems, larger drawn systems under a time
+cap, and scrambles with large entries, leave the indices and the canonical
+system unchanged.  So do scrambles of
 inputs well beyond the generators: permutation-only scrambles, sparse
 systems, and degenerate shapes.
 """
 
 import random
+from datetime import timedelta
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -109,6 +111,20 @@ def test_translate_indices_keeps_dimensions(e):
 def test_indices_are_invariant_under_drawn_scrambles(system, scramble, entry_bound):
     d, built = random_fbcf(Seeded(system), bounds=(3, 4))
     scrambled, t_scr = random_exfb_scramble(d, Seeded(scramble, entry_bound=entry_bound))
+    assert verify_exfb(d, scrambled, t_scr)
+    t, got, d_can = fbcf(scrambled)
+    assert got == built
+    assert d_can == d
+    assert verify_exfb(scrambled, d_can, t)
+
+
+# Larger drawn systems (bounds (4, 5): up to about 50 states, where one
+# fbcf takes well under 2 s on a 2-CPU host) under a fixed per-example time cap
+@settings(SETTINGS, max_examples=4, deadline=timedelta(seconds=20))
+@given(system=st.integers(0, 10**6), scramble=st.integers(0, 2**32 - 1))
+def test_larger_drawn_systems_round_trip_under_a_time_cap(system, scramble):
+    d, built = random_fbcf(Seeded(system), bounds=(4, 5))
+    scrambled, t_scr = random_exfb_scramble(d, Seeded(scramble, entry_bound=1))
     assert verify_exfb(d, scrambled, t_scr)
     t, got, d_can = fbcf(scrambled)
     assert got == built
