@@ -112,6 +112,9 @@ def _rat_from_json(x, where: str):
         raise ParseError("%s: entry %r is not a rational string" % (where, x))
     if "e" in x or "E" in x:
         raise ParseError("%s: entry %r has an exponent part" % (where, x))
+    if "_" in x or not x.isascii():
+        # Fraction also reads digit-group underscores and non-ASCII digits
+        raise ParseError("%s: entry %r is not a rational" % (where, x))
     try:
         return qq(x.strip())
     except ZeroDivisionError:

@@ -28,6 +28,20 @@ results may share an operand's rows (matrices are immutable), and since
 the primitive form is unique their values and stored form are those the
 general path computes.
 
+One large left factor times several small ones (the re-check of an
+implicit certificate forms Q E1, Q H1 and Q L1) is ``products(M, Bs)``:
+the same stored rows as ``[M * B for B in Bs]``, from one packed copy of
+M's columns (Kronecker substitution).  Each column of M becomes one
+integer with one slot per row, of bits(row of M) + bits(B) + bits(k) + 2
+bits rounded up to whole bytes (B over one denominator, k = M.cols), so
+a column of M B is one integer combination of M's packed columns and no
+slot carries into the next.  Each slot is read back through a bias of
+half its range, which makes it nonnegative, and one ``to_bytes`` per
+column of M B.  The packed path is taken only for Python-int numerators
+and an M of at least 14 rows that is neither zero nor the identity;
+otherwise, and in ``__mul__`` everywhere, products are plain (packing
+the pipeline's own products was measured slower).
+
 Determinism rules (fixed so that certificates and canonical forms are
 reproducible):
   * pivoting: leftmost column, first nonzero row;
@@ -64,6 +78,7 @@ drop-in fallback.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -71,10 +86,14 @@ try:  # pragma: no cover - exercised implicitly by the import
     from gmpy2 import mpq as QQ
     from gmpy2 import gcd as _int_gcd
     from gmpy2 import lcm as _int_lcm
+
+    _INT_NUMERATORS = False
 except ImportError:  # pragma: no cover
     from fractions import Fraction as QQ
     from math import gcd as _int_gcd
     from math import lcm as _int_lcm
+
+    _INT_NUMERATORS = True
 
 Rat = Union[int, str, "QQ"]
 
@@ -385,6 +404,77 @@ def place(
                 row[j] = x
     # an overwritten entry may have needed a factor of the denominator
     return RatMatrix._wrap([_prim(n, d) for n, d in zip(nums, dens)], cols)
+
+
+# The left factor's row count from which packed products beat plain ones.
+_PACK_MIN_ROWS = 14
+
+
+def products(M: RatMatrix, Bs: Sequence[RatMatrix]) -> List[RatMatrix]:
+    """[M * B for B in Bs], with the same stored rows, from one packed copy
+    of M's columns (Kronecker substitution).
+
+    Column c of M becomes the integer sum_i M[i][c] 2^(o_i): row i has a
+    slot of s_i = bits(row i of M) + bits(B) + bits(k) + 2 bits, rounded up
+    to whole bytes (B over one denominator, k = M.cols), starting at bit
+    o_i = s_0 + ... + s_(i-1).  Column j of M B, over B's rows scaled to one
+    denominator L_B, is then sum_c B[c][j] col_c: one big-integer multiply
+    per entry of B instead of one per entry of M B.  Entry i of that column
+    lies strictly within 2^(s_i - 2) of zero, so adding the bias W = sum_i
+    2^(o_i + s_i - 1) makes every slot hold entry + 2^(s_i - 1) in [0,
+    2^s_i), with no borrow from or carry into the next slot.  XOR with W
+    then turns each slot into its entry's two's complement, and one
+    ``to_bytes`` unpacks the column.  Row i is then brought to primitive
+    form over d_i L_B, as in ``__mul__``.  The columns of M are packed the
+    same way backwards: the entries' two's complements, XOR W, minus W.
+
+    Packing was measured to pay only for a left factor of at least
+    _PACK_MIN_ROWS rows with Python-int numerators; otherwise (gmpy2
+    numerators, a smaller M, or a zero or identity M) the plain products
+    are returned.
+    """
+    for B in Bs:
+        if M.cols != B.rows:
+            raise ValueError("inner dims %s * %s" % (M.shape, B.shape))
+    if not _INT_NUMERATORS or M.rows < _PACK_MIN_ROWS or M.is_identity() or M.is_zero():
+        return [M * B for B in Bs]
+    return _packed_products(M, Bs)
+
+
+def _max_bits(rows: Iterable[List]) -> int:
+    """The bit length of the largest absolute value in the integer rows."""
+    return max((max(max(r), -min(r)) for r in rows if r), default=0).bit_length()
+
+
+def _packed_products(M: RatMatrix, Bs: Sequence[RatMatrix]) -> List[RatMatrix]:
+    """The packed path of :func:`products` (M has columns)."""
+    l, k = M.rows, M.cols
+    scaled = []
+    for B in Bs:
+        L = _int_lcm(1, *[d for _, d in B._r])
+        scaled.append((L, [b if d == L else [y * (L // d) for y in b] for b, d in B._r]))
+    bits_B = max((_max_bits(brows) for _, brows in scaled), default=0)
+    extra = bits_B + k.bit_length() + 2
+    widths = [(_max_bits([a]) + extra + 7) // 8 for a, _ in M._r]  # in bytes
+    W = int.from_bytes(b"".join([b"\x80".rjust(nb, b"\0") for nb in widths]), "little")
+    offsets = list(accumulate(widths, initial=0))
+    slots = list(zip(offsets, offsets[1:]))
+    cols = []
+    for c in zip(*(a for a, _ in M._r)):
+        twos = b"".join([x.to_bytes(nb, "little", signed=True) for x, nb in zip(c, widths)])
+        cols.append((int.from_bytes(twos, "little") ^ W) - W)
+    out = []
+    for (L, brows), B in zip(scaled, Bs):
+        if not B.cols:
+            out.append(RatMatrix.zeros(l, 0))
+            continue
+        packed = []
+        for bc in zip(*brows):
+            data = ((sum(map(mul, bc, cols)) + W) ^ W).to_bytes(offsets[-1], "little")
+            packed.append([int.from_bytes(data[i:j], "little", signed=True) for i, j in slots])
+        rows = [_prim(list(v), d * L) for v, (_, d) in zip(zip(*packed), M._r)]
+        out.append(RatMatrix._wrap(rows, B.cols))
+    return out
 
 
 def _kron(A: RatMatrix, B: RatMatrix) -> RatMatrix:

@@ -45,6 +45,7 @@ from .ratmat import (
     is_invertible,
     pivot_columns,
     place,
+    products,
     qq,
     rank_rref,
     right_inverse,
@@ -339,8 +340,8 @@ def verify_exfb(d1: Dacs, d2: Dacs, t: ExFbTransform) -> bool:
 
         E2 P = Q E1,   H2 P = Q (H1 + L1 F),   L2 = Q L1 G,
 
-    which are checked with the product Q L1 formed once, so no inverse is
-    computed.
+    which are checked with Q E1, Q H1 and Q L1 formed by one call of
+    :func:`products` (one packed copy of Q), so no inverse is computed.
     """
     l, n, m = d1.l, d1.n, d1.m
     if (d2.l, d2.n, d2.m) != (l, n, m):
@@ -349,10 +350,8 @@ def verify_exfb(d1: Dacs, d2: Dacs, t: ExFbTransform) -> bool:
         return False
     if not (is_invertible(t.Q) and is_invertible(t.P) and is_invertible(t.G)):
         return False
-    if d2.E * t.P != t.Q * d1.E:
-        return False
-    QL = t.Q * d1.L
-    return d2.H * t.P == t.Q * d1.H + QL * t.F and d2.L == QL * t.G
+    QE, QH, QL = products(t.Q, [d1.E, d1.H, d1.L])
+    return d2.E * t.P == QE and d2.H * t.P == QH + QL * t.F and d2.L == QL * t.G
 
 
 def verify_em(o1: Odecs2, o2: Odecs2, t: EmTransform) -> bool:

@@ -86,10 +86,17 @@ def test_malformed_json_is_parse_error(tmp_path):
         parse_system(p)
 
 
-def test_malformed_rational_is_parse_error(tmp_path):
-    p = write(tmp_path, "r.json", {"kind": "dacs", "E": [["1/x"]], "H": [["0"]], "L": [[]]})
-    with pytest.raises(ParseError):
-        parse_system(p)
+def test_malformed_rational_is_parse_error(tmp_path, capsys):
+    # the grammar is a sign, ASCII digits, one '/' or '.', and spaces; Fraction
+    # alone would read "1_0" as 10 and Arabic-Indic "12/3" as 4
+    entries = ["1/x", "1_0", "1/1_0", "0._5", "\u0661\u0662/\u0663", "\uff11", "1\u00a0"]
+    for i, entry in enumerate(entries):
+        obj = {"kind": "dacs", "E": [[entry]], "H": [["0"]], "L": [[]]}
+        p = write(tmp_path, "r%d.json" % i, obj)
+        with pytest.raises(ParseError):
+            parse_system(p)
+        assert main(["explicitate", p]) == 2
+        assert capsys.readouterr().err == "error: E: entry %r is not a rational\n" % entry
 
 
 def test_float_entry_rejected(tmp_path):

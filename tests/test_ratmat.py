@@ -32,6 +32,7 @@ from dacscanon.ratmat import (
     pivot_columns,
     place,
     preimage,
+    products,
     qq,
     rank,
     rank_rref,
@@ -719,6 +720,65 @@ def test_trivial_operands_do_no_arithmetic(monkeypatch):
     assert not calls
     PM = mat([[F(3, 7), -4, F(-2, 3)], [0, 0, 0], [1, F(1, 2), 0]])
     assert got == [M, M, Z, Z, Z32, Z23, M, M, M, PM, I, True]
+
+
+# numerators of 1 to 2000 bits, over denominators shared or not
+WIDE_ENTRIES = st.one_of(
+    ENTRIES,
+    st.builds(
+        F,
+        st.integers(1, 2000).flatmap(lambda b: st.integers(-(1 << b), 1 << b)),
+        st.sampled_from([1, 2, 3, 10**20 + 39, _PRIME]),
+    ),
+)
+
+
+@st.composite
+def product_factor(draw, rows, cols):
+    """A rows x cols matrix: drawn (some rows zero), of unit rows, zero, or
+    the identity."""
+    kind = draw(st.sampled_from(["drawn", "units", "zero", "identity"]))
+    if kind == "identity" and rows == cols:
+        return RatMatrix.identity(rows)
+    if kind == "zero":
+        return RatMatrix.zeros(rows, cols)
+    if kind == "units":
+        return RatMatrix(draw(unit_rows(rows, cols)), cols=cols)
+    zero = draw(st.sets(st.integers(0, max(rows - 1, 0)))) if rows else set()
+    drawn = st.lists(WIDE_ENTRIES, min_size=cols, max_size=cols)
+    return RatMatrix([[F(0)] * cols if i in zero else draw(drawn) for i in range(rows)], cols=cols)
+
+
+@SETTINGS
+@given(st.data(), st.integers(0, 16), DIMS, st.lists(DIMS, max_size=3))
+def test_packed_products_match_plain_products(data, r, k, widths):
+    # Kronecker-substituted products have the stored rows of M * B: signed
+    # slots that borrow from no neighbour, several B's over their own
+    # denominators, and empty, zero, identity and unit-row factors
+    M = data.draw(product_factor(r, k))
+    Bs = [data.draw(product_factor(k, c)) for c in widths]
+    want = [M * B for B in Bs]
+    assert products(M, Bs) == want
+    if k:  # products never packs a factor with no columns, which is zero
+        assert ratmat._packed_products(M, Bs) == want
+
+
+def test_packed_products_at_the_slot_bound():
+    # every product term has its row's largest size and one sign, so each
+    # sum is within a factor k of its slot's half-width; rows alternate in
+    # sign and every third one is narrow, so neighbouring slots differ in
+    # sign and width
+    for k in (1, 2, 3, 4, 7, 8, 15, 16):
+        for bm, bb in ((1, 1), (7, 9), (64, 3), (300, 300)):
+            tops = [(-1) ** i * ((1 << (1 if i % 3 == 2 else bm)) - 1) for i in range(17)]
+            M = mat([[top] * k for top in tops])
+            bot = (1 << bb) - 1
+            for B in (mat([[bot] * 3] * k), mat([[-bot, bot, "1/%d" % bot]] * k)):
+                assert ratmat._packed_products(M, [B]) == [M * B]
+    empty = RatMatrix.zeros(0, 2)
+    assert ratmat._packed_products(empty, [mat([[1], [2]])]) == [RatMatrix.zeros(0, 1)]
+    with pytest.raises(ValueError, match="inner dims"):
+        products(mat([[1, 2]]), [mat([[1]])])
 
 
 def test_equal_values_spelled_differently_are_equal_and_hash_equal():

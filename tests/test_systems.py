@@ -107,12 +107,25 @@ def random_em(rng, n, m, s, p):
     return EmTransform.from_blocks(**random_em_blocks(rng, n, m, s, p))
 
 
+def left_divide(T, X):
+    """T^-1 X for an invertible T: one elimination of [T | X], whose reduced
+    form is [I | T^-1 X], with no row-operation certificate."""
+    rk, num, den = ratmat._eliminate(hstack([T, X]), certify=False)
+    assert rk == T.rows == T.cols
+    return ratmat._rat_block(num, den, T.cols, T.cols + X.cols)
+
+
 def paper_blocks(t):
     """The paper's (F_u, F_v, R, K) of t, recovered from the blocks in the
     new coordinates: F_u = T_u^-1 TF_u, F_v = T_v^-1 TF_v, R = T_v^-1 TR,
     K = T_x^-1 TK."""
-    Tvi = inverse(t.T_v)
-    return inverse(t.T_u) * t.TF_u, Tvi * t.TF_v, Tvi * t.TR, inverse(t.T_x) * t.TK
+    T_v = t.T_v
+    return (
+        left_divide(t.T_u, t.TF_u),
+        left_divide(T_v, t.TF_v),
+        left_divide(T_v, t.TR),
+        left_divide(t.T_x, t.TK),
+    )
 
 
 def from_paper(T_x, T_u, T_v, T_y, F_u, F_v, R, K):
@@ -535,6 +548,46 @@ def test_inverse_free_verification_matches_definitions(name):
             assert verify_exfb(d1, d2, tv) == want
             rejected += not want
     assert rejected >= 10
+
+
+def _counting_packed_products(monkeypatch):
+    """The left factors verify_exfb multiplies on packed columns from now on."""
+    packed = []
+    real = ratmat._packed_products
+    monkeypatch.setattr(ratmat, "_packed_products", lambda M, Bs: packed.append(M) or real(M, Bs))
+    return packed
+
+
+@pytest.mark.parametrize("case", [2, 3, 4])
+def test_packed_verification_matches_definition(case, monkeypatch):
+    # criterion-2 cases 2-4 at entry bound 3 (the benchmark's big-entry
+    # round trips): Q has 14 to 23 rows, so Q E1, Q H1 and Q L1 are formed
+    # on packed columns, and every single-entry change of the certificate
+    # gets the verdict of the definition
+    rng = random.Random(case)
+    base = 900001 + 2 * case
+    d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
+    d1, _ = random_exfb_scramble(d, Seeded(base + 1, entry_bound=3))
+    t, _, d2 = fbcf(d1)
+    assert t.Q.rows >= ratmat._PACK_MIN_ROWS
+    packed = _counting_packed_products(monkeypatch)
+    variants = _variants(t, ("Q", "P", "F", "G") * 3, "Q", rng)
+    verdicts = [verify_exfb(d1, d2, tv) for tv in variants]
+    assert verdicts == [verify_exfb_by_inverse(d1, d2, tv) for tv in variants]
+    assert verdicts[0] and verdicts.count(False) >= 10  # F can move along a dead input
+    # only the singular Q is refused before any product
+    assert [M.rows for M in packed] == [t.Q.rows] * (len(variants) - 1)
+
+
+def test_small_certificates_are_verified_on_plain_products(monkeypatch):
+    d = parse_system(str(FIXTURE))
+    t, _, d_can = fbcf(d)
+    assert t.Q.rows < ratmat._PACK_MIN_ROWS
+    packed = _counting_packed_products(monkeypatch)
+    assert verify_exfb(d, d_can, t)
+    changed = dataclasses.replace(t, Q=_changed_entry(t.Q, random.Random(1)))
+    assert not verify_exfb(d, d_can, changed)
+    assert not packed
 
 
 @pytest.mark.parametrize("name", ["fixture", "case0", "case1", "case2"])
