@@ -1,7 +1,8 @@
 """Exact Sylvester equations: solve, constrain, and detect inconsistency.
 
-Three short exhibits of the solver that powers the block-decoupling stages
-of the normal-form computation:
+Three short exhibits of the public solvers.  The normal form needs none of
+them: each of its coupling blocks touches block 1 or block 4, which sit at
+single eigenvalues, so finite Taylor series solve them.
 
   1. a plain equation A X - X B = C built from a known X, solved back
      exactly;

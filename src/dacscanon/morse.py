@@ -1,19 +1,23 @@
 """Triangular and block-diagonal forms for linear systems with two input
-kinds, plus the exact Sylvester machinery used to decouple them.
+kinds, plus exact solvers for Sylvester equations.
 
 The triangular form splits the state into four parts along the invariant
 subspaces (the compatible part V* ∩ W*, the rest of V*, the rest of W*, and
 a completion), the inputs into the part that can act inside V* and the rest,
 and the outputs into the reachable image and a completion.  In the adapted
 coordinates a feedback stage and an output-injection stage, each a single
-exact linear solve, zero out every block below the diagonal staircase.  The
-normal form then removes the remaining coupling blocks with a state-space
-similarity assembled from Sylvester solutions, each unique because the four
-diagonal blocks' characteristic polynomials are proven pairwise coprime once
-beforehand.  Only block 2's spectrum is an invariant, so exact pole placement
-first puts block 1 and block 4 each at a single small integer eigenvalue
-(block 3 too when it shares a root with block 2); the Sylvester solutions'
-denominators divide resultants of the block polynomials, which stay small.
+exact linear solve, zero out every block below the diagonal staircase.
+
+The normal form then makes the diagonal blocks' spectra pairwise disjoint.
+Only block 2's spectrum is an invariant, so exact pole placement puts block
+1 and block 4 each at a single small integer eigenvalue t1 and t4 (block 3
+too when it shares a root with block 2).  One stage then removes all five
+coupling blocks by output injection into block 1, feedback from block 4
+and a unipotent state similarity.  As A1 - t1 I and A4 - t4 I are
+nilpotent, each coupling equation is solved by a finite Taylor series at
+t1 or t4: the rows of block 1 and the columns of block 4 take one inverse
+each of the pencil of blocks 2 and 3 there, the corner one of A4 - t1 I.
+No characteristic polynomial enters, and every solution is unique.
 
 Both input kinds are handled in merged form; only the *second* kind may mix
 into the first through the input transform, never the reverse, so the
@@ -131,23 +135,6 @@ def _matrix_poly_eval(p: List, A: RatMatrix) -> RatMatrix:
     for c in reversed(p):
         M = M * A + RatMatrix.identity(A.rows).scale(c)
     return M
-
-
-def _pencil_taylor(P0: RatMatrix, n_dyn: int, t: int, terms: int) -> List[RatMatrix]:
-    """The first ``terms`` coefficients R_j of P(s)^-1 = sum_j (s - t)^j R_j,
-    where P(s) = P0 - s J and J is the identity on the first ``n_dyn``
-    coordinates and zero after.  P(s) = P(t) - (s - t) J, so the geometric
-    series gives R_j = (P(t)^-1 J)^j P(t)^-1.  A singular P(t) raises
-    InternalInvariantViolation: a prime block's pencil is unimodular."""
-    if terms == 0:
-        return []
-    dyn = range(n_dyn)
-    J = place(P0.rows, P0.rows, [(dyn, dyn, RatMatrix.identity(n_dyn))])
-    R = [_inverse_or_violation(P0 - J.scale(qq(t)), "prime pencil is singular at s = %d" % t)]
-    Pd = R[0].take_cols(dyn)
-    while len(R) < terms:
-        R.append(Pd * R[-1].take_rows(dyn))
-    return R
 
 
 def _sylvester_closed_form(A: RatMatrix, B: RatMatrix, C: RatMatrix, q: List) -> RatMatrix:
@@ -524,103 +511,83 @@ def _disjoint_spectra_stage(
     return _feedback_stage(o, F_blocks, K_blocks), blocks, chi2, t1, t4
 
 
-def _coupling_corrections(
-    o: Odecs2, d: BlockDims, g3: List[int], t1: int, t4: int
-) -> Tuple[EmTransform, RatMatrix, RatMatrix]:
-    """Output injection into block 1 and feedback from block 4 that make the
-    later similarity stage able to zero B's block-(1,3) columns and C's
-    block-(3,4) rows.
+def _taylor_left(G: RatMatrix, N: RatMatrix, P0: RatMatrix, n_dyn: int, t: int) -> RatMatrix:
+    """The X with X P(t) = N X J - G for a nilpotent N, where P(s) = P0 - s J
+    and J is the identity on the first ``n_dyn`` coordinates and zero after.
+    For A = t I + N this is A X J - X P0 = G.
 
-    Solves the two joint linear systems
+    With R = P(t)^-1 the equation reads X = (N X J - G) R; substituting it
+    into itself gives X = -sum_j N^j G (R J)^j R, which ends at j = N.rows
+    because N is nilpotent.  The terms are Y_0 = G R and Y_{j+1} = N Y_j J R,
+    so one inverse serves them all.  A singular P(t) or a failed check raises
+    InternalInvariantViolation."""
+    if N.rows == 0:
+        return RatMatrix.zeros(0, P0.rows)
+    dyn = range(n_dyn)
+    J = place(P0.rows, P0.rows, [(dyn, dyn, RatMatrix.identity(n_dyn))])
+    Pt = P0 - J.scale(qq(t))
+    R = _inverse_or_violation(Pt, "pencil is singular at s = %d" % t)
+    R_dyn = R.take_rows(dyn)
+    Y = X = G * R
+    for _ in range(N.rows - 1):
+        Y = N * Y.take_cols(dyn) * R_dyn
+        X = X + Y
+    X = -X
+    if X * Pt != N * X * J - G:
+        raise InternalInvariantViolation("coupling solution failed to verify")
+    return X
 
-        A1 T2 - T2 A3 - K1 C3 = A13,   T2 B3 + K1 D3 = -B13,
-        A3 T5 - T5 A4 - B3 F3 = A34,   C3 T5 - D3 F3 = C34,
 
-    both driven by the prime pencil P(s) = [[A3 - s I, B3], [C3, D3]].
-    Blocks 1 and 4 sit at the single eigenvalues t1 and t4, so the first
-    system is uniquely solvable when P(t1) is invertible and the second when
-    P(t4) is, which holds because the middle block is prime (its pencil is
-    unimodular); each solution needs only n1, respectively n4, Taylor terms
-    of P(s)^-1 at t1, respectively t4.  Returns the (K, F) stage plus the T2,
-    T5 blocks for the similarity."""
-    A, B_w, C, D_w = o.merged()
-    b1, _, b3, b4 = _state_blocks(d)
-    y3 = list(range(d.p3))
-    n1, n3, n4, p3 = d.n1, d.n3, d.n4, d.p3
-    A1 = A.submatrix(b1, b1)
-    A3 = A.submatrix(b3, b3)
-    A4 = A.submatrix(b4, b4)
-    B3 = B_w.submatrix(b3, g3)
-    C3 = C.submatrix(y3, b3)
-    D3 = D_w.submatrix(y3, g3)
-    if d.m3 != p3:
+def _decoupling_stage(o: Odecs2, d: BlockDims, g3: List[int], t1: int, t4: int) -> EmTransform:
+    """Output injection K1 into block 1, feedback F3 from block 4 and a
+    unipotent state similarity S that together zero every coupling block,
+    given blocks 1 and 4 at the single eigenvalues t1 and t4.
+
+    Row block 1 and column block 4 each solve one equation in the pencil
+    P(s) = P0 - s J with P0 = diag(A2, [[A3, B3], [C3, D3]]):
+
+        A1 [T1 T2 K1] J - [T1 T2 K1] P0 = [A12 A13 B13],
+        P0 [T4; T5; -F3] - J [T4; T5; -F3] A4 = [A24; A34; C34],
+
+    the second by :func:`_taylor_left` on its transpose.  Their blocks are
+    six of the seven coupling identities, such as A1 T1 - T1 A2 = A12 and
+    T2 B3 + K1 D3 = -B13.  P(t1) and P(t4) are invertible, because t1 and t4
+    are no roots of chi_2 and block 3 is prime (its pencil is unimodular),
+    so both solutions are unique.  The seventh is the corner's,
+    A1 T3 - T3 A4 = A14 + [T1 T2 K1] [A24; A34; C34]: its right-hand side is
+    block (1, 4) after the corrections and the other similarity blocks,
+    whose terms in F3 add up to (B13 + T2 B3 + K1 D3) F3 = 0.  Applying the
+    corrections before S gives the certificate (S, I, I, F3, S K1), and
+    S K1 = K1 because S's first block column is the identity's."""
+    if d.m3 != d.p3:
         raise InternalInvariantViolation("prime block has unequal input/output counts")
-    m3 = len(g3)
-    P0 = vstack([hstack([A3, B3]), hstack([C3, D3])])
-
-    # The first system says [T2 K1] P(s) = [(A1 - s I) T2 - A13, -B13] for
-    # every s.  Expanding P(s)^-1 = sum_j (s - t1)^j R_j(t1) and evaluating
-    # at s = A1 from the left kills the unknown-bearing term, and
-    # (A1 - t1 I)^n1 = 0 ends the sum:
-    #     [T2 K1] = -sum_{j<n1} (A1 - t1 I)^j [A13 B13] R_j(t1).
-    A13 = A.submatrix(b1, b3)
-    B13 = B_w.submatrix(b1, g3)
-    N1 = A1 - RatMatrix.identity(n1).scale(qq(t1))
-    acc1 = RatMatrix.zeros(n1, n3 + m3)
-    pow1 = hstack([A13, B13])
-    for j, R in enumerate(_pencil_taylor(P0, n3, t1, n1)):
-        acc1 = acc1 + pow1 * R
-        if j + 1 < n1:
-            pow1 = N1 * pow1
-    T2 = acc1.take_cols(range(n3)).scale(qq(-1))
-    K1 = acc1.take_cols(range(n3, n3 + m3)).scale(qq(-1))
-    if A1 * T2 - T2 * A3 - K1 * C3 != A13 or T2 * B3 + K1 * D3 != -B13:
-        raise InternalInvariantViolation("block-(1,3) correction failed")
-
-    # The second system says P(s) [[T5], [-F3]] = [[A34], [C34]] +
-    # [[T5], [0]] (A4 - s I) for every s; evaluating at s = A4 from the
-    # right in the same way:
-    #     [[T5], [-F3]] = sum_{j<n4} R_j(t4) [[A34], [C34]] (A4 - t4 I)^j.
-    A34 = A.submatrix(b3, b4)
-    C34 = C.submatrix(y3, b4)
-    N4 = A4 - RatMatrix.identity(n4).scale(qq(t4))
-    acc2 = RatMatrix.zeros(n3 + m3, n4)
-    pow2 = vstack([A34, C34])
-    for j, R in enumerate(_pencil_taylor(P0, n3, t4, n4)):
-        acc2 = acc2 + R * pow2
-        if j + 1 < n4:
-            pow2 = pow2 * N4
-    T5 = acc2.take_rows(range(n3))
-    F3 = -acc2.take_rows(range(n3, n3 + m3))
-    if A3 * T5 - T5 * A4 - B3 * F3 != A34 or C3 * T5 - D3 * F3 != C34:
-        raise InternalInvariantViolation("block-(3,4) correction failed")
-
-    return _feedback_stage(o, [(g3, b4, F3)], [(b1, y3, K1)]), T2, T5
-
-
-def _similarity_stage(
-    o: Odecs2, d: BlockDims, T2: RatMatrix, T5: RatMatrix, q2: List, q4: List
-) -> EmTransform:
-    """Unipotent state similarity removing the remaining coupling blocks,
-    given the characteristic polynomials q2 = chi_2 of block 2 and
-    q4 = (s - t4)^n4 of block 4.  Blocks 1 and 4 sit at t1 != t4, neither a
-    root of chi_2, so the Sylvester solutions' denominators divide small
-    resultants."""
-    A = o.A
+    A, B_w, C, D_w = o.merged()
     b1, b2, b3, b4 = _state_blocks(d)
-    A1, A2, A4 = (A.submatrix(b, b) for b in (b1, b2, b4))
-    T1 = _sylvester_closed_form(A1, A2, A.submatrix(b1, b2), q2)
-    T4 = _sylvester_closed_form(A2, A4, A.submatrix(b2, b4), q4)
-    A14 = A.submatrix(b1, b4) + T1 * A.submatrix(b2, b4) + T2 * A.submatrix(b3, b4)
-    T3 = _sylvester_closed_form(A1, A4, A14, q4)
+    b23, y3, eye = b2 + b3, list(range(d.p3)), RatMatrix.identity
+    prime = vstack(
+        [
+            hstack([A.submatrix(b3, b3), B_w.submatrix(b3, g3)]),
+            hstack([C.submatrix(y3, b3), D_w.submatrix(y3, g3)]),
+        ]
+    )
+    P0 = block_diag([A.submatrix(b2, b2), prime])
+    A1, A4 = A.submatrix(b1, b1), A.submatrix(b4, b4)
+    N1 = A1 - eye(d.n1).scale(qq(t1))
+    N4 = A4 - eye(d.n4).scale(qq(t4))
+    G4 = vstack([A.submatrix(b23, b4), C.submatrix(y3, b4)])
+    X = _taylor_left(hstack([A.submatrix(b1, b23), B_w.submatrix(b1, g3)]), N1, P0, len(b23), t1)
+    Z = _taylor_left(-G4.T, N4.T, P0.T, len(b23), t4).T
+    T3 = _taylor_left(A.submatrix(b1, b4) + X * G4, N1, A4, d.n4, t1)
+    dyn, ctl = range(len(b23)), range(len(b23), P0.rows)
     S = place(
         o.n,
         o.n,
-        [(b1, b2, T1), (b1, b3, T2), (b1, b4, T3), (b2, b4, T4), (b3, b4, T5)],
-        base=RatMatrix.identity(o.n),
+        [(b1, b23, X.take_cols(dyn)), (b1, b4, T3), (b23, b4, Z.take_rows(dyn))],
+        base=eye(o.n),
     )
-    eye = RatMatrix.identity
-    return EmTransform.coordinates(S, eye(o.m + o.s), eye(o.p), o.m)
+    w = o.m + o.s
+    F = place(w, o.n, [(g3, b4, -Z.take_rows(ctl))])
+    return EmTransform(S, eye(w), eye(o.p), F, place(o.n, o.p, [(b1, y3, X.take_cols(ctl))]), o.m)
 
 
 def _assert_diagonal(o: Odecs2, d: BlockDims, m1u: int, s1: int, blocks: List[RatMatrix]) -> None:
@@ -661,12 +628,10 @@ def emnf(m: MtfSystem) -> MnfSystem:
     g1, g3 = _input_groups(o.m, o.s, m1u, s1)
     t_spec, blocks, chi2, t1, t4 = _disjoint_spectra_stage(o, d, g1, g3)
     o_bar = apply_em(o, t_spec)
-    t_corr, T2, T5 = _coupling_corrections(o_bar, d, g3, t1, t4)
-    o_corr = apply_em(o_bar, t_corr)
-    t_sim = _similarity_stage(o_corr, d, T2, T5, chi2, poly_from_roots([t4] * d.n4))
-    o_mnf = apply_em(o_corr, t_sim)
+    t_dec = _decoupling_stage(o_bar, d, g3, t1, t4)
+    o_mnf = apply_em(o_bar, t_dec)
     _assert_diagonal(o_mnf, d, m1u, s1, blocks)
-    total = em_compose(m.transform, em_compose(em_compose(t_spec, t_corr), t_sim))
+    total = em_compose(m.transform, em_compose(t_spec, t_dec))
     if not verify_em(m.source, o_mnf, total):
         raise InternalInvariantViolation("normal-form certificate failed to verify")
     return MnfSystem(system=o_mnf, dims=d, transform=total, groups=m.groups, chi2=chi2)

@@ -645,14 +645,3 @@ def dacs_residuals(d: Dacs, xs: Sequence[RatMatrix], u_seq: Sequence[Sequence], 
         r = (d.E * (xs[k + 1] - xs[k])).scale(1 / h) - d.H * xs[k] - d.L * u
         res.append(r)
     return res
-
-
-def simulate(sys_obj, x0, u_seq, v_seq=None, h=None, steps=None, trajectory=None):
-    """Dispatch: Odecs2 -> Euler trajectory; Dacs -> residuals along one."""
-    if isinstance(sys_obj, Odecs2):
-        return simulate_odecs(sys_obj, x0, u_seq, v_seq or [], h, steps)
-    if isinstance(sys_obj, Dacs):
-        if trajectory is None:
-            raise ValueError("Dacs simulation reports residuals along a supplied trajectory")
-        return dacs_residuals(sys_obj, trajectory, u_seq, h)
-    raise TypeError("expected Dacs or Odecs2")

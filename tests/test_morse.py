@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from dacscanon import morse, ratmat
-from dacscanon.canonical import emcf
+from dacscanon.canonical import emcf, fbcf
 from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 from dacscanon.ratmat import (
     InternalInvariantViolation,
@@ -407,8 +407,8 @@ def _counted(monkeypatch, name):
 @pytest.mark.parametrize("which", ["circuit", "case0"])
 def test_emnf_proves_disjoint_spectra_once(monkeypatch, which):
     # characteristic polynomials of blocks 2, 1 and 4 only, once each: block
-    # 3's spectrum is tested by invertibility, and the Sylvester solves reuse
-    # chi_2 and (s - t4)^n4; at most one placement per block
+    # 3's spectrum is tested by invertibility, and the decoupling needs no
+    # polynomial; at most one placement per block
     d = parse_system(str(FIXTURE)) if which == "circuit" else _criterion_2_case(0)
     tri = emtf(explicitate(d)[0])
     charpolys = _counted(monkeypatch, "charpoly")
@@ -420,33 +420,34 @@ def test_emnf_proves_disjoint_spectra_once(monkeypatch, which):
     assert len(placements) <= 3
 
 
-def test_coupling_corrections_invert_the_pencil_once_per_side(monkeypatch):
+def test_decoupling_stage_inverts_each_pencil_once(monkeypatch):
     # the (57, 51, 11) ladder input, blocks (16, 2, 24, 9): one inverse of
-    # the pencil P(t1) and one of P(t4), each (n3 + m3) x (n3 + m3), for the
-    # 16 and 9 Taylor terms the two sides take
+    # the pencil P(t1) and one of P(t4), each (n2 + n3 + m3) square, for the
+    # 16 and 9 Taylor terms of rows 1 and columns 4, and one of A4 - t1 I
+    # for the corner's 16 terms
     d, _ = random_fbcf(Seeded(800001), bounds=(5, 6))
     tri = emtf(explicitate(random_exfb_scramble(d, Seeded(800002, entry_bound=1))[0])[0])
     assert tuple(tri.dims)[:4] == (16, 2, 24, 9)
     inside, inverses = [], []
-    real_inverse, real_corrections = ratmat.inverse, morse._coupling_corrections
+    real_inverse, real_stage = ratmat.inverse, morse._decoupling_stage
 
     def counting_inverse(M):
         if inside:
             inverses.append(M.shape)
         return real_inverse(M)
 
-    def corrections(*args):
+    def stage(*args):
         inside.append(True)
         try:
-            return real_corrections(*args)
+            return real_stage(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(ratmat, "inverse", counting_inverse)
-    monkeypatch.setattr(morse, "_coupling_corrections", corrections)
+    monkeypatch.setattr(morse, "_decoupling_stage", stage)
     emnf(tri)
-    size = tri.dims.n3 + tri.dims.m3
-    assert inverses == [(size, size), (size, size)]
+    size, n4 = tri.dims.n2 + tri.dims.n3 + tri.dims.m3, tri.dims.n4
+    assert inverses == [(size, size), (size, size), (n4, n4)]
 
 
 def _hand_built_emnf(A, B_u, C, D, dims, groups):
@@ -514,20 +515,21 @@ def test_emnf_without_admissible_targets_raises(monkeypatch):
         _one_state_blocks(3, 0)
 
 
-# -- prime pencil Taylor terms ----------------------------------------------------
+# -- coupling equations ---------------------------------------------------------
 
 
-def _pencils_met(monkeypatch):
-    """Every (P0, n_dyn, t) the normal form expands on the circuit fixture
-    and on criterion-2 cases 0-9."""
+def _taylor_calls_met(monkeypatch):
+    """Every (G, N, P0, n_dyn, t) the normal form solves on the circuit
+    fixture and on criterion-2 cases 0-9: the rows of block 1, the columns
+    of block 4 (transposed) and the corner."""
     met = []
-    real = morse._pencil_taylor
+    real = morse._taylor_left
 
-    def recording(P0, n_dyn, t, terms):
-        met.append((P0, n_dyn, t))
-        return real(P0, n_dyn, t, terms)
+    def recording(*args):
+        met.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(morse, "_pencil_taylor", recording)
+    monkeypatch.setattr(morse, "_taylor_left", recording)
     systems = [parse_system(str(FIXTURE))] + [_criterion_2_case(case) for case in range(10)]
     for d in systems:
         emnf(emtf(explicitate(d)[0]))
@@ -552,21 +554,66 @@ def _hand_built_pencils():
     ]
 
 
-def test_pencil_taylor_matches_pointwise_inverse(monkeypatch):
-    # a unimodular pencil's series at t ends after n_dyn + 1 terms, so those
-    # terms are P(s)^-1 exactly, at every s
-    met = _pencils_met(monkeypatch)
-    assert len(met) >= 11
-    for P0, n_dyn, t in met + _hand_built_pencils():
-        R = morse._pencil_taylor(P0, n_dyn, t, n_dyn + 1)
-        assert len(R) == n_dyn + 1
+def _hand_built_taylor_calls():
+    """Each hand-built pencil and its transpose against a nilpotent N of
+    0 to 3 rows (strictly upper triangular) and a drawn G."""
+    rng = random.Random(11)
+    calls = []
+    for P0, n_dyn, t in _hand_built_pencils():
+        for k in range(4):
+            N = mat([[rng.randint(-3, 3) if j > i else 0 for j in range(k)] for i in range(k)], k)
+            for P in (P0, P0.T):
+                calls.append((random_matrix(rng, k, P.rows), N, P, n_dyn, t))
+    return calls
+
+
+def test_taylor_left_solves_its_defining_equation(monkeypatch):
+    # X P(t) = N X J - G, that is A X J - X P0 = G for A = t I + N
+    met = _taylor_calls_met(monkeypatch)
+    assert len(met) == 3 * 11
+    assert sum(1 for call in met if call[1].rows) >= 11
+    for G, N, P0, n_dyn, t in met + _hand_built_taylor_calls():
+        X = morse._taylor_left(G, N, P0, n_dyn, t)
+        assert X.shape == G.shape
         size = P0.rows
         J = place(size, size, [(range(n_dyn), range(n_dyn), RatMatrix.identity(n_dyn))])
-        for s in range(t - 1, t + n_dyn + 1):
-            series = RatMatrix.zeros(size, size)
-            for j, Rj in enumerate(R):
-                series = series + Rj.scale(qq(s - t) ** j)
-            assert series == inverse(P0 - J.scale(qq(s)))
+        A = N + RatMatrix.identity(N.rows).scale(qq(t))
+        assert A * X * J - X * P0 == G
+
+
+def test_decoupling_matches_the_public_sylvester_solver(monkeypatch):
+    # T1, T4 and T3 from the Taylor series equal solve_sylvester's on the
+    # stage's input, the corner's right-hand side read off the system after
+    # the output injection K1 and feedback F3; fbcf solves no Sylvester
+    # equation by the closed form
+    stages, real = [], morse._decoupling_stage
+
+    def recording(o, d, g3, t1, t4):
+        t = real(o, d, g3, t1, t4)
+        stages.append((o, d, g3, t))
+        return t
+
+    monkeypatch.setattr(morse, "_decoupling_stage", recording)
+    closed_forms = _counted(monkeypatch, "_sylvester_closed_form")
+    systems = [parse_system(str(FIXTURE))] + [_criterion_2_case(case) for case in range(10)]
+    for d in systems:
+        fbcf(d)
+    assert closed_forms == []
+    monkeypatch.undo()
+    assert len(stages) == len(systems)
+    for o, d, g3, t in stages:
+        b1, b2, b3, b4 = morse._state_blocks(d)
+        y3 = range(d.p3)
+        F3 = t.TF_w.submatrix(g3, b4)
+        K1 = t.TK.submatrix(b1, y3)
+        corrected = apply_em(o, morse._feedback_stage(o, [(g3, b4, F3)], [(b1, y3, K1)])).A
+        S = t.T_x
+        T1, T2, T3, T4 = (S.submatrix(r, c) for r, c in ((b1, b2), (b1, b3), (b1, b4), (b2, b4)))
+        block = corrected.submatrix
+        A14 = block(b1, b4) + T1 * block(b2, b4) + T2 * block(b3, b4)
+        assert T1 == solve_sylvester(block(b1, b1), block(b2, b2), block(b1, b2))
+        assert T4 == solve_sylvester(block(b2, b2), block(b4, b4), block(b2, b4))
+        assert T3 == solve_sylvester(block(b1, b1), block(b4, b4), A14)
 
 
 # block 1 at one state driven by input 0, block 3 at one state with input 1
@@ -577,8 +624,8 @@ _NON_PRIME_DIMS = morse.BlockDims(n1=1, n2=0, n3=1, n4=0, m1=1, m3=1, p3=1, p4=0
 @pytest.mark.parametrize(
     "b3, c3, d3, stage",
     [
-        (0, 1, 0, "_coupling_corrections"),  # det = 0, so P(t1) is singular
-        (0, 0, 0, "_coupling_corrections"),
+        (0, 1, 0, "_decoupling_stage"),  # det = 0, so P(t1) is singular
+        (0, 0, 0, "_decoupling_stage"),
         (0, 0, 1, "_prime_canonical"),  # det = -s: P(t1) and P(t4) invertible
     ],
     ids=["singular_P_t1", "zero_pencil", "not_unimodular"],
