@@ -39,7 +39,7 @@ from ._chains import (
     brunovsky_single,
     functional_chains,
 )
-from .geometry import invariant_subspaces
+from .geometry import _v_sequence, invariant_subspaces
 from .morse import (
     MnfSystem,
     MtfSystem,
@@ -60,12 +60,9 @@ from .ratmat import (
     image,
     inverse,
     is_invertible,
-    kernel_basis,
     place,
-    preimage,
     solve_left,
     subspace_intersect,
-    subspace_sum,
     vstack,
 )
 from .systems import (
@@ -347,8 +344,9 @@ def _output_chains(A: RatMatrix, B_w: RatMatrix, C_live: RatMatrix) -> List[List
 
     Heads of depth-k towers form the spaces H_k = rowspace(C) `intersect`
     P_k with P_1 everything and P_{k+1} = {tau : tau B = 0, tau A in
-    P_k + rowspace(C)}, computed up to its first fixed point, which holds
-    for every larger k.  For a prime core the H_k dimension jumps count the
+    P_k + rowspace(C)}: the V sequence of the core's dual (its D is 0),
+    run by ``_v_sequence`` up to its first fixed point, which holds for
+    every larger k.  For a prime core the H_k dimension jumps count the
     chains of each length, any prolongation choice keeps the towers jointly
     independent, and every tower ends in a nonzero drive.
 
@@ -364,14 +362,8 @@ def _output_chains(A: RatMatrix, B_w: RatMatrix, C_live: RatMatrix) -> List[List
     S1 = image(C_live.T)
     if S1.dim != C_live.rows:
         raise InternalInvariantViolation("prime core outputs are dependent")
-    annB = kernel_basis(B_w.T)
-    At = A.T
-    P: List[Subspace] = [Subspace.full(n), Subspace.full(n)]
-    while len(P) <= n:
-        nxt = subspace_intersect(annB, preimage(At, subspace_sum(P[-1], S1)))
-        if nxt == P[-1]:
-            break  # a fixed point: every later step would repeat it
-        P.append(nxt)
+    injection = vstack([C_live.T, RatMatrix.zeros(B_w.cols, C_live.rows)])
+    P = [Subspace.full(n)] + _v_sequence(vstack([A.T, B_w.T]), injection, Subspace.full(n))
     P += [P[-1]] * (n + 1 - len(P))
     lengths: List[int] = []
     towers: List[List[RatMatrix]] = []

@@ -7,14 +7,13 @@ For an implicit system (E, H, L) the three sequences
     Whats_1 = ker E,  same recursion as W
 
 stabilize within n steps (V is nested decreasing, W and What increasing).
-For an explicit two-input-kind system the classical null-output controlled
-invariant sequence V_i, its input companion U_i, the unknown-input
-conditioned invariant sequence W_i with output companion Y_i, and the
-variant What_i started at Im B_v are computed on the merged single-kind
-form (A, B_w, C, D_w).  The limits of the implicit and explicit sequences
-agree when the explicit system is an explicitation of the implicit one,
-which is what makes these subspaces computable on either side of the
-transformation and is checked in the tests.
+For an explicit system's merged form (A, B_w, C, D_w), the null-output
+controlled invariant V_i, the unknown-input conditioned invariant W_i and
+What_i started at Im B_v come from one restricted recursion
+S_{k+1} = {x in S_k : M x in (S_k x 0) + Im N}, run on the system for V
+and on its dual for the orthogonal complements of W and What.  The limits
+on both sides agree when the explicit system explicitates the implicit
+one, which the tests check.
 
 Everything is exact; subspaces are kept in canonical echelon bases so
 equality tests are plain comparisons.
@@ -33,6 +32,7 @@ from .ratmat import (
     hstack,
     image,
     kernel_basis,
+    orthogonal_complement,
     preimage,
     subspace_intersect,
     subspace_sum,
@@ -132,45 +132,48 @@ def _embed_top(S: Subspace, below: int) -> Subspace:
     return Subspace(S.ambient_dim + below, vstack([S.basis, RatMatrix.zeros(below, S.dim)]))
 
 
-def _sum_with_full_inputs(S: Subspace, mw: int) -> RatMatrix:
-    """Basis matrix of S x R^mw (columns: S-basis stacked over 0, then inputs)."""
-    n = S.ambient_dim
-    return vstack(
-        [
-            hstack([S.basis, RatMatrix.zeros(n, mw)]),
-            hstack([RatMatrix.zeros(mw, S.dim), RatMatrix.identity(mw)]),
-        ]
-    )
+def _v_sequence(M: RatMatrix, N: RatMatrix, start: Subspace) -> List[Subspace]:
+    """S_0 = start, S_{k+1} = {x in S_k : M x in (S_k x 0) + Im N} up to its
+    first fixed point (Wonham 1985, ch. 4).  With K the canonical basis of
+    S_k and Z an annihilator of (S_k x 0) + Im N, S_{k+1} = K ker(Z M K): an
+    elimination with dim S_k columns, canonical as it stands because K is
+    the identity on its leading rows."""
+    n = start.ambient_dim
+    ImN = image(N)
+
+    def step(S):
+        K = S.basis
+        Z = _annihilator(subspace_sum(_embed_top(S, M.rows - n), ImN))
+        return Subspace(n, K * kernel_basis(Z * (M * K)).basis)
+
+    return _iterate(start, step, n)
 
 
 def invariant_subspaces(o: Odecs2) -> InvariantResult:
+    """V, W and What of the merged form, each by ``_v_sequence``.
+
+    V_{k+1} = [A; C]^-1((V_k x 0) + Im [B_w; D_w]) decreases from R^n, so
+    restricting its step to V_k changes nothing.  W_{k+1} = [A B_w]((W_k x
+    R^(m+s)) ∩ ker [C D_w]) increases, from 0 and (What) from Im B_v, which
+    lies in What_1 because D_w is zero on the v inputs.  By (S1 ∩ S2)^⊥ =
+    S1^⊥ + S2^⊥ and (M S)^⊥ = [M^T]^-1(S^⊥), W_{k+1}^⊥ = [A^T; B_w^T]^-1
+    ((W_k^⊥ x 0) + Im [C^T; D_w^T]) ⊆ W_k^⊥: step by step the V recursion
+    of dualize(o), started at R^n and at ker B_v^T (Morse 1973).
+    """
     n, p = o.n, o.p
     A, B_w, C, D_w = o.merged()
-    mw = B_w.cols
-    AC = vstack([A, C])
     BD = vstack([B_w, D_w])
     CD = hstack([C, D_w])
-    AB = hstack([A, B_w])
-    ImBD = image(BD)
-
-    def v_step(S):
-        return preimage(AC, subspace_sum(_embed_top(S, p), ImBD))
-
-    def w_step(S):
-        # (S x R^mw) ∩ ker [C D_w] is the kernel of [[N_S, 0], [C, D_w]]
-        N_S = _annihilator(S)
-        both = kernel_basis(vstack([hstack([N_S, RatMatrix.zeros(N_S.rows, mw)]), CD]))
-        return image(AB * both.basis)
-
-    V_seq = _iterate(Subspace.full(n), v_step, n)
-    W_seq = _iterate(Subspace.zero(n), w_step, n)
-    What_seq = _iterate(image(o.B_v), w_step, n)
+    V_seq = _v_sequence(vstack([A, C]), BD, Subspace.full(n))
+    dual = (vstack([A.T, B_w.T]), CD.T)
+    W_seq = [orthogonal_complement(S) for S in _v_sequence(*dual, Subspace.full(n))]
+    What_seq = [orthogonal_complement(S) for S in _v_sequence(*dual, kernel_basis(o.B_v.T))]
     if What_seq[-1] != W_seq[-1]:
         raise InternalInvariantViolation("W and What sequences reached different limits")
 
     V_star, W_star = V_seq[-1], W_seq[-1]
     U_star = preimage(BD, _embed_top(V_star, p))
-    Y_star = image(CD * _sum_with_full_inputs(W_star, mw))
+    Y_star = image(hstack([C * W_star.basis, D_w]))  # [C D_w](W* x R^(m+s))
     V_cap_W = subspace_intersect(V_star, W_star)
     V_plus_W = subspace_sum(V_star, W_star)
     n1 = V_cap_W.dim
@@ -194,7 +197,7 @@ def invariant_subspaces(o: Odecs2) -> InvariantResult:
         n3=n3,
         n4=n4,
         m1=m1,
-        m3=mw - m1,
+        m3=B_w.cols - m1,
         p3=p3,
         p4=p - p3,
     )

@@ -698,9 +698,15 @@ def test_fbcf_reuses_the_proven_block_2_polynomial(monkeypatch):
 def test_prime_filtration_stops_at_its_fixed_point(monkeypatch, case):
     # the filtration P_k of the prime stage's output chains reaches its
     # fixed point one step after the longest chain; no later step is run
-    # (the circuit's 9-state prime block: 2 preimages, not 9)
-    calls, real = [], canonical.preimage
-    monkeypatch.setattr(canonical, "preimage", lambda *args: calls.append(1) or real(*args))
+    # (the circuit's 9-state prime block: 2 terms after P_1, not 9)
+    lengths, real = [], canonical._v_sequence
+
+    def recorded(*args):
+        P = real(*args)
+        lengths.append(len(P))
+        return P
+
+    monkeypatch.setattr(canonical, "_v_sequence", recorded)
     if case is None:
         d = circuit_dacs()
     else:
@@ -710,7 +716,7 @@ def test_prime_filtration_stops_at_its_fixed_point(monkeypatch, case):
     run = fbcf_run(d)
     idx = run.explicit.idx
     n3 = run.explicit.tri.dims.n3
-    assert len(calls) == max(idx.sigma + idx.sigma_bar) + 1 < n3
+    assert lengths == [max(idx.sigma + idx.sigma_bar) + 1] and lengths[0] < n3
     assert (case, n3) in [(None, 9), (1, 10)]
 
 

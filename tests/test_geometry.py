@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dacscanon.geometry import dualize, invariant_subspaces, wong_sequences
+from dacscanon.geometry import _embed_top, _v_sequence, dualize, invariant_subspaces, wong_sequences
 from dacscanon.ratmat import (
     RatMatrix,
     Subspace,
@@ -16,6 +18,8 @@ from dacscanon.ratmat import (
     mat,
     orthogonal_complement,
     preimage,
+    qq,
+    subspace_intersect,
     subspace_sum,
     vstack,
 )
@@ -139,6 +143,97 @@ def test_duality_relations(seed):
     assert inv.W_star == orthogonal_complement(inv_d.V_star)
     assert inv.U_star == orthogonal_complement(inv_d.Y_star)
     assert inv.Y_star == orthogonal_complement(inv_d.U_star)
+
+
+def sparse_matrix(rng, rows, cols, bound=2, density=0.5):
+    return RatMatrix(
+        [[qq(rng.randint(-bound, bound)) if rng.random() < density else qq(0) for _ in range(cols)] for _ in range(rows)],
+        cols=cols,
+    )
+
+
+def sparse_odecs(rng, n, m, s, p, bound=2, density=0.5):
+    """A general explicit system: B_v has no kernel structure and D_u is
+    drawn like every other block."""
+    blocks = [(n, n), (n, m), (n, s), (p, n), (p, m)]
+    A, B_u, B_v, C, D_u = (sparse_matrix(rng, r, c, bound, density) for r, c in blocks)
+    return Odecs2(A=A, B_u=B_u, B_v=B_v, C=C, D_u=D_u)
+
+
+def forward_sequences(o):
+    """V, W and What by the forward recursions, with no duality and no
+    restriction: V_{k+1} = [A; C]^-1((V_k x 0) + Im [B_w; D_w]) and
+    W_{k+1} = [A B_w]((W_k x R^mw) ∩ ker [C D_w])."""
+    A, B_w, C, D_w = o.merged()
+    n, p, mw = o.n, o.p, B_w.cols
+    ImBD = image(vstack([B_w, D_w]))
+    CD = hstack([C, D_w])
+
+    def v_step(S):
+        return preimage(vstack([A, C]), subspace_sum(image(vstack([S.basis, RatMatrix.zeros(p, S.dim)])), ImBD))
+
+    def w_step(S):
+        N_S = orthogonal_complement(S).basis.T
+        both = kernel_basis(vstack([hstack([N_S, RatMatrix.zeros(N_S.rows, mw)]), CD]))
+        return image(hstack([A, B_w]) * both.basis)
+
+    def run(S, step):
+        seq = [S]
+        for _ in range(n + 1):
+            nxt = step(seq[-1])
+            if nxt == seq[-1]:
+                return seq
+            seq.append(nxt)
+        raise AssertionError("no fixed point within n steps")
+
+    return run(Subspace.full(n), v_step), run(Subspace.zero(n), w_step), run(image(o.B_v), w_step)
+
+
+# (n, m, s, p): no states, no inputs, no outputs, v inputs only, then drawn
+SHAPES = [(0, 1, 1, 1), (4, 0, 0, 2), (5, 2, 1, 0), (5, 0, 2, 2), (0, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_invariant_subspaces_match_forward_recursions(seed):
+    rng = random.Random(1100 + seed)
+    if seed < len(SHAPES):
+        n, m, s, p = SHAPES[seed]
+    else:
+        n, m, s, p = rng.randint(1, 7), rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)
+    o = sparse_odecs(rng, n, m, s, p, bound=rng.choice([1, 2, 50]), density=rng.choice([0.3, 0.6, 1.0]))
+    for system in (o, dualize(o)):
+        inv = invariant_subspaces(system)
+        assert (inv.V_seq, inv.W_seq, inv.What_seq) == forward_sequences(system)
+
+
+ENTRIES = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-5, 5, max_denominator=4))
+
+
+@st.composite
+def restricted_recursions(draw):
+    """(M, N, start) with M (n + q) x n, N (n + q) x k and start any subspace
+    of Q^n, spanned by drawn columns."""
+    n, q, k, j = (draw(st.integers(0, hi)) for hi in (5, 3, 3, 5))
+
+    def matrix(rows, cols):
+        return RatMatrix([draw(st.lists(ENTRIES, min_size=cols, max_size=cols)) for _ in range(rows)], cols=cols)
+
+    return matrix(n + q, n), matrix(n + q, k), image(matrix(n, j))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(restricted_recursions())
+def test_v_sequence_is_the_restricted_recursion(case):
+    M, N, start = case
+    n, q = M.cols, M.rows - M.cols
+    seq = _v_sequence(M, N, start)
+    assert seq[0] == start and len(seq) <= n + 1
+    steps = [subspace_intersect(S, preimage(M, subspace_sum(_embed_top(S, q), image(N)))) for S in seq]
+    # each term is the step of the one before, and the list ends at its
+    # first fixed point
+    assert steps[:-1] == seq[1:] and steps[-1] == seq[-1]
+    assert all(a != b for a, b in zip(seq, seq[1:]))
+    assert all(Subspace.from_columns(S.basis).basis == S.basis for S in seq)
 
 
 if __name__ == "__main__":

@@ -19,8 +19,10 @@ canonical systems.  A change to the normal form or to the certificates
 composed after it keeps these digests and re-records only the full ones.
 """
 
+import dataclasses
 import hashlib
 import json
+import random
 from functools import lru_cache
 from pathlib import Path
 
@@ -37,7 +39,10 @@ from dacscanon.cli import (
     parse_system,
     serialize_system,
 )
+from dacscanon.geometry import dualize, invariant_subspaces
 from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
+from dacscanon.systems import explicitate
+from test_geometry import sparse_odecs
 from test_systems import paper_blocks
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "circuit.json"
@@ -183,3 +188,41 @@ def _largest_entry_bits(cert):
 def test_implicit_certificate_entries_stay_small(entry_bound, limit):
     bits = [_largest_entry_bits(golden_run("case%d" % k, entry_bound).cert) for k in range(10)]
     assert max(bits) <= limit
+
+
+# sha256 of every invariant_subspaces field (each term of V, W and What,
+# U*, Y*, V* ∩ W*, V* + W* and the block counts) for the explicitations of
+# the fixture and of the (57, 51, 11) ladder input, for a general system
+# (B_v without kernel structure, D_u nonzero, blocks (0, 4, 3, 0)), and
+# for the dual of each
+SEQUENCE_GOLDEN = {
+    "fixture": "b7a22ba02a4afc841b3be327832f1a87ca4a6a4e7a27eccc73874a01d475e932",
+    "fixture_dual": "30597f2958044a32e93c7390e540dd6a3a8659ec3ae91ed4ff26349e353a98bf",
+    "general": "65cec6a6ca79ef587e450c186f40dd523099f7520ac644f314998c307c096e59",
+    "general_dual": "5b9ab91ad01958422b6dd6bc0ce5f5911ff374cc3790f4f96c150b4b633bf74a",
+    "ladder51": "3921367894424dc2f6400d15c498108937a96516b62b1d0f9de07811be52cbef",
+    "ladder51_dual": "d8d149571095a459252c1c42343a2cee6d653d24105e8de8a3a6e94e2c36027e",
+}
+
+
+def invariant_digest(inv):
+    def encode(x):
+        if isinstance(x, int):
+            return x
+        if isinstance(x, list):
+            return [encode(S) for S in x]
+        return [x.ambient_dim, _mat_to_json(x.basis)]
+
+    return _digest({f.name: encode(getattr(inv, f.name)) for f in dataclasses.fields(inv)})
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCE_GOLDEN))
+def test_invariant_subspaces_are_bit_identical(name):
+    base = name[: -len("_dual")] if name.endswith("_dual") else name
+    if base == "general":
+        o = sparse_odecs(random.Random(20), 7, 1, 1, 2)
+    else:
+        o = explicitate(golden_input(base))[0]
+    if base != name:
+        o = dualize(o)
+    assert invariant_digest(invariant_subspaces(o)) == SEQUENCE_GOLDEN[name]
