@@ -22,6 +22,9 @@ No characteristic polynomial enters, and every solution is unique.
 Both input kinds are handled in merged form; only the *second* kind may mix
 into the first through the input transform, never the reverse, so the
 certificates keep the lower-block-triangular input structure throughout.
+
+Each stage returns its image with its certificate, built from what the stage
+holds; ``verify_em`` of the composed certificate against the source proves it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import List, NamedTuple, Optional, Tuple
 
-from ._chains import NotControllable, charpoly, pole_place, poly_from_roots, poly_gcd
+from ._chains import NotControllable, charpoly, pole_place, poly_from_roots
 from .geometry import invariant_subspaces
 from .ratmat import (
     InternalInvariantViolation,
@@ -60,6 +63,7 @@ from .ratmat import (
 from .systems import (
     EmTransform,
     Odecs2,
+    _image,
     apply_em,
     em_compose,
     verify_em,
@@ -137,25 +141,6 @@ def _matrix_poly_eval(p: List, A: RatMatrix) -> RatMatrix:
     return M
 
 
-def _sylvester_closed_form(A: RatMatrix, B: RatMatrix, C: RatMatrix, q: List) -> RatMatrix:
-    """The unique X with A X - X B = C, given q = charpoly(B) coprime to the
-    characteristic polynomial of A.
-
-    Multiplying X (sI - B) = (sI - A) X + C by adj(sI - B) = sum_k N_k s^k
-    (N_{d-1} = I, N_{k-1} = B N_k + q_k I) and evaluating at s = A from the
-    left leaves q(A) X = sum_k A^k C N_k, summed here by Horner's rule.  A
-    singular q(A) or a failed check raises InternalInvariantViolation."""
-    d = B.rows
-    S, N = C, RatMatrix.identity(d)
-    for k in range(d - 1, 0, -1):
-        N = B * N + RatMatrix.identity(d).scale(q[k])
-        S = A * S + C * N
-    X = _inverse_or_violation(_matrix_poly_eval(q, A), "Sylvester spectra are not disjoint") * S
-    if A * X - X * B != C:
-        raise InternalInvariantViolation("closed-form Sylvester solution failed")
-    return X
-
-
 def solve_sylvester(A: RatMatrix, B: RatMatrix, C: RatMatrix) -> RatMatrix:
     """Exact X with A X - X B = C.
 
@@ -168,9 +153,6 @@ def solve_sylvester(A: RatMatrix, B: RatMatrix, C: RatMatrix) -> RatMatrix:
         raise ValueError("Sylvester coefficients must be square")
     if C.rows != A.rows or C.cols != B.rows:
         raise ValueError("right-hand side has shape %s, expected %dx%d" % (C.shape, A.rows, B.rows))
-    q = charpoly(B)
-    if poly_gcd(charpoly(A), q) == [qq(1)]:
-        return _sylvester_closed_form(A, B, C, q)
     M = _sylvester_operator(A, B)
     x = solve(M, _vec(C))
     if x is None:
@@ -278,8 +260,10 @@ def _input_groups(m: int, s: int, m1u: int, s1: int) -> Tuple[List[int], List[in
     return g1, g3
 
 
-def _stage0(o: Odecs2) -> Tuple[EmTransform, BlockDims, int, int]:
-    """Coordinate changes adapted to the invariant subspaces."""
+def _stage0(o: Odecs2) -> Tuple[Odecs2, EmTransform, BlockDims, int, int]:
+    """Coordinate changes adapted to the invariant subspaces, as (image,
+    certificate, dims, m1u, s1).  T_x, T_w and T_y invert the bases, and the
+    image takes the bases as T_x^-1 and T_w^-1, so none is inverted twice."""
     inv = invariant_subspaces(o)
     d = BlockDims(inv.n1, inv.n2, inv.n3, inv.n4, inv.m1, inv.m3, inv.p3, inv.p4)
     n, m, s, p = o.n, o.m, o.s, o.p
@@ -313,7 +297,8 @@ def _stage0(o: Odecs2) -> Tuple[EmTransform, BlockDims, int, int]:
     basis_y = hstack([inv.Y_star.basis, complement(inv.Y_star, Subspace.full(p))])
     T_y = _inverse_or_violation(basis_y, "output blocks do not assemble to a basis")
 
-    return EmTransform.coordinates(T_x, T_w, T_y, m), d, m1u, s1
+    t0 = EmTransform.coordinates(T_x, T_w, T_y, m)
+    return _image(o, t0, basis_x, basis_w), t0, d, m1u, s1
 
 
 def _assert_stage0(o: Odecs2, d: BlockDims, g1: List[int]) -> None:
@@ -420,8 +405,7 @@ def mtf(o: Odecs2) -> MtfSystem:
 def emtf(o: Odecs2) -> MtfSystem:
     """Triangular form with both input kinds; the input transform never mixes
     second-kind inputs into the first kind."""
-    t0, d, m1u, s1 = _stage0(o)
-    o1 = apply_em(o, t0)
+    o1, t0, d, m1u, s1 = _stage0(o)
     g1, g3 = _input_groups(o.m, o.s, m1u, s1)
     _assert_stage0(o1, d, g1)
     o2, t1 = _f_stage(o1, d, g3)
@@ -538,7 +522,15 @@ def _taylor_left(G: RatMatrix, N: RatMatrix, P0: RatMatrix, n_dyn: int, t: int) 
     return X
 
 
-def _decoupling_stage(o: Odecs2, d: BlockDims, g3: List[int], t1: int, t4: int) -> EmTransform:
+def _zeroed(M: RatMatrix, blocks) -> RatMatrix:
+    """M with each (rows, cols) block set to zero."""
+    zeros = [(r, c, RatMatrix.zeros(len(r), len(c))) for r, c in blocks]
+    return place(M.rows, M.cols, zeros, base=M)
+
+
+def _decoupling_stage(
+    o: Odecs2, d: BlockDims, g3: List[int], t1: int, t4: int
+) -> Tuple[Odecs2, EmTransform]:
     """Output injection K1 into block 1, feedback F3 from block 4 and a
     unipotent state similarity S that together zero every coupling block,
     given blocks 1 and 4 at the single eigenvalues t1 and t4.
@@ -558,7 +550,12 @@ def _decoupling_stage(o: Odecs2, d: BlockDims, g3: List[int], t1: int, t4: int) 
     block (1, 4) after the corrections and the other similarity blocks,
     whose terms in F3 add up to (B13 + T2 B3 + K1 D3) F3 = 0.  Applying the
     corrections before S gives the certificate (S, I, I, F3, S K1), and
-    S K1 = K1 because S's first block column is the identity's."""
+    S K1 = K1 because S's first block column is the identity's.
+
+    Returns (image, certificate), the image being o with the five coupling
+    blocks, B_w[b1, g3] and C[y3, b4] written to zero; no other entry moves,
+    as S is block-unipotent, group 1 acts only on block 1 without
+    feedthrough, and T_w and T_y are identities."""
     if d.m3 != d.p3:
         raise InternalInvariantViolation("prime block has unequal input/output counts")
     A, B_w, C, D_w = o.merged()
@@ -587,23 +584,23 @@ def _decoupling_stage(o: Odecs2, d: BlockDims, g3: List[int], t1: int, t4: int) 
     )
     w = o.m + o.s
     F = place(w, o.n, [(g3, b4, -Z.take_rows(ctl))])
-    return EmTransform(S, eye(w), eye(o.p), F, place(o.n, o.p, [(b1, y3, X.take_cols(ctl))]), o.m)
+    t = EmTransform(S, eye(w), eye(o.p), F, place(o.n, o.p, [(b1, y3, X.take_cols(ctl))]), o.m)
+    B_w = _zeroed(B_w, [(b1, g3)])
+    image = Odecs2(
+        A=_zeroed(A, [(b1, b23 + b4), (b23, b4)]),
+        B_u=B_w.take_cols(range(o.m)),
+        B_v=B_w.take_cols(range(o.m, w)),
+        C=_zeroed(C, [(y3, b4)]),
+        D_u=o.D_u,
+    )
+    return image, t
 
 
 def _assert_diagonal(o: Odecs2, d: BlockDims, m1u: int, s1: int, blocks: List[RatMatrix]) -> None:
+    """The entries the decoupling stage does not write; ``verify_em``
+    proves the zero blocks it writes."""
     _assert_triangular(o, d, m1u, s1, normalized=False)
-    A, B_w, C, _ = o.merged()
-    b1, b2, b3, b4 = _state_blocks(d)
-    _, g3 = _input_groups(o.m, o.s, m1u, s1)
-    y3 = list(range(d.p3))
-    for rows, cols in [(b1, b2), (b1, b3), (b1, b4), (b2, b4), (b3, b4)]:
-        if not A.submatrix(rows, cols).is_zero():
-            raise InternalInvariantViolation("coupling block survived decoupling")
-    if not B_w.submatrix(b1, g3).is_zero():
-        raise InternalInvariantViolation("group-3 inputs still act on block 1")
-    if not C.submatrix(y3, b4).is_zero():
-        raise InternalInvariantViolation("reachable outputs still see block 4")
-    if [A.submatrix(b, b) for b in (b1, b2, b3, b4)] != blocks:
+    if [o.A.submatrix(b, b) for b in _state_blocks(d)] != blocks:
         raise InternalInvariantViolation("diagonal blocks left the proven-coprime ones")
 
 
@@ -628,8 +625,7 @@ def emnf(m: MtfSystem) -> MnfSystem:
     g1, g3 = _input_groups(o.m, o.s, m1u, s1)
     t_spec, blocks, chi2, t1, t4 = _disjoint_spectra_stage(o, d, g1, g3)
     o_bar = apply_em(o, t_spec)
-    t_dec = _decoupling_stage(o_bar, d, g3, t1, t4)
-    o_mnf = apply_em(o_bar, t_dec)
+    o_mnf, t_dec = _decoupling_stage(o_bar, d, g3, t1, t4)
     _assert_diagonal(o_mnf, d, m1u, s1, blocks)
     total = em_compose(m.transform, em_compose(t_spec, t_dec))
     if not verify_em(m.source, o_mnf, total):

@@ -310,16 +310,22 @@ def apply_exfb(d: Dacs, t: ExFbTransform) -> Dacs:
 
 
 def apply_em(o: Odecs2, t: EmTransform) -> Odecs2:
-    """The image of o under t: the Morse action on the merged system,
-    B_w2 = (T_x B_w + TK D_w) T_w^-1, D_w2 = T_y D_w T_w^-1,
-    A2 = (T_x A + TK C + B_w2 TF_w) T_x^-1, C2 = (T_y C + D_w2 TF_w) T_x^-1.
-    The inverses of T_x and T_w are computed here.  Raises SingularTransform
-    naming a singular block, and ValueError when t splits w elsewhere."""
+    """The image of o under t (see :func:`_image`).  The inverses of T_x
+    and T_w are computed here.  Raises SingularTransform naming a singular
+    block, and ValueError when t splits w elsewhere."""
     if t.m != o.m:
         raise ValueError("certificate has m = %d, system m = %d" % (t.m, o.m))
     Txi = _inverse_of(t.T_x, "T_x")
     Twi = _inverse_of(t.T_w, "T_w")
     _require_invertible(t.T_y, "T_y")
+    return _image(o, t, Txi, Twi)
+
+
+def _image(o: Odecs2, t: EmTransform, Txi: RatMatrix, Twi: RatMatrix) -> Odecs2:
+    """The Morse action of t on the merged system, given Txi = T_x^-1 and
+    Twi = T_w^-1, unchecked:
+    B_w2 = (T_x B_w + TK D_w) T_w^-1, D_w2 = T_y D_w T_w^-1,
+    A2 = (T_x A + TK C + B_w2 TF_w) T_x^-1, C2 = (T_y C + D_w2 TF_w) T_x^-1."""
     A, B_w, C, D_w = o.merged()
     B_w = (t.T_x * B_w + t.TK * D_w) * Twi
     D_w = t.T_y * D_w * Twi

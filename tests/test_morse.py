@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from dacscanon import morse, ratmat
+from dacscanon import morse, ratmat, systems
 from dacscanon.canonical import emcf, fbcf
 from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 from dacscanon.ratmat import (
@@ -72,6 +74,40 @@ def test_sylvester_disjoint_spectra_exact():
         C = random_matrix(rng, 2, 3)
         X = solve_sylvester(A, B, C)
         assert A * X - X * B == C
+
+
+def _closed_form_sylvester(A, B, C):
+    """The unique X with A X - X B = C for coprime characteristic polynomials.
+
+    Multiplying X (sI - B) = (sI - A) X + C by adj(sI - B) = sum_k N_k s^k
+    (N_{d-1} = I, N_{k-1} = B N_k + q_k I, q = charpoly(B)) and evaluating at
+    s = A from the left leaves q(A) X = sum_k A^k C N_k, summed by Horner's
+    rule; q(A) is invertible exactly when the spectra are disjoint."""
+    q, d = charpoly(B), B.rows
+    S, N = C, RatMatrix.identity(d)
+    for k in range(d - 1, 0, -1):
+        N = B * N + RatMatrix.identity(d).scale(q[k])
+        S = A * S + C * N
+    return inverse(morse._matrix_poly_eval(q, A)) * S
+
+
+def test_sylvester_matches_the_closed_form_on_coprime_spectra():
+    # coprime characteristic polynomials make the solution unique, so the
+    # Kronecker solve returns the closed form's X, without a warning
+    rng = random.Random(31)
+    pairs = 0
+    while pairs < 50:
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        A, B = random_matrix(rng, a, a), random_matrix(rng, b, b)
+        if poly_gcd(charpoly(A), charpoly(B)) != [qq(1)]:
+            continue
+        C = random_matrix(rng, a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonUniqueWarning)
+            X = solve_sylvester(A, B, C)
+        assert X == _closed_form_sylvester(A, B, C)
+        assert A * X - X * B == C
+        pairs += 1
 
 
 def test_sylvester_nonunique_warns():
@@ -386,10 +422,10 @@ def test_mnf_rejects_non_triangular_input():
         )
 
 
-def _criterion_2_case(case):
+def _criterion_2_case(case, entry_bound=1):
     base = 900001 + 2 * case
     d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
-    return random_exfb_scramble(d, Seeded(base + 1, entry_bound=1))[0]
+    return random_exfb_scramble(d, Seeded(base + 1, entry_bound=entry_bound))[0]
 
 
 def _counted(monkeypatch, name):
@@ -584,23 +620,23 @@ def test_taylor_left_solves_its_defining_equation(monkeypatch):
 def test_decoupling_matches_the_public_sylvester_solver(monkeypatch):
     # T1, T4 and T3 from the Taylor series equal solve_sylvester's on the
     # stage's input, the corner's right-hand side read off the system after
-    # the output injection K1 and feedback F3; fbcf solves no Sylvester
-    # equation by the closed form
+    # the output injection K1 and feedback F3; fbcf itself calls no
+    # Sylvester solver
     stages, real = [], morse._decoupling_stage
 
     def recording(o, d, g3, t1, t4):
-        t = real(o, d, g3, t1, t4)
+        image, t = real(o, d, g3, t1, t4)
         stages.append((o, d, g3, t))
-        return t
+        return image, t
 
     monkeypatch.setattr(morse, "_decoupling_stage", recording)
-    closed_forms = _counted(monkeypatch, "_sylvester_closed_form")
-    systems = [parse_system(str(FIXTURE))] + [_criterion_2_case(case) for case in range(10)]
-    for d in systems:
+    sylvester_calls = _counted(monkeypatch, "solve_sylvester")
+    inputs = [parse_system(str(FIXTURE))] + [_criterion_2_case(case) for case in range(10)]
+    for d in inputs:
         fbcf(d)
-    assert closed_forms == []
+    assert sylvester_calls == []
     monkeypatch.undo()
-    assert len(stages) == len(systems)
+    assert len(stages) == len(inputs)
     for o, d, g3, t in stages:
         b1, b2, b3, b4 = morse._state_blocks(d)
         y3 = range(d.p3)
@@ -614,6 +650,78 @@ def test_decoupling_matches_the_public_sylvester_solver(monkeypatch):
         assert T1 == solve_sylvester(block(b1, b1), block(b2, b2), block(b1, b2))
         assert T4 == solve_sylvester(block(b2, b2), block(b4, b4), block(b2, b4))
         assert T3 == solve_sylvester(block(b1, b1), block(b4, b4), A14)
+
+
+# -- stage images -----------------------------------------------------------------
+
+
+def _count_everywhere(monkeypatch, module, name):
+    """Patch every dacscanon module's binding of module.name to record the
+    arguments of each call."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("dacscanon") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_stage_images_equal_apply_em(monkeypatch):
+    # stage 0 applies the bases it inverted and the decoupling stage writes
+    # the blocks it zeroed; apply_em of each certificate is the reference,
+    # on the fixture, criterion-2 cases 0-9 and cases 2-4 at entry bound 3
+    checked = []
+    for name in ("_stage0", "_decoupling_stage"):
+
+        def checking(o, *args, real=getattr(morse, name)):
+            out = real(o, *args)
+            assert out[0] == apply_em(o, out[1])
+            checked.append(o)
+            return out
+
+        monkeypatch.setattr(morse, name, checking)
+    inputs = (
+        [parse_system(str(FIXTURE))]
+        + [_criterion_2_case(case) for case in range(10)]
+        + [_criterion_2_case(case, entry_bound=3) for case in (2, 3, 4)]
+    )
+    for d in inputs:
+        emnf(emtf(explicitate(d)[0]))
+    assert len(checked) == 2 * len(inputs)
+
+
+@pytest.mark.parametrize("which", ["circuit", "case0"])
+def test_fbcf_applies_six_certificates_and_inverts_each_basis_once(monkeypatch, which):
+    # neither stage 0 nor the decoupling stage re-applies its certificate:
+    # the six applications left are the three triangular corrections, the
+    # disjoint-spectra stage and the canonical stage's two, each with
+    # T_x = I.  Stage 0 inverts its three bases once each; outside it, fbcf
+    # inverts no n-square matrix but the identity, and none of stage 0's
+    # coordinate changes
+    d = parse_system(str(FIXTURE)) if which == "circuit" else _criterion_2_case(0)
+    n = explicitate(d)[0].n
+    applied = _count_everywhere(monkeypatch, systems, "apply_em")
+    inverted = _count_everywhere(monkeypatch, ratmat, "inverse")
+    stage0, real = [], morse._stage0
+
+    def recording(o):
+        start = len(inverted)
+        out = real(o)
+        stage0.append((start, len(inverted), out[1]))
+        return out
+
+    monkeypatch.setattr(morse, "_stage0", recording)
+    fbcf(d)
+    assert len(applied) == 6
+    [(start, end, t0)] = stage0
+    assert end - start == 3
+    outside = [M for (M,) in inverted[:start] + inverted[end:] if M != RatMatrix.identity(M.rows)]
+    assert all(M.shape != (n, n) for M in outside)
+    assert not {t0.T_x, t0.T_w, t0.T_y} & set(outside)
 
 
 # block 1 at one state driven by input 0, block 3 at one state with input 1
