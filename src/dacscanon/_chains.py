@@ -25,6 +25,7 @@ from .ratmat import (
     RatMatrix,
     Subspace,
     _inverse_or_violation,
+    _vec,
     block_diag,
     complement,
     hstack,
@@ -130,13 +131,9 @@ def minimal_polynomial(A: RatMatrix) -> List:
     while True:
         k = len(powers)
         nxt = A * powers[-1]
-        stacked = RatMatrix(
-            [[P[i, j] for P in powers] for i in range(n) for j in range(n)], cols=k
-        )
-        target = RatMatrix([[nxt[i, j]] for i in range(n) for j in range(n)], cols=1)
-        c = solve(stacked, target)
+        c = solve(hstack([_vec(P) for P in powers]), _vec(nxt))
         if c is not None:
-            return poly_trim([-c[i, 0] for i in range(k)] + [qq(1)])
+            return poly_trim([-x for x in c.col(0)] + [qq(1)])
         powers.append(nxt)
         if k > n:
             raise InternalInvariantViolation("minimal polynomial degree exceeded n")

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 from functools import partial
@@ -120,6 +121,11 @@ def _rat_from_json(x, where: str):
     except ZeroDivisionError:
         raise ZeroDenominator("%s: entry %r has denominator zero" % (where, x)) from None
     except (ValueError, TypeError):
+        # Python refuses to convert a run of digits longer than its limit
+        limit, longest = sys.get_int_max_str_digits(), max(map(len, re.split("[^0-9]", x)))
+        if limit and longest > limit:
+            msg = "%s: entry has a %d-digit number, over the %d-digit limit for integer strings"
+            raise ParseError(msg % (where, longest, limit)) from None
         raise ParseError("%s: entry %r is not a rational" % (where, x)) from None
 
 

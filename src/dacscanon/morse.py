@@ -128,11 +128,6 @@ class MnfSystem:
 # ---------------------------------------------------------------------------
 
 
-def _sylvester_operator(A: RatMatrix, B: RatMatrix) -> RatMatrix:
-    """Matrix of X -> A X - X B under column-major vectorization."""
-    return _kron(RatMatrix.identity(B.rows), A) - _kron(B.T, RatMatrix.identity(A.rows))
-
-
 def _matrix_poly_eval(p: List, A: RatMatrix) -> RatMatrix:
     """p(A) for an ascending coefficient list, by Horner's rule."""
     M = RatMatrix.zeros(A.rows, A.rows)
@@ -149,17 +144,7 @@ def solve_sylvester(A: RatMatrix, B: RatMatrix, C: RatMatrix) -> RatMatrix:
     solution is unique exactly when the characteristic polynomials of A and B
     are coprime.
     """
-    if A.rows != A.cols or B.rows != B.cols:
-        raise ValueError("Sylvester coefficients must be square")
-    if C.rows != A.rows or C.cols != B.rows:
-        raise ValueError("right-hand side has shape %s, expected %dx%d" % (C.shape, A.rows, B.rows))
-    M = _sylvester_operator(A, B)
-    x = solve(M, _vec(C))
-    if x is None:
-        raise NoSolution("Sylvester equation is inconsistent")
-    if rank(M) < M.cols:
-        warnings.warn("Sylvester solution is not unique", NonUniqueWarning, stacklevel=2)
-    return _unvec(x, A.rows, B.rows)
+    return _sylvester_solve(A, B, C, None, None, None, None)
 
 
 def solve_constrained_sylvester(
@@ -175,14 +160,22 @@ def solve_constrained_sylvester(
 
     Omitted targets default to zero matrices (the constraints then pin the
     named products to zero, hence the parameter names).  Raises NoSolution if
-    the joint linear system is inconsistent.
+    the joint linear system is inconsistent, and warns as solve_sylvester.
     """
+    return _sylvester_solve(A, B, C, right_zero, target_r, left_zero, target_l)
+
+
+def _sylvester_solve(A, B, C, right_zero, target_r, left_zero, target_l) -> RatMatrix:
+    """The one path of both public solvers: the Sylvester operator stacked
+    over the Kronecker rows of the given constraints, solved as one system.
+    It is called straight from them, so the warning names their caller."""
     if A.rows != A.cols or B.rows != B.cols:
         raise ValueError("Sylvester coefficients must be square")
     nA, nB = A.rows, B.rows
     if C.rows != nA or C.cols != nB:
         raise ValueError("right-hand side has shape %s, expected %dx%d" % (C.shape, nA, nB))
-    rows = [_sylvester_operator(A, B)]
+    # X -> A X - X B under column-major vectorization
+    rows = [_kron(RatMatrix.identity(nB), A) - _kron(B.T, RatMatrix.identity(nA))]
     rhs = [_vec(C)]
     if right_zero is not None:
         if right_zero.rows != nB:
@@ -201,11 +194,9 @@ def solve_constrained_sylvester(
     M = vstack(rows)
     x = solve(M, vstack(rhs))
     if x is None:
-        raise NoSolution("constrained Sylvester system is inconsistent")
+        raise NoSolution("Sylvester system is inconsistent")
     if rank(M) < M.cols:
-        warnings.warn(
-            "constrained Sylvester solution is not unique", NonUniqueWarning, stacklevel=2
-        )
+        warnings.warn("Sylvester solution is not unique", NonUniqueWarning, stacklevel=3)
     return _unvec(x, nA, nB)
 
 

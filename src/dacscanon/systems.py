@@ -35,14 +35,12 @@ from .ratmat import (
     InternalInvariantViolation,
     RatMatrix,
     Subspace,
-    _kron,
-    _unvec,
-    _vec,
     complement,
     hstack,
     image,
     inverse,
     is_invertible,
+    kernel_basis,
     pivot_columns,
     place,
     products,
@@ -451,12 +449,16 @@ def expl_membership(
         o.C   = T_y C
         o.D_u = T_y D_u
 
-    which is a finite exact linear-solvability problem in the unknowns.
+    The first two read K G + B_v [F_v R] = Delta with G = [C D_u] and
+    Delta = [o.A - A, o.B_u - B_u].  The rows of N span the annihilator of
+    Im B_v (full row rank), so a solution exists iff Z G = N Delta has one:
+    then K = N^+ Z makes N (Delta - K G) = 0, and [F_v R] solves
+    B_v [F_v R] = Delta - K G.  Each solve is of the system's own size.
     """
     o0 = explicitate(d)[0]
     if (o.n, o.m, o.s, o.p) != (o0.n, o0.m, o0.s, o0.p):
         return None
-    n, m, s, p = o0.n, o0.m, o0.s, o0.p
+    n, p = o0.n, o0.p
 
     # T_v from B_v T_v^{-1} = o.B_v (B_v has full column rank)
     X = solve(o0.B_v, o.B_v)
@@ -467,25 +469,20 @@ def expl_membership(
     except ValueError:
         return None
 
-    # joint linear system K C + B_v F_v = o.A - A, K D_u + B_v R = o.B_u - B_u
-    # in the unknowns (K, F_v, R), vectorized column-major
-    I_n, I_m = RatMatrix.identity(n), RatMatrix.identity(m)
-    coeff = vstack(
-        [
-            hstack([_kron(o0.C.T, I_n), _kron(I_n, o0.B_v), RatMatrix.zeros(n * n, s * m)]),
-            hstack([_kron(o0.D_u.T, I_n), RatMatrix.zeros(n * m, s * n), _kron(I_m, o0.B_v)]),
-        ]
-    )
-    sol = solve(coeff, vstack([_vec(o.A - o0.A), _vec(o.B_u - o0.B_u)]))
-    if sol is None:
+    # K G + B_v [F_v R] = Delta, solved through the annihilator N of Im B_v
+    G = hstack([o0.C, o0.D_u])
+    delta = hstack([o.A - o0.A, o.B_u - o0.B_u])
+    N = kernel_basis(o0.B_v.T).basis.T
+    Z = solve_left(G, N * delta)
+    if Z is None:
         return None
-    nK, nF = n * p, s * n
-    K = _unvec(sol.take_rows(range(nK)), n, p)
-    F_v = _unvec(sol.take_rows(range(nK, nK + nF)), s, n)
-    R = _unvec(sol.take_rows(range(nK + nF, sol.rows)), s, m)
+    K = right_inverse(N) * Z
+    FR = solve(o0.B_v, delta - K * G)
+    if FR is None:
+        return None
+    F_v, R = FR.take_cols(range(n)), FR.take_cols(range(n, FR.cols))
 
     # invertible T_y with T_y [C D_u] = [o.C o.D_u]
-    G = hstack([o0.C, o0.D_u])
     Gt = hstack([o.C, o.D_u])
     r, RG, TG = rank_rref(G)
     Rr = RG.take_rows(range(r))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dacscanon.canonical import brunovsky_two_inputs
 from dacscanon.ratmat import (
@@ -255,6 +257,26 @@ def test_each_tower_row_is_the_row_above_times_A():
         lengths = [len(t) - 1 for t in towers]
         assert lengths == sorted(lengths, reverse=True)
         assert sum(lengths) == A.rows
+
+
+def fed_back_towers(towers, B, F):
+    """The towers of (A + B F, B) from those of (A, B): tau A^j B = 0 for
+    j <= k-2 keeps every state row, and the tail gains (tau A^{k-1} B) F."""
+    return [t[:-1] + [t[-1] + (t[-2] * B) * F] for t in towers]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    kappa=st.lists(st.integers(1, 4), max_size=3),
+    surplus=st.integers(0, 2),
+    seed=st.integers(0, 10**6),
+)
+def test_feedback_moves_only_the_chain_tails(kappa, surplus, seed):
+    rng = random.Random(seed)
+    m = len(kappa) + surplus
+    A, B = scrambled_pair(rng, sorted(kappa, reverse=True), m)
+    F = random_matrix(rng, m, A.rows)
+    assert functional_chains(A + B * F, B) == fed_back_towers(functional_chains(A, B), B, F)
 
 
 def test_towers_and_certificates_match_the_power_construction():

@@ -99,6 +99,19 @@ def test_malformed_rational_is_parse_error(tmp_path, capsys):
         assert capsys.readouterr().err == "error: E: entry %r is not a rational\n" % entry
 
 
+def test_entry_over_the_digit_limit_names_the_limit(tmp_path, capsys):
+    # Python converts integer strings of at most 4300 digits by default
+    for i, entry in enumerate(["9" * 4300, "-" + "9" * 4300, "1/" + "9" * 4300]):
+        obj = {"kind": "dacs", "E": [[entry]], "H": [["0"]], "L": [[]]}
+        assert parse_system(write(tmp_path, "ok%d.json" % i, obj)).E[0, 0] == qq(entry)
+    for i, entry in enumerate(["9" * 4301, "1/" + "9" * 4301, "0." + "1" * 4301]):
+        obj = {"kind": "dacs", "E": [[entry]], "H": [["0"]], "L": [[]]}
+        assert main(["explicitate", write(tmp_path, "big%d.json" % i, obj)]) == 2
+        assert capsys.readouterr().err == (
+            "error: E: entry has a 4301-digit number, over the 4300-digit limit for integer strings\n"
+        )
+
+
 def test_float_entry_rejected(tmp_path):
     p = write(tmp_path, "f.json", {"kind": "dacs", "E": [[0.5]], "H": [["0"]], "L": [[]]})
     with pytest.raises(ParseError):

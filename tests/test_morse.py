@@ -30,7 +30,7 @@ from dacscanon.systems import (
     verify_em,
 )
 from dacscanon.geometry import invariant_subspaces
-from dacscanon._chains import charpoly, poly_from_roots, poly_gcd
+from dacscanon._chains import charpoly, functional_chains, poly_from_roots, poly_gcd
 from dacscanon.cli import parse_system
 from dacscanon.morse import (
     MtfSystem,
@@ -43,6 +43,7 @@ from dacscanon.morse import (
     solve_constrained_sylvester,
     solve_sylvester,
 )
+from test_chains import fed_back_towers
 from test_systems import random_em, random_matrix, random_odecs
 
 
@@ -114,6 +115,19 @@ def test_sylvester_nonunique_warns():
     with pytest.warns(NonUniqueWarning):
         X = solve_sylvester(RatMatrix.zeros(1, 1), RatMatrix.zeros(1, 1), RatMatrix.zeros(1, 1))
     assert X == RatMatrix.zeros(1, 1)
+
+
+def test_nonunique_warning_names_the_callers_line():
+    # both entry points share one solve path, and the warning still points
+    # at the line that called the public solver
+    Z = RatMatrix.zeros(1, 1)
+    for call in (
+        lambda: solve_sylvester(Z, Z, Z),
+        lambda: solve_constrained_sylvester(Z, Z, Z, right_zero=RatMatrix.zeros(1, 1)),
+    ):
+        with pytest.warns(NonUniqueWarning) as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
 
 
 def test_constrained_vacuous_matches_plain():
@@ -615,6 +629,28 @@ def test_taylor_left_solves_its_defining_equation(monkeypatch):
         J = place(size, size, [(range(n_dyn), range(n_dyn), RatMatrix.identity(n_dyn))])
         A = N + RatMatrix.identity(N.rows).scale(qq(t))
         assert A * X * J - X * P0 == G
+
+
+def test_normal_form_blocks_keep_the_triangular_chain_towers():
+    # block 1 of the normal form is A1 + B1 F1 and block 4 is A4 + K4 C4 on
+    # the triangular form's blocks, so the chains the normal form's pole
+    # placement found on (A1, B1) and on (A4^T, C4^T) give the canonical
+    # stage's chains with only their tails moved
+    for d in [parse_system(str(FIXTURE))] + [_criterion_2_case(case) for case in range(10)]:
+        m_tf = emtf(explicitate(d)[0])
+        o_tf, o_nf, dims = m_tf.system, emnf(m_tf).system.merged(), m_tf.dims
+        b1, _, _, b4 = morse._state_blocks(dims)
+        g1, _ = morse._input_groups(o_tf.m, o_tf.s, *m_tf.groups)
+        y4 = list(range(dims.p3, o_tf.p))
+        A, B_w, C, _ = o_tf.merged()
+        pairs = [
+            (A.submatrix(b1, b1), B_w.submatrix(b1, g1), o_nf[0].submatrix(b1, b1)),
+            (A.submatrix(b4, b4).T, C.submatrix(y4, b4).T, o_nf[0].submatrix(b4, b4).T),
+        ]
+        for A_tf, B, A_nf in pairs:
+            F = ratmat.solve(B, A_nf - A_tf)
+            assert F is not None
+            assert functional_chains(A_nf, B) == fed_back_towers(functional_chains(A_tf, B), B, F)
 
 
 def test_decoupling_matches_the_public_sylvester_solver(monkeypatch):

@@ -15,6 +15,8 @@ from dacscanon.cli import parse_system
 from dacscanon.harness import Seeded, random_exfb_scramble, random_fbcf
 from dacscanon.ratmat import (
     RatMatrix,
+    _kron,
+    _vec,
     image,
     inverse,
     is_invertible,
@@ -711,6 +713,103 @@ def test_expl_membership_rejects_perturbed_A():
         assert bad.A == o0.A + K2 * o0.C + o0.B_v * F_v2
     else:
         assert wit is None
+
+
+def _kronecker_membership(o, d):
+    """The vectorized membership decision: K C + B_v F_v = o.A - A and
+    K D_u + B_v R = o.B_u - B_u as one Kronecker system in (K, F_v, R),
+    column-major, with the same T_v and T_y parts as expl_membership."""
+    o0 = explicitate(d)[0]
+    if (o.n, o.m, o.s, o.p) != (o0.n, o0.m, o0.s, o0.p):
+        return False
+    n, m, s, p = o0.n, o0.m, o0.s, o0.p
+    X = ratmat.solve(o0.B_v, o.B_v)
+    if X is None or not is_invertible(X):
+        return False
+    I_n, I_m = RatMatrix.identity(n), RatMatrix.identity(m)
+    coeff = vstack(
+        [
+            hstack([_kron(o0.C.T, I_n), _kron(I_n, o0.B_v), RatMatrix.zeros(n * n, s * m)]),
+            hstack([_kron(o0.D_u.T, I_n), RatMatrix.zeros(n * m, s * n), _kron(I_m, o0.B_v)]),
+        ]
+    )
+    if ratmat.solve(coeff, vstack([_vec(o.A - o0.A), _vec(o.B_u - o0.B_u)])) is None:
+        return False
+    # T_y [C D_u] = [o.C o.D_u] with T_y invertible: equal row spaces
+    G, Gt = hstack([o0.C, o0.D_u]), hstack([o.C, o.D_u])
+    return image(G.T) == image(Gt.T)
+
+
+def _sparse_matrix(rng, rows, cols, density, bound=3):
+    return RatMatrix(
+        [
+            [qq(rng.randint(-bound, bound)) if rng.random() < density else qq(0) for _ in range(cols)]
+            for _ in range(rows)
+        ],
+        cols=cols,
+    )
+
+
+def _scrambled_in_class(rng, o0, bound=3):
+    """o0 moved by random (F_v, R, K, T_v, T_y) inside its explicitation class."""
+    n, m, s, p = o0.n, o0.m, o0.s, o0.p
+    F_v, R, K = (random_matrix(rng, r, c, bound) for r, c in ((s, n), (s, m), (n, p)))
+    T_v, T_y = random_invertible(rng, s, bound), random_invertible(rng, p, bound)
+    return Odecs2(
+        A=o0.A + K * o0.C + o0.B_v * F_v,
+        B_u=o0.B_u + o0.B_v * R + K * o0.D_u,
+        B_v=o0.B_v * inverse(T_v),
+        C=T_y * o0.C,
+        D_u=T_y * o0.D_u,
+    )
+
+
+def _assert_witness(o, d, wit):
+    o0 = explicitate(d)[0]
+    F_v, R, K, T_v, T_y = wit
+    assert o.A == o0.A + K * o0.C + o0.B_v * F_v
+    assert o.B_u == o0.B_u + o0.B_v * R + K * o0.D_u
+    assert o.B_v == o0.B_v * inverse(T_v)
+    assert o.C == T_y * o0.C
+    assert o.D_u == T_y * o0.D_u
+
+
+def test_expl_membership_agrees_with_the_kronecker_system():
+    # 300 random DACS with l, n, m in 0..5, dense and sparse; even cases are
+    # scrambled inside the class, odd ones have one matrix perturbed (which
+    # may or may not leave the class)
+    rng = random.Random(2028)
+    verdicts = []
+    for case in range(300):
+        l, n, m = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        density = 1.0 if case % 4 < 2 else rng.choice([0.2, 0.4])
+        d = Dacs(*(_sparse_matrix(rng, l, c, density) for c in (n, n, m)))
+        o = _scrambled_in_class(rng, explicitate(d)[0])
+        if case % 2:
+            name = rng.choice(["A", "B_u", "B_v", "C", "D_u"])
+            M = getattr(o, name)
+            o = dataclasses.replace(o, **{name: M + _sparse_matrix(rng, M.rows, M.cols, 0.3, 1)})
+        wit = expl_membership(o, d)
+        assert (wit is not None) == _kronecker_membership(o, d), "case %d" % case
+        if wit is not None:
+            _assert_witness(o, d, wit)
+        verdicts.append(wit is not None)
+    assert all(verdicts[::2])
+    assert 0 < verdicts[1::2].count(False) < 150
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_expl_membership_on_criterion_2_explicitations(case):
+    # up to n = 26, where the Kronecker reference takes seconds per call;
+    # only the witness identities are checked
+    base = 900001 + 2 * case
+    d, _ = random_fbcf(Seeded(base), bounds=(3, 4))
+    d = random_exfb_scramble(d, Seeded(base + 1, entry_bound=1))[0]
+    rng = random.Random(case)
+    for o in (explicitate(d)[0], _scrambled_in_class(rng, explicitate(d)[0], 1)):
+        wit = expl_membership(o, d)
+        assert wit is not None
+        _assert_witness(o, d, wit)
 
 
 # ---------------------------------------------------------------------------
